@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -358,5 +359,77 @@ func TestStats(t *testing.T) {
 	}
 	if st.Algorithm != "alternating-fixpoint" {
 		t.Errorf("algorithm = %q", st.Algorithm)
+	}
+}
+
+// TestArgumentIndexBuiltOnceUnderConcurrentFirstUse pins the lazy
+// argument indexes under -race: many goroutines issue their first
+// partially bound queries against one fresh snapshot at the same moment.
+// Every answer is right, and — summed over all the goroutines' match
+// spans — each (model, predicate, argument position) index the queries
+// bind was built exactly once.
+func TestArgumentIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("move(X,Y), not win(Y) -> win(X).\n")
+	const chains, length = 40, 6
+	for c := 0; c < chains; c++ {
+		for i := 0; i < length; i++ {
+			fmt.Fprintf(&b, "move(p%d_%d, p%d_%d).\n", c, i, c, i+1)
+		}
+	}
+	sys, err := Load(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each chain ends at p_6, which has no move: win(p_5) holds, win(p_4)
+	// does not, win(p_3) does. The shapes bind move/0 and move/1, by a
+	// constant and through a join variable; the unary win literals are
+	// fully bound by then and need no index.
+	shapes := []func(c int) (string, Truth){
+		func(c int) (string, Truth) { return fmt.Sprintf("? move(p%d_4,Y), not win(Y).", c), False },
+		func(c int) (string, Truth) { return fmt.Sprintf("? move(X,p%d_6), win(X).", c), True },
+		func(c int) (string, Truth) { return fmt.Sprintf("? move(p%d_2,Y), move(Y,Z), not win(Z).", c), True },
+		func(c int) (string, Truth) { return fmt.Sprintf("? move(X,p%d_6), move(W,X), not win(W).", c), True },
+	}
+
+	const goroutines = 12
+	var wg sync.WaitGroup
+	var builds atomic.Int64
+	start := make(chan struct{})
+	errs := make(chan error, goroutines*len(shapes))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := range shapes {
+				src, want := shapes[(g+i)%len(shapes)](g % chains)
+				q, err := Prepare(src)
+				if err != nil {
+					errs <- err
+					return
+				}
+				ans, _, et, err := snap.TraceAnswer(q)
+				if err != nil || ans != want {
+					errs <- fmt.Errorf("%s = %v (%v), want %v", src, ans, err, want)
+				}
+				_, n, _ := matchCounters(et)
+				builds.Add(n)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// move/0 and move/1 on the one model of this certified program.
+	if got := builds.Load(); got != 2 {
+		t.Errorf("argument indexes built %d times in total, want 2 (each once)", got)
 	}
 }

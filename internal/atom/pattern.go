@@ -1,6 +1,7 @@
 package atom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -129,21 +130,31 @@ func (s *Store) Instantiate(p Pattern, sub Subst) AtomID {
 
 // InstantiateLookup is Instantiate without interning: it returns the
 // existing AtomID for the instantiated atom, or (NoAtom, false) if that
-// ground atom has never been derived. Used for side-atom membership checks.
+// ground atom has never been derived. Used for side-atom membership checks
+// and ground query literals; the key (see atomKey) is built in place, so
+// patterns of common arity allocate nothing.
 func (s *Store) InstantiateLookup(p Pattern, sub Subst) (AtomID, bool) {
-	args := make([]term.ID, len(p.Args))
-	for i, pa := range p.Args {
+	var small [4 + 4*8]byte
+	key := small[:0]
+	if n := 4 + 4*len(p.Args); n > len(small) {
+		key = make([]byte, 0, n)
+	}
+	key = binary.LittleEndian.AppendUint32(key, uint32(p.Pred))
+	for _, pa := range p.Args {
+		t := pa.Const
 		if pa.IsVar() {
-			t := sub[pa.Var]
-			if t == term.None {
+			if t = sub[pa.Var]; t == term.None {
 				panic(fmt.Sprintf("atom: instantiating %s with unbound slot %d", s.PatternString(p), pa.Var))
 			}
-			args[i] = t
-		} else {
-			args[i] = pa.Const
+		}
+		key = binary.LittleEndian.AppendUint32(key, uint32(t))
+	}
+	for c := s; c != nil; c = c.base {
+		if id, ok := c.atomIdx[string(key)]; ok {
+			return id, true
 		}
 	}
-	return s.Lookup(p.Pred, args)
+	return NoAtom, false
 }
 
 // PatternString renders a pattern with ?n for variable slots (used in

@@ -45,7 +45,7 @@ func (m *Model) CheckConstraints() []Violation {
 		for _, strict := range []bool{true, false} {
 			strict := strict
 			var found *Violation
-			m.findHom(c.PosBody, c.NegBody, c.NumVars, strict, func(sub atom.Subst) bool {
+			m.findHom(c.PosBody, c.NegBody, c.NumVars, strict, nil, func(sub atom.Subst) bool {
 				found = &Violation{
 					Kind:    "constraint",
 					Clause:  c.Label,
@@ -62,7 +62,7 @@ func (m *Model) CheckConstraints() []Violation {
 	}
 	for _, e := range prog.EGDs {
 		var found *Violation
-		m.findHom(e.PosBody, nil, e.NumVars, true, func(sub atom.Subst) bool {
+		m.findHom(e.PosBody, nil, e.NumVars, true, nil, func(sub atom.Subst) bool {
 			l := argValue(e.Left, sub)
 			r := argValue(e.Right, sub)
 			if l != r {
@@ -83,6 +83,8 @@ func (m *Model) CheckConstraints() []Violation {
 	return out
 }
 
+// argValue is the term a denotes under sub: term.None for an unbound
+// variable.
 func argValue(a atom.PArg, sub atom.Subst) term.ID {
 	if a.IsVar() {
 		return sub[a.Var]

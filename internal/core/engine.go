@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -29,6 +30,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/ground"
 	"repro/internal/program"
+	"repro/internal/term"
 	"repro/internal/trace"
 )
 
@@ -241,6 +243,10 @@ type Model struct {
 	Chase *chase.Result
 	GP    *ground.Program
 	GM    *ground.Model
+	// Depth is the chase depth bound the model was evaluated at. Chase may
+	// be bounded below it: a ladder rung past saturation shares the
+	// shallower saturated chase.
+	Depth int
 	// Exact reports that the chase saturated strictly below its depth
 	// bound without truncation, so this model is the true well-founded
 	// model on all atoms (no deeper chase can change anything).
@@ -254,8 +260,8 @@ type Model struct {
 	// token's cause as an error).
 	Interrupted bool
 
-	truePerPred map[atom.PredID][]atom.AtomID // lazy index for joins
-	posPerPred  map[atom.PredID][]atom.AtomID // true ∪ undefined
+	idxOnce sync.Once    // guards buildIndexes
+	preds   []*predIndex // matcher candidates per predicate, by PredID
 
 	ranksOnce sync.Once // guards PrepareExplanations (models may be shared across snapshots)
 	ranks     []int32   // lazy: derivation ranks for Explain
@@ -625,6 +631,7 @@ func wrapModel(opts Options, res *chase.Result, gp *ground.Program, gm *ground.M
 		Chase:       res,
 		GP:          gp,
 		GM:          gm,
+		Depth:       depth,
 		Exact:       !res.Truncated && (stats.MaxDepth < depth || certified),
 		Interrupted: res.Interrupted || gm.Interrupted,
 	}
@@ -662,34 +669,91 @@ func (m *Model) UndefinedAtoms() []atom.AtomID {
 	return out
 }
 
-// Precompute materializes the lazily-built per-predicate truth indexes.
-// After Precompute, Answer, Select, Satisfies, Bindings, CheckConstraints,
-// and WCheck perform no writes to the model, so a model over a frozen
-// store may serve unlimited concurrent readers. (Explain has its own lazy
-// state; see PrepareExplanations.)
+// predIndex is what the NBCQ matcher keeps per predicate of a model: the
+// candidate list and, per argument position, a lazy index over it.
+type predIndex struct {
+	atoms []atom.AtomID // usable true ∪ undefined atoms, in derivation order
+	args  []argIndex    // one per argument position
+}
+
+// argIndex buckets a predIndex's atoms by the term at one argument
+// position: a counting sort over the dense term IDs, so building it costs
+// about two scans of the list plus O(ID range) and hashes nothing. The first
+// query that binds the position builds it, once; later readers take no lock
+// (sync.Once's fast path is one atomic load).
+type argIndex struct {
+	once   sync.Once
+	lo     term.ID       // smallest term at the position
+	start  []int32       // sorted[start[t-lo]:start[t-lo+1]] hold term t
+	sorted []atom.AtomID // pi.atoms ordered by the position's term, stably
+}
+
+// bucket returns the atoms of pi holding term t at argument position pos,
+// in list order, building the position's index on first use (counted in
+// *builds).
+func (pi *predIndex) bucket(st *atom.Store, pos int, t term.ID, builds *int64) []atom.AtomID {
+	ai := &pi.args[pos]
+	ai.once.Do(func() {
+		keys := make([]term.ID, len(pi.atoms)) // one store walk; the rest is arithmetic
+		for i, a := range pi.atoms {
+			keys[i] = st.Args(a)[pos]
+		}
+		lo, hi := slices.Min(keys), slices.Max(keys)
+		// Count term k into start[k+2], prefix-sum so start[k+1] is where
+		// k's bucket begins, then fill through start[k+1] as the cursor:
+		// each cursor ends where the next bucket begins.
+		start := make([]int32, int(hi-lo)+3)
+		for _, k := range keys {
+			start[k-lo+2]++
+		}
+		for i := 1; i < len(start); i++ {
+			start[i] += start[i-1]
+		}
+		sorted := make([]atom.AtomID, len(keys))
+		for i, k := range keys {
+			sorted[start[k-lo+1]] = pi.atoms[i]
+			start[k-lo+1]++
+		}
+		ai.lo, ai.start, ai.sorted = lo, start, sorted
+		*builds++
+	})
+	if t < ai.lo || int(t-ai.lo)+1 >= len(ai.start) {
+		return nil
+	}
+	return ai.sorted[ai.start[t-ai.lo]:ai.start[t-ai.lo+1]]
+}
+
+// Usable reports whether query matching may use atom a: always on an exact
+// model, otherwise only up to the guard-band depth (see Options.GuardBand).
+func (m *Model) Usable(a atom.AtomID) bool {
+	return m.UsableDepth < 0 || m.Chase.Depth(a) <= m.UsableDepth
+}
+
+// Precompute builds the matcher's per-predicate candidate lists now rather
+// than on the first query. The per-argument indexes stay lazy, but all lazy
+// matcher state is guarded by a sync.Once, so with or without Precompute a
+// model over a frozen store serves Answer, Select, Satisfies, Bindings,
+// CheckConstraints and WCheck to unlimited concurrent readers. (Explain has
+// its own lazy state; see PrepareExplanations.)
 func (m *Model) Precompute() { m.buildIndexes() }
 
 func (m *Model) buildIndexes() {
-	if m.truePerPred != nil {
-		return
-	}
-	st := m.Chase.Prog.Store
-	m.truePerPred = make(map[atom.PredID][]atom.AtomID)
-	m.posPerPred = make(map[atom.PredID][]atom.AtomID)
-	for i, g := range m.GP.Atoms {
-		if m.UsableDepth >= 0 && m.Chase.Depth(g) > m.UsableDepth {
-			continue // frontier guard band: see Options.GuardBand
-		}
-		switch m.GM.Truth[i] {
-		case ground.True:
+	m.idxOnce.Do(func() {
+		st := m.Chase.Prog.Store
+		m.preds = make([]*predIndex, st.NumPreds())
+		for i, g := range m.GP.Atoms {
+			if m.GM.Truth[i] == ground.False || !m.Usable(g) {
+				continue // no candidate, or inside the frontier guard band
+			}
 			p := st.PredOf(g)
-			m.truePerPred[p] = append(m.truePerPred[p], g)
-			m.posPerPred[p] = append(m.posPerPred[p], g)
-		case ground.Undefined:
-			p := st.PredOf(g)
-			m.posPerPred[p] = append(m.posPerPred[p], g)
+			pi := m.preds[p]
+			if pi == nil {
+				pi = &predIndex{args: make([]argIndex, st.PredArity(p))}
+				m.preds[p] = pi
+			}
+			pi.atoms = append(pi.atoms, g)
 		}
-	}
+	})
 }
 
 // ModelStats summarizes an evaluated model for reporting layers (CLIs,
@@ -725,7 +789,7 @@ type ModelStats struct {
 func (m *Model) Stats() ModelStats {
 	cs := m.Chase.ComputeStats()
 	s := ModelStats{
-		Depth:           m.Chase.Opts.MaxDepth,
+		Depth:           m.Depth,
 		MaxDepthReached: cs.MaxDepth,
 		Exact:           m.Exact,
 		Truncated:       cs.Truncated,
@@ -845,9 +909,9 @@ func AdaptiveAnswerCancelTraced(opts Options, modelAt func(depth int, tr *trace.
 			ds.End()
 			return last, stats, err
 		}
-		endMatch := ds.Phase("match")
-		ans := m.Answer(q)
-		endMatch()
+		ms := ds.Child("match")
+		ans := m.AnswerTraced(q, ms)
+		ms.End()
 		ds.SetCount("answer", int64(ans))
 		ds.End()
 		stats.Depths = append(stats.Depths, d)

@@ -59,8 +59,11 @@ func TestFlightGroupCollapses(t *testing.T) {
 		if r.err != nil {
 			t.Errorf("follower error: %v", r.err)
 		}
-		if r.v != "answer" {
-			t.Errorf("follower got %v, want the leader's answer", r.v)
+		// A follower scheduled only after the leader finished recomputes
+		// (see below); what it must never do is share a value it did not
+		// get from the leader.
+		if want := map[bool]any{true: "answer", false: "wrong"}[r.shared]; r.v != want {
+			t.Errorf("follower got %v (shared=%v), want %v", r.v, r.shared, want)
 		}
 	}
 	// The followers raced the leader: each either piggybacked (shared,

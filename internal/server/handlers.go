@@ -438,8 +438,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	ht := requestTrace(r)
 	v, cached, err := s.cachedQuery(sess, "select", norm, func(snap *wfs.Snapshot) (any, error) {
-		vars, tuples, err := snap.Select(q)
+		vars, tuples, err := snap.SelectTraced(q, ht.span())
 		if err != nil {
 			return nil, err
 		}

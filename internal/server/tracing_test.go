@@ -85,7 +85,7 @@ func TestMalformedTraceparentNever500(t *testing.T) {
 	for _, h := range []string{
 		"",
 		"garbage",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace ID
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // forbidden version
@@ -474,5 +474,50 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		if _, ok := typed[want]; !ok {
 			t.Errorf("metrics output missing family %q", want)
 		}
+	}
+}
+
+// TestMatchCountersReachTraceSurfaces: the matcher's work counters —
+// atoms examined, argument indexes built — arrive where an operator
+// looks: inline on ?trace=1, and in the flight-recorder entry of an
+// ordinary /select, whose evaluation hangs under the request's root span.
+func TestMatchCountersReachTraceSurfaces(t *testing.T) {
+	c := newTestClient(t, Config{})
+	c.mustCreate("w", winMove)
+
+	var qr QueryResponse
+	if code := c.do("POST", "/v1/sessions/w/query?trace=1", QueryRequest{Query: "? win(b)."}, &qr); code != 200 {
+		t.Fatalf("traced query: status %d", code)
+	}
+	m := qr.Trace.Find("match")
+	if m == nil {
+		t.Fatalf("traced query has no match span:\n%s", qr.Trace.Format())
+	}
+	if n, ok := m.Counters["candidates"]; !ok || n != 1 {
+		t.Errorf("point query examined %d atoms (recorded=%v), want 1", n, ok)
+	}
+	if n, ok := m.Counters["index_builds"]; !ok || n != 0 {
+		t.Errorf("point query built %d indexes (recorded=%v), want 0", n, ok)
+	}
+
+	const upstream = "00-5bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	const wantID = "5bf92f3577b34da6a3ce929d0e0e4736"
+	var sr SelectResponse
+	resp := c.doHdr("POST", "/v1/sessions/w/select", map[string]string{"traceparent": upstream},
+		QueryRequest{Query: "? move(b,Y), not win(Y)."}, &sr)
+	// b moves to a and to c; b wins, so neither of them does.
+	if resp.StatusCode != http.StatusOK || len(sr.Tuples) != 2 || sr.Tuples[0][0] != "a" || sr.Tuples[1][0] != "c" {
+		t.Fatalf("select: status %d tuples %v, want [[a] [c]]", resp.StatusCode, sr.Tuples)
+	}
+	var rt trace.RequestTrace
+	if code := c.do("GET", "/v1/traces/"+wantID, nil, &rt); code != 200 {
+		t.Fatalf("trace get: status %d", code)
+	}
+	m = rt.Trace.Find("match")
+	if m == nil {
+		t.Fatalf("select trace has no match span:\n%s", rt.Trace.Format())
+	}
+	if m.Counters["candidates"] != 2 || m.Counters["index_builds"] != 1 {
+		t.Errorf("select match counters = %v, want candidates 2 (the moves from b) and index_builds 1", m.Counters)
 	}
 }

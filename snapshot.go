@@ -52,7 +52,10 @@ type Snapshot struct {
 	opts    core.Options // defaults resolved
 	epoch   uint64
 
-	base  snapModel    // model at the configured depth (Select, TruthOf, …)
+	// base is the model at the configured depth (Select, TruthOf, …): the
+	// ladder rung of that depth when the schedule has one — always, for a
+	// certified program — so each depth is evaluated once per snapshot.
+	base  *snapModel
 	rungs []*snapModel // adaptive-deepening ladder (Answer), chained
 
 	// Delta-rebase bookkeeping (see newSnapshot): chain counts the
@@ -279,10 +282,6 @@ func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 		s.safeTermLen = store.Terms.Len()
 		s.safePredLen = store.NumPreds()
 	}
-	s.base = snapModel{depth: opts.Depth}
-	if prevSnap != nil {
-		s.base.reb.Store(&prevSnap.base)
-	}
 	var prev *snapModel
 	i := 0
 	for d := opts.AdaptiveStart; d <= opts.MaxDepth; d += opts.AdaptiveStep {
@@ -291,8 +290,17 @@ func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 			sm.reb.Store(prevSnap.rungs[i])
 		}
 		s.rungs = append(s.rungs, sm)
+		if d == opts.Depth {
+			s.base = sm
+		}
 		prev = sm
 		i++
+	}
+	if s.base == nil {
+		s.base = &snapModel{depth: opts.Depth}
+		if prevSnap != nil {
+			s.base.reb.Store(prevSnap.base)
+		}
 	}
 	return s
 }
@@ -522,6 +530,8 @@ func (s *Snapshot) AnswerTraced(q *Query, root *trace.Span) (Truth, *core.Answer
 // mutating request's trace (and its latency bill) instead of ambushing
 // the next reader; models that were cold before the mutation stay cold.
 func (s *Snapshot) WarmRebased(tr *trace.Span) {
+	// When base is one of the rungs the loop meets it a second time and
+	// skips it: a materialized model has dropped its reb link.
 	if r := s.base.reb.Load(); r != nil && r.done.Load() {
 		s.base.get(s, nil, tr)
 	}
@@ -574,14 +584,21 @@ func (s *Snapshot) AnswerAll() []QueryResult {
 // are tuples over ∆, so bindings to labelled nulls are excluded). The
 // first return lists the variable names. Selection runs against the model
 // at the configured depth.
-func (s *Snapshot) Select(q *Query) ([]string, [][]string, error) {
-	m, _ := s.base.get(s, nil, nil)
+func (s *Snapshot) Select(q *Query) ([]string, [][]string, error) { return s.SelectTraced(q, nil) }
+
+// SelectTraced is Select recording its work under the caller's span: the
+// model build, if this call pays for one, and a match child carrying the
+// matcher's counters (core.Model.AnswerTraced). A nil span is Select.
+func (s *Snapshot) SelectTraced(q *Query, tr *trace.Span) ([]string, [][]string, error) {
+	m, _ := s.base.get(s, nil, tr)
 	cq, err := s.compileFor(q, m)
 	if err != nil {
 		return nil, nil, err
 	}
 	st := m.Chase.Prog.Store
-	tuples := m.Select(cq)
+	ms := tr.Child("match")
+	tuples := m.SelectTraced(cq, ms)
+	ms.End()
 	out := make([][]string, len(tuples))
 	for i, tup := range tuples {
 		row := make([]string, len(tup))
@@ -662,7 +679,7 @@ func (s *Snapshot) TrueFacts() []string { return s.renderFacts(ground.True) }
 func (s *Snapshot) UndefinedFacts() []string { return s.renderFacts(ground.Undefined) }
 
 // renderFacts renders every atom with the given truth value that query
-// matching may use: like Answer/Select/buildIndexes, it excludes atoms
+// matching may use (Model.Usable): like Answer and Select, it excludes atoms
 // beyond Model.UsableDepth, whose guard-band frontier truth values are
 // unreliable (they can flip once deeper children exist) and which no
 // query answer ever observes. It runs entirely on the snapshot — no
@@ -671,18 +688,15 @@ func (s *Snapshot) UndefinedFacts() []string { return s.renderFacts(ground.Undef
 func (s *Snapshot) renderFacts(tv Truth) []string {
 	m, _ := s.base.get(s, nil, nil)
 	st := m.Chase.Prog.Store
-	usable := func(g atom.AtomID) bool {
-		return m.UsableDepth < 0 || m.Chase.Depth(g) <= m.UsableDepth
-	}
 	n := 0
 	for i, g := range m.GP.Atoms {
-		if m.GM.Truth[i] == tv && usable(g) {
+		if m.GM.Truth[i] == tv && m.Usable(g) {
 			n++
 		}
 	}
 	out := make([]string, 0, n)
 	for i, g := range m.GP.Atoms {
-		if m.GM.Truth[i] == tv && usable(g) {
+		if m.GM.Truth[i] == tv && m.Usable(g) {
 			out = append(out, st.String(g))
 		}
 	}

@@ -2,9 +2,13 @@ package wfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/trace"
 )
 
 // The standard game oracle: win(b) is true and win(c) false in the base
@@ -306,5 +310,181 @@ func TestManyEpochs(t *testing.T) {
 		if tv, err := s.Answer(q); err != nil || tv != want {
 			t.Errorf("epoch %d: win(n0) = %v (%v), want %v", i+1, tv, err, want)
 		}
+	}
+}
+
+// TestSnapshotOneModelPerDepth: on a certified program the configured
+// depth is the ladder's single rung, so the base model behind Select,
+// TruthOf, Explain, Stats and CheckConstraints is that rung — a read of
+// either kind after the other builds nothing, and a mutation's warm rebase
+// carries one model across, not two.
+func TestSnapshotOneModelPerDepth(t *testing.T) {
+	sys := loadGame(t)
+	q, err := Prepare("? win(b).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := snap.Answer(q); err != nil || ans != True {
+		t.Fatalf("win(b) = %v (%v)", ans, err)
+	}
+	if got := sys.Metrics().Read().Builds; got != 1 {
+		t.Fatalf("builds after the first answer = %d, want 1", got)
+	}
+	if _, tuples, err := snap.Select(q); err != nil || len(tuples) != 1 {
+		t.Errorf("select = %v (%v)", tuples, err)
+	}
+	if tv, err := snap.TruthOf("win(c)"); err != nil || tv != False {
+		t.Errorf("win(c) = %v (%v)", tv, err)
+	}
+	if _, ok, err := snap.Explain("win(b)"); err != nil || !ok {
+		t.Errorf("explain win(b): ok=%v (%v)", ok, err)
+	}
+	if st := snap.Stats(); !st.Model.Exact {
+		t.Errorf("stats = %+v", st.Model)
+	}
+	snap.CheckConstraints()
+	if got := sys.Metrics().Read().Builds; got != 1 {
+		t.Errorf("builds after select/truth/explain/stats = %d, want still 1", got)
+	}
+
+	if err := sys.AddFact("move", "c", "d"); err != nil {
+		t.Fatal(err)
+	}
+	next, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.WarmRebased(nil)
+	if m := sys.Metrics().Read(); m.Builds != 2 || m.Rebases != 1 {
+		t.Errorf("after one mutation: builds = %d, rebases = %d, want 2 and 1", m.Builds, m.Rebases)
+	}
+	if tv, err := next.TruthOf("win(c)"); err != nil || tv != True {
+		t.Errorf("win(c) after move(c,d) = %v (%v)", tv, err)
+	}
+	if got := sys.Metrics().Read().Builds; got != 2 {
+		t.Errorf("builds after a read on the warmed snapshot = %d, want still 2", got)
+	}
+}
+
+// TestSnapshotBaseOffLadder: a configured depth the schedule does not
+// visit keeps a model of its own.
+func TestSnapshotBaseOffLadder(t *testing.T) {
+	sys, err := LoadWithOptions(gameSrc, Options{NoCertify: true, Depth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(snap.rungs, snap.base) {
+		t.Fatalf("depth 5 is not on the ladder 4, 6, …")
+	}
+	if st := snap.Stats(); st.Model.Depth != 5 || !st.Model.Exact {
+		t.Errorf("stats = %+v", st.Model)
+	}
+	if tv, err := sys.Answer("win(b)"); err != nil || tv != True {
+		t.Errorf("win(b) = %v (%v)", tv, err)
+	}
+	if got := sys.Metrics().Read().Builds; got != 2 {
+		t.Errorf("builds = %d, want 2 (base and first rung)", got)
+	}
+}
+
+// matchCounters sums the matcher's counters over every match span of a
+// trace.
+func matchCounters(et *trace.EvalTrace) (candidates, indexBuilds int64, spans int) {
+	if et == nil {
+		return
+	}
+	if et.Name == "match" {
+		return et.Counters["candidates"], et.Counters["index_builds"], 1
+	}
+	for _, c := range et.Children {
+		cc, ib, n := matchCounters(c)
+		candidates, indexBuilds, spans = candidates+cc, indexBuilds+ib, spans+n
+	}
+	return
+}
+
+// TestMatchSpanCounters: on a 10⁴-fact knowledge base a traced point
+// query examines one atom, not the predicate's list, and a select with one
+// bound argument examines no more than that argument's fan-out; the match
+// span says so, and says which request paid for an index.
+func TestMatchSpanCounters(t *testing.T) {
+	sys, err := Load(bench.UpdateFamily(200, 50) + "move(n7_3, extra).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.NumFacts() != 10001 {
+		t.Fatalf("facts = %d", snap.NumFacts())
+	}
+	point := func(atom string, want Truth) {
+		t.Helper()
+		q, err := Prepare(atom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, _, et, err := snap.TraceAnswer(q)
+		if err != nil || ans != want {
+			t.Fatalf("%s = %v (%v), want %v", atom, ans, err, want)
+		}
+		cands, builds, spans := matchCounters(et)
+		// One lookup per pass: the strict pass, and for an answer that is
+		// not True the relaxed pass after it.
+		limit := int64(1)
+		if want != True {
+			limit = 2
+		}
+		if spans != 1 || cands > limit || builds != 0 {
+			t.Errorf("%s: %d match span(s) examined %d atoms and built %d indexes; want 1, ≤ %d, 0\n%s",
+				atom, spans, cands, builds, limit, et.Format())
+		}
+	}
+	point("win(n7_49)", True) // the last mover of a chain wins
+	point("move(n7_3, n7_4)", True)
+	point("win(n7_50)", False)
+	point("win(nowhere)", False) // a constant the store has never seen
+
+	sel, err := Prepare("? move(n7_3,Y), not win(Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantBuilds := range []int64{1, 0} { // the first request builds move/0, the second finds it
+		root := trace.New("select")
+		_, tuples, err := snap.SelectTraced(sel, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// n7_4 is an even number of moves from the chain's end, extra
+		// has no move at all: neither wins.
+		if len(tuples) != 2 || tuples[0][0] != "extra" || tuples[1][0] != "n7_4" {
+			t.Errorf("tuples = %v", tuples)
+		}
+		cands, builds, spans := matchCounters(root.Trace())
+		if spans != 1 || cands > 2 || builds != wantBuilds {
+			t.Errorf("select %d: %d match span(s) examined %d atoms and built %d indexes; want 1, ≤ 2 (the fan-out of n7_3), %d",
+				i, spans, cands, builds, wantBuilds)
+		}
+	}
+	// An all-variable literal is a scan and builds nothing.
+	scan, err := Prepare("? move(X,Y), not win(Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, et, err := snap.TraceAnswer(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, builds, _ := matchCounters(et); builds != 0 {
+		t.Errorf("all-variable query built %d indexes", builds)
 	}
 }
