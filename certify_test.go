@@ -2,6 +2,7 @@ package wfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +126,50 @@ func TestCertifiedAnswerSingleRung(t *testing.T) {
 	}
 	if len(ustats.Depths) <= 1 {
 		t.Fatalf("uncertified ladder took %v — expected multiple rungs", ustats.Depths)
+	}
+}
+
+// TestUncertifiedLadderStableButWrongFalse pins the incompleteness the
+// certificate removes (DESIGN.md §6, "The stable-but-wrong False,
+// worked"). d12(c2) sits at chase depth 12. Without the certificate the
+// adaptive ladder asks for it on rungs 4, 6 and 8, none of which has
+// chased that deep, so each answers False. Two agreeing rungs meet the
+// default stability window, and the ladder stops on a stable False that
+// is not exact. The certified load answers True, exactly, on the single
+// rung 12. A window wider than the schedule lets the heuristic ladder
+// climb to rung 14, where the chase visibly saturates.
+func TestUncertifiedLadderStableButWrongFalse(t *testing.T) {
+	const links = 12
+	query := fmt.Sprintf("? d%d(c2).", links)
+	answer := func(opts Options) (Truth, []int, bool, bool) {
+		t.Helper()
+		sys, err := LoadWithOptions(chainSrc(links), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, stats, err := sys.AnswerWithStats(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans, stats.Depths, stats.Stable, stats.Exact
+	}
+
+	ans, depths, stable, exact := answer(Options{NoCertify: true})
+	if ans != False || !slices.Equal(depths, []int{4, 6, 8}) || !stable {
+		t.Errorf("uncertified: %v on rungs %v (stable=%v), want a stable False on [4 6 8]", ans, depths, stable)
+	}
+	if exact {
+		t.Errorf("uncertified: the wrong False claims Exact")
+	}
+
+	ans, depths, _, exact = answer(Options{})
+	if ans != True || !exact || !slices.Equal(depths, []int{links}) {
+		t.Errorf("certified: %v on rungs %v (exact=%v), want an exact True on [%d]", ans, depths, exact, links)
+	}
+
+	ans, depths, _, exact = answer(Options{NoCertify: true, StabilityWindow: 99})
+	if ans != True || !exact || !slices.Equal(depths, []int{4, 6, 8, 10, 12, 14}) {
+		t.Errorf("uncertified, window 99: %v on rungs %v (exact=%v), want an exact True on [4 … 14]", ans, depths, exact)
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	wfsquery [-depth N] [-algorithm alt|unfounded|forward] [-query Q] [-retract F] [-trace]
-//	         [-timeout D] [-traceparent HDR] file.dlg
+//	wfsquery [-depth N] [-query Q] [-retract F] [-trace] [-timeout D]
+//	         [-traceparent HDR] file.dlg
 //
 // The program file may embed queries ('? lit, ….'); additional queries can
 // be passed with -query (repeatable). -retract (repeatable) removes
@@ -45,7 +45,6 @@ func (q *queryFlags) Set(s string) error { *q = append(*q, s); return nil }
 func main() {
 	var (
 		depth     = flag.Int("depth", 0, "chase depth (0 = default)")
-		algorithm = flag.String("algorithm", "alt", "WFS algorithm: alt | unfounded | forward")
 		showModel = flag.Bool("model", false, "print true and undefined atoms")
 		verbose   = flag.Bool("v", false, "print adaptive-deepening traces")
 		traceEval = flag.Bool("trace", false, "print a per-phase evaluation trace for each -query")
@@ -81,18 +80,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := wfs.Options{Depth: *depth}
-	switch *algorithm {
-	case "alt":
-		opts.Algorithm = core.AltFixpoint
-	case "unfounded":
-		opts.Algorithm = core.UnfoundedSets
-	case "forward":
-		opts.Algorithm = core.ForwardProofs
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algorithm))
-	}
-	sys, err := wfs.LoadWithOptions(string(src), opts)
+	sys, err := wfs.LoadWithOptions(string(src), wfs.Options{Depth: *depth})
 	if err != nil {
 		fatal(err)
 	}

@@ -128,12 +128,12 @@ func repl(sys *wfs.System, base string, in io.Reader, out io.Writer) {
 		case line == ":lint":
 			fmt.Fprint(out, sys.Analysis().Format(true))
 		case line == ":stats":
-			m := sys.Model()
-			stats := m.Chase.ComputeStats()
-			fmt.Fprintf(out, "chase: %s\n", stats)
-			fmt.Fprintf(out, "model: %d true, %d undefined, %d rounds, exact=%v\n",
-				m.GM.CountTrue(), m.GM.CountUndefined(), m.GM.Rounds, m.Exact)
-			fmt.Fprintf(out, "δ (Prop. 12) ≈ 2^%d\n", sys.DeltaBound().BitLen())
+			st := sys.Stats()
+			fmt.Fprintf(out, "chase: atoms=%d instances=%d maxDepth=%d truncated=%v\n",
+				st.Model.ChaseAtoms, st.Model.ChaseInstances, st.Model.MaxDepthReached, st.Model.Truncated)
+			fmt.Fprintf(out, "model: depth %d, %d true, %d undefined, exact=%v\n",
+				st.Model.Depth, st.Model.TrueAtoms, st.Model.UndefinedAtoms, st.Model.Exact)
+			fmt.Fprintf(out, "δ (Prop. 12) ≈ 2^%d\n", st.DeltaBits)
 		case strings.HasPrefix(line, ":retract "):
 			factSrc := strings.TrimSpace(strings.TrimPrefix(line, ":retract"))
 			pred, args, err := wfs.ParseFact(factSrc)

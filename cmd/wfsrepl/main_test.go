@@ -47,7 +47,9 @@ func TestReplCommands(t *testing.T) {
 `)
 	for _, want := range []string{
 		"true atoms:",
-		"chase: atoms=",
+		// :stats renders the snapshot model that :model and :check use.
+		"chase: atoms=2 ",
+		"2 true, 0 undefined, exact=true",
 		"no violations",
 		"win(a) is true (closure",
 		"negative hypotheses",

@@ -357,9 +357,6 @@ func TestStats(t *testing.T) {
 	if st.DeltaBits == 0 || st.DeltaBound == "" {
 		t.Errorf("δ missing: %+v", st)
 	}
-	if st.Algorithm != "alternating-fixpoint" {
-		t.Errorf("algorithm = %q", st.Algorithm)
-	}
 }
 
 // TestArgumentIndexBuiltOnceUnderConcurrentFirstUse pins the lazy

@@ -163,29 +163,20 @@ func ParseFact(src string) (pred string, args []string, err error) {
 // validation (unknown or non-database retraction targets, arity
 // violations, and add/retract conflicts reject the whole delta with the
 // database untouched), one epoch bump for the batch, and an incremental
-// rebase of the cached evaluation state — the engine and the snapshot
-// ladder carry their chase, grounding, and model across the delta
-// instead of discarding them. An empty delta is a no-op (no epoch bump).
-func (s *System) Apply(d *Delta) error { return s.ApplyTraced(d, nil) }
+// rebase of the cached evaluation state — the snapshot ladder carries
+// its chase, grounding, and model across the delta instead of
+// discarding them. An empty delta is a no-op (no epoch bump).
+func (s *System) Apply(d *Delta) error { return s.ApplyCtxTraced(context.Background(), d, nil) }
 
-// ApplyTraced is Apply recording the mutation's phases — validation,
-// the commit hook's durability work, the in-memory commit — as children
-// of tr. A nil tr is Apply.
-func (s *System) ApplyTraced(d *Delta, tr *trace.Span) error {
-	return s.ApplyCtxTraced(context.Background(), d, tr)
-}
-
-// ApplyCtx is Apply under a context. Cancellation is honoured at two
-// points only: on entry (before the write lock is taken) and immediately
-// before the commit hook fires — the durability point. Once the hook
-// has acknowledged the batch (the write-ahead log has fsynced it), the
-// in-memory commit always completes regardless of ctx: a mutation is
-// never durable-but-not-applied, and never applied-but-not-durable.
-func (s *System) ApplyCtx(ctx context.Context, d *Delta) error {
-	return s.ApplyCtxTraced(ctx, d, nil)
-}
-
-// ApplyCtxTraced is ApplyCtx recording the mutation's phases under tr.
+// ApplyCtxTraced is Apply under a context, recording the mutation's
+// phases — validation, the commit hook's durability work, the in-memory
+// commit — as children of tr (nil records nothing). Cancellation is
+// honoured at two points only: on entry (before the write lock is taken)
+// and immediately before the commit hook fires — the durability point.
+// Once the hook has acknowledged the batch (the write-ahead log has
+// fsynced it), the in-memory commit always completes regardless of ctx:
+// a mutation is never durable-but-not-applied, and never
+// applied-but-not-durable.
 func (s *System) ApplyCtxTraced(ctx context.Context, d *Delta, tr *trace.Span) error {
 	if d == nil || d.Empty() {
 		return nil
@@ -330,9 +321,6 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	// new entries, then clip the result so later appends cannot either.
 	newDB = append(newDB[:len(newDB):len(newDB)], added...)
 	s.db = newDB[:len(newDB):len(newDB)]
-	if s.engine != nil {
-		s.engine.ApplyDelta(s.db)
-	}
 	s.invalidateLocked()
 	return nil
 }

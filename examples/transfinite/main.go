@@ -21,8 +21,11 @@ import (
 	"fmt"
 	"log"
 
-	wfs "repro"
+	"repro/internal/atom"
 	"repro/internal/chase"
+	"repro/internal/core"
+	"repro/internal/program"
+	"repro/internal/term"
 )
 
 const src = `
@@ -36,34 +39,35 @@ p(X,Y), not s(X) -> t(X).
 `
 
 func main() {
-	sys, err := wfs.Load(src)
+	st := atom.NewStore(term.NewStore())
+	prog, db, _, err := program.CompileText(src, st)
 	if err != nil {
 		log.Fatal(err)
 	}
+	engine := core.NewEngine(prog, db, core.Options{})
 
-	// Example 6: the guarded chase forest F+(P) up to depth 3. The engine
-	// accessor hands out the live program and database (single-goroutine
-	// tooling use; concurrent readers should go through sys.Snapshot).
-	eng := sys.Engine()
-	res := chase.Run(eng.Prog, eng.DB, chase.Options{MaxDepth: 3, MaxAtoms: 10000})
+	// Example 6: the guarded chase forest F+(P) up to depth 3.
+	res := chase.Run(prog, db, chase.Options{MaxDepth: 3, MaxAtoms: 10000})
 	fmt.Println("guarded chase forest F+(P) to depth 3 (paper Example 6):")
 	fmt.Print(res.BuildForest(3, 200).Dump())
 
-	// Examples 4 and 9: the highlighted literals of WFS(D,Σ).
+	// Examples 4 and 9: the highlighted literals of WFS(D,Σ), read off the
+	// model at the default depth.
 	fmt.Println("\nWFS consequences (Examples 4 and 9):")
+	m := engine.Evaluate()
 	for _, a := range []string{"t(0)", "s(0)", "q(1)", "p(0,0)", "p(0,1)"} {
-		tv, err := sys.TruthOf(a)
+		q, err := program.ParseQuery(a, st)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-8s %s\n", a, tv)
+		fmt.Printf("  %-8s %s\n", a, m.Truth(st.Instantiate(q.Pos[0], atom.NewSubst(0))))
 	}
 
 	// The growth of fixpoint rounds with truncation depth: the finite
 	// shadow of ŴP,ω+2.
 	fmt.Println("\nfixpoint rounds vs chase depth (transfinite shadow):")
 	for _, d := range []int{4, 8, 16, 32} {
-		m := sys.Engine().EvaluateAtDepth(d)
+		m := engine.EvaluateAtDepth(d)
 		fmt.Printf("  depth %2d: universe %3d atoms, %3d operator rounds\n",
 			d, m.GP.NumAtoms(), m.GM.Rounds)
 	}

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -12,8 +10,34 @@ import (
 	"repro/internal/core"
 	"repro/internal/ground"
 	"repro/internal/program"
+	"repro/internal/strat"
 	"repro/internal/term"
 )
+
+// compileMust compiles source text into a fresh store; generator bugs are
+// fatal.
+func compileMust(src string) (*program.Program, program.Database, *atom.Store) {
+	st := atom.NewStore(term.NewStore())
+	prog, db, _, err := program.CompileText(src, st)
+	if err != nil {
+		panic(fmt.Sprintf("bench: generated workload failed to compile: %v", err))
+	}
+	return prog, db, st
+}
+
+func countTrueByPred(m *core.Model, st *atom.Store, pred string) int {
+	p, ok := st.LookupPred(pred)
+	if !ok {
+		return 0
+	}
+	n := 0
+	for i, g := range m.GP.Atoms {
+		if st.PredOf(g) == p && m.GM.Truth[i] == ground.True {
+			n++
+		}
+	}
+	return n
+}
 
 // TestGeneratorsCompile: every generator must emit valid guarded normal
 // Datalog± (generator bugs panic inside compileMust).
@@ -137,111 +161,52 @@ func TestWinMoveRandomDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentsRunQuick smoke-tests every experiment table end to end.
-func TestExperimentsRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweeps are slow")
+// TestWinMoveRandomHasLosingMove: on the 1000-node, 2000-edge random game
+// some position can move to a lost one, so "? move(X,Y), not win(Y)." is
+// certainly true.
+func TestWinMoveRandomHasLosingMove(t *testing.T) {
+	prog, db, st := compileMust(WinMoveRandom(1000, 2000, 9))
+	q, err := program.ParseQuery("? move(X,Y), not win(Y).", st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, id := range Experiments {
-		sb.Reset()
-		if err := Run(id, &sb, true); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		out := sb.String()
-		if !strings.Contains(out, "== "+id) || !strings.Contains(out, "claim:") {
-			t.Errorf("%s output malformed:\n%s", id, out)
-		}
-		if strings.Count(out, "\n") < 5 {
-			t.Errorf("%s produced no rows:\n%s", id, out)
-		}
+	ans, stats, err := core.NewEngine(prog, db, core.Options{}).Answer(q)
+	if err != nil || ans != ground.True || !stats.Exact {
+		t.Errorf("answer = %v exact=%v (%v), want exact true", ans, stats != nil && stats.Exact, err)
 	}
 }
 
-// BenchmarkDeltaApply — the delta subsystem's headline number: a trickle
-// of single-fact mutations (alternating retractions and re-additions of
-// one mid-chain edge per component) against the update-heavy family's
-// large EDB, with the model re-evaluated after every mutation.
-//
-//   - "incremental" is the real path: Engine.ApplyDelta rebases the
-//     cached chase (resumed for additions, forest-replayed for
-//     retractions), regrounds only what changed, and warm-starts the WFS
-//     fixpoint on the mutated component's dependency cone.
-//   - "rebuild" reconstructs the invalidate-and-rebuild design: every
-//     mutation discards the engine and re-chases, regrounds, and re-runs
-//     the fixpoint over the full database.
-//
-// The acceptance bar is incremental ≥ 2× faster; BENCH_delta.json
-// records the committed baseline.
-func BenchmarkDeltaApply(b *testing.B) {
-	const comps, length = 160, 50
-	src := UpdateFamily(comps, length)
-	prog, db0, st := compileMust(src)
-	moveP, ok := st.LookupPred("move")
-	if !ok {
-		b.Fatal("no move predicate")
+// TestLadderFamilyClimbsToCeiling: the ladder family's answer flips at
+// every rung, so adaptive deepening never stabilizes and climbs to
+// MaxDepth, where flip(c) holds — inexact, since the chase never
+// saturates.
+func TestLadderFamilyClimbsToCeiling(t *testing.T) {
+	prog, db, st := compileMust(LadderFamily(20, 34))
+	q, err := program.ParseQuery("? flip(X).", st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	edge := func(c int) atom.AtomID {
-		return st.Atom(moveP, []term.ID{
-			st.Terms.Const(fmt.Sprintf("n%d_3", c)),
-			st.Terms.Const(fmt.Sprintf("n%d_4", c)),
-		})
+	ans, stats, err := core.NewEngine(prog, db, core.Options{MaxDepth: 32}).Answer(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// mutate toggles one component's mid-chain edge: out while present,
-	// back in while absent — every op is a genuine set-level change.
-	mutate := func(db program.Database, removed []bool, i int) program.Database {
-		c := i % comps
-		a := edge(c)
-		defer func() { removed[c] = !removed[c] }()
-		if !removed[c] {
-			out := make(program.Database, 0, len(db))
-			for _, f := range db {
-				if f != a {
-					out = append(out, f)
-				}
-			}
-			return out
-		}
-		return append(db[:len(db):len(db)], a)
+	if ans != ground.True || stats.FinalDepth != 32 || stats.Exact || stats.Stable {
+		t.Errorf("flip(X) = %v, stats %+v; want true at depth 32, neither exact nor stable", ans, stats)
 	}
-
-	b.Run("incremental", func(b *testing.B) {
-		eng := core.NewEngine(prog, db0, core.Options{})
-		eng.Evaluate()
-		db, removed := db0, make([]bool, comps)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			db = mutate(db, removed, i)
-			eng.ApplyDelta(db)
-			if eng.Evaluate() == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
-
-	b.Run("rebuild", func(b *testing.B) {
-		db, removed := db0, make([]bool, comps)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			db = mutate(db, removed, i)
-			if core.NewEngine(prog, db, core.Options{}).Evaluate() == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
 }
 
-// TestDeltaApplyBenchWorkloadIsSound: the benchmark's mutation actually
-// changes the model (no-op deltas would let the incremental path win
-// vacuously), and the incremental engine agrees with a rebuilt one after
-// a toggle round-trip.
+// TestDeltaApplyBenchWorkloadIsSound: the update family's toggle —
+// retract one mid-chain edge, then add it back — really changes the model
+// (a no-op delta would let an incremental path win vacuously), and a
+// model carried across both deltas by core.RebaseModel, the way each
+// snapshot rung is, agrees with one rebuilt from scratch.
 func TestDeltaApplyBenchWorkloadIsSound(t *testing.T) {
 	const comps, length = 4, 8
 	prog, db, st := compileMust(UpdateFamily(comps, length))
 	moveP, _ := st.LookupPred("move")
 	a := st.Atom(moveP, []term.ID{st.Terms.Const("n0_3"), st.Terms.Const("n0_4")})
-	eng := core.NewEngine(prog, db, core.Options{})
-	m0 := eng.Evaluate()
+	opts := core.Options{}
+	m0 := core.NewEngine(prog, db, opts).Evaluate()
 	winP, _ := st.LookupPred("win")
 	probe := st.Atom(winP, []term.ID{st.Terms.Const("n0_3")})
 	before := m0.Truth(probe)
@@ -252,14 +217,13 @@ func TestDeltaApplyBenchWorkloadIsSound(t *testing.T) {
 			db1 = append(db1, f)
 		}
 	}
-	eng.ApplyDelta(db1)
-	m1 := eng.Evaluate()
+	m1 := core.RebaseModel(m0, prog, opts, m0.Depth, db1)
 	if m1.Truth(probe) == before {
-		t.Fatalf("retraction did not change win(n0_3) (= %v): benchmark workload is vacuous", before)
+		t.Fatalf("retraction did not change win(n0_3) (= %v): the workload is vacuous", before)
 	}
-	eng.ApplyDelta(append(db1[:len(db1):len(db1)], a))
-	m2 := eng.Evaluate()
-	scratch := core.NewEngine(prog, append(db1[:len(db1):len(db1)], a), core.Options{}).Evaluate()
+	db2 := append(db1[:len(db1):len(db1)], a)
+	m2 := core.RebaseModel(m1, prog, opts, m0.Depth, db2)
+	scratch := core.NewEngine(prog, db2, opts).Evaluate()
 	for _, g := range scratch.Chase.Atoms {
 		if gv, wv := m2.Truth(g), scratch.Truth(g); gv != wv {
 			t.Errorf("truth(%s) = %v, want %v", st.String(g), gv, wv)
@@ -270,8 +234,9 @@ func TestDeltaApplyBenchWorkloadIsSound(t *testing.T) {
 // TestModularEquivOnFamilies is the workload half of the modular
 // cross-check suite (the random-program half lives in internal/ground):
 // on the ground program of every benchmark family, the modular SCC-wise
-// solve must agree truth-for-truth with each of the four global WFS
-// algorithms, sequentially and with a worker pool.
+// solve must agree truth-for-truth with the global production
+// alternating fixpoint and each of its three references, sequentially and
+// with a worker pool.
 func TestModularEquivOnFamilies(t *testing.T) {
 	families := map[string]string{
 		"Example4":          Example4,
@@ -313,116 +278,93 @@ func TestModularEquivOnFamilies(t *testing.T) {
 	}
 }
 
-// BenchmarkModularSolve — the modular solver's headline number, measured
-// on the ground program alone (no chase, no grounding: exactly the solve
-// the engine dispatches per model).
-//
-//   - UpdateFamily(160, 50) is the worst case for a global fixpoint: 160
-//     independent win-move chains, so every global round sweeps ~16k
-//     rules to make progress on components that each need ~100 rounds.
-//     Its ground dependency graph is acyclic (chains, not cycles), so
-//     the modular solve finishes each component in a single definite
-//     pass — "global/update" vs "modular/update" is the acceptance
-//     comparison (criterion: ≥ 2×; BENCH_modular.json holds the
-//     committed baseline), and "modular-seq/update" isolates the
-//     decomposition win from the worker pool.
-//   - WinMoveCycle(3000) is the worst case for the modular solver: one
-//     negation cycle spans every win atom, so decomposition buys nothing
-//     and the subprogram extraction is pure overhead (criterion:
-//     "modular-seq/cycle" within 10% of "global/cycle").
-//   - "condense/update" prices the Tarjan condensation itself (cached on
-//     the Program in production, rebuilt fresh here).
-func BenchmarkModularSolve(b *testing.B) {
-	ground16k := func() *ground.Program {
-		prog, db, _ := compileMust(UpdateFamily(160, 50))
-		return ground.FromChase(chase.Run(prog, db, chase.Options{MaxDepth: core.DefaultDepth, MaxAtoms: 4_000_000}))
-	}
-	gpU := ground16k()
-	progC, dbC, _ := compileMust(WinMoveCycle(3000))
-	gpC := ground.FromChase(chase.Run(progC, dbC, chase.Options{MaxDepth: core.DefaultDepth, MaxAtoms: 4_000_000}))
-
-	b.Run("global/update", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.AlternatingFixpoint(gpU) == nil {
-				b.Fatal("no model")
+// TestE4RoundsGrowWithDepth — Example 9: WFS(P) = ŴP,ω+2, so the fixpoint
+// closes at no finite stage of the infinite program. On depth-d
+// truncations the number of operator rounds grows with d while the
+// highlighted literals (T(0) true, S(0), Q(1) false, P(0,1) true) stay
+// fixed.
+func TestE4RoundsGrowWithDepth(t *testing.T) {
+	want := map[string]ground.Truth{"t(0)": ground.True, "s(0)": ground.False, "q(1)": ground.False, "p(0,1)": ground.True}
+	prev := 0
+	for _, d := range []int{4, 8, 16, 32} {
+		prog, db, st := compileMust(Example4)
+		m := core.NewEngine(prog, db, core.Options{Depth: d}).Evaluate()
+		if m.GM.Rounds <= prev {
+			t.Errorf("depth %d: %d rounds, not more than %d at the previous depth", d, m.GM.Rounds, prev)
+		}
+		prev = m.GM.Rounds
+		for src, tv := range want {
+			q, err := program.ParseQuery(src, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Truth(st.Instantiate(q.Pos[0], atom.NewSubst(0))); got != tv {
+				t.Errorf("depth %d: %s = %v, want %v", d, src, got, tv)
 			}
 		}
-	})
-	b.Run("modular/update", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpU, ground.AlternatingFixpoint, runtime.GOMAXPROCS(0)) == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
-	b.Run("modular-seq/update", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpU, ground.AlternatingFixpoint, 1) == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
-	b.Run("condense/update", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.Condense(gpU) == nil {
-				b.Fatal("no condensation")
-			}
-		}
-	})
-	b.Run("global/cycle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.AlternatingFixpoint(gpC) == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
-	b.Run("modular-seq/cycle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ground.SolveModular(gpC, ground.AlternatingFixpoint, 1) == nil {
-				b.Fatal("no model")
-			}
-		}
-	})
-}
-
-func TestUnknownExperiment(t *testing.T) {
-	if err := Run("E99", io.Discard, true); err == nil {
-		t.Errorf("unknown experiment accepted")
 	}
 }
 
-// TestE5NoMismatches asserts the E5 claim directly: the experiment's
-// mismatch column must be all zeros.
+// TestE5NoMismatches — §1: the WFS conservatively extends stratified
+// Datalog±. On stratified programs it equals the perfect model of the
+// stratified baseline atom for atom, and nothing is undefined.
 func TestE5NoMismatches(t *testing.T) {
-	tab := E5StratifiedCoincidence(true)
-	for _, row := range tab.Rows {
-		if row[2] != "0" || row[3] != "0" {
-			t.Errorf("E5 row has mismatches/undefined: %v", row)
+	for _, n := range []int{200, 400, 800} {
+		prog, db, st := compileMust(StratifiedFamily(n))
+		wm := core.NewEngine(prog, db, core.Options{}).Evaluate()
+		sm, err := strat.Evaluate(prog, db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range wm.GP.Atoms {
+			if got, want := wm.GM.Truth[i], sm.GM.TruthOfGlobal(g); got != want {
+				t.Errorf("n=%d: %s is %v under WFS, %v in the perfect model", n, st.String(g), got, want)
+			}
+		}
+		if u := wm.GM.CountUndefined(); u != 0 {
+			t.Errorf("n=%d: %d undefined atoms in a stratified program", n, u)
 		}
 	}
 }
 
-// TestE6NoDivergence asserts the E6 claim directly.
+// TestE6NoDivergence — §1/[2]: on positive programs the WFS-true atoms are
+// exactly the chase-derivable ones and nothing is undefined.
 func TestE6NoDivergence(t *testing.T) {
-	tab := E6PositiveCoincidence(true)
-	for _, row := range tab.Rows {
-		if row[2] != "0" || row[3] != "0" {
-			t.Errorf("E6 row diverges from chase: %v", row)
+	for _, n := range []int{500, 1000, 2000} {
+		prog, db, st := compileMust(ReachChain(n))
+		res := chase.Run(prog, db, chase.Options{MaxDepth: n + 2, MaxAtoms: 8_000_000})
+		m := core.NewEngine(prog, db, core.Options{Depth: n + 2, MaxAtoms: 8_000_000}).Evaluate()
+		for i, g := range m.GP.Atoms {
+			if (m.GM.Truth[i] == ground.True) != res.Derived(g) {
+				t.Errorf("n=%d: %s is %v, derived=%v", n, st.String(g), m.GM.Truth[i], res.Derived(g))
+			}
+		}
+		if u := m.GM.CountUndefined(); u != 0 {
+			t.Errorf("n=%d: %d undefined atoms in a positive program", n, u)
 		}
 	}
 }
 
-func TestTableFormatting(t *testing.T) {
-	tab := &Table{ID: "T", Title: "test", Claim: "c", Header: []string{"a", "bb"}}
-	tab.AddRow(1, 2.5)
-	tab.AddRow("x", "y")
-	tab.Note("n1")
-	var sb strings.Builder
-	tab.Fprint(&sb)
-	out := sb.String()
-	for _, want := range []string{"== T: test", "claim: c", "2.50", "note: n1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table output missing %q:\n%s", want, out)
+// TestE9DLLiteExample2 — Example 2 at scale: under the UNA the WFS gives
+// every employed person an EmployeeID, everyone else a JobSeekerID, and —
+// because the two Skolem nulls never coincide — makes every EmployeeID
+// null a ValidID. Every third person is employed, nothing is undefined.
+func TestE9DLLiteExample2(t *testing.T) {
+	for _, n := range []int{3, 30, 300} {
+		st := atom.NewStore(term.NewStore())
+		prog, db, err := EmploymentFamily(n).Compile(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := core.NewEngine(prog, db, core.Options{}).Evaluate()
+		employed := (n + 2) / 3
+		for pred, want := range map[string]int{"employeeID": employed, "jobSeekerID": n - employed, "validID": employed} {
+			if got := countTrueByPred(m, st, pred); got != want {
+				t.Errorf("n=%d: %s = %d, want %d", n, pred, got, want)
+			}
+		}
+		if u := m.GM.CountUndefined(); u != 0 {
+			t.Errorf("n=%d: %d undefined atoms", n, u)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package bench provides the workload generators and the experiment
-// harness that regenerate every "table/figure" of the paper — its
-// complexity theorems and worked examples (see DESIGN.md §5 for the
-// experiment index E1–E9 and EXPERIMENTS.md for recorded results).
+// Package bench provides the workload generators for the paper's worked
+// examples and complexity families. The paper-claim tests of this package
+// (E4, E5, E6, E9; DESIGN.md §5) and the benchmark harness under
+// benchmark/ are built on them.
 package bench
 
 import (
@@ -209,11 +209,10 @@ func LadderFamily(m, levels int) string {
 // dependency cone is one component (~l atoms of a k·l universe), so an
 // incremental engine — resumed chase, forest-replay retraction,
 // warm-started fixpoint — re-derives a vanishing fraction of what an
-// invalidate-and-rebuild evaluation recomputes; BenchmarkDeltaApply
-// measures exactly this against the committed BENCH_delta.json baseline.
-// Chains (rather than cycles) make every retraction flip truth values
-// along the whole mutated chain, so the delta path cannot cheat by
-// noticing that nothing changed.
+// invalidate-and-rebuild evaluation recomputes (the harness's
+// mutate_durable workload measures it). Chains (rather than cycles) make
+// every retraction flip truth values along the whole mutated chain, so
+// the delta path cannot cheat by noticing that nothing changed.
 func UpdateFamily(k, l int) string { return WinMoveComponents(k, l) }
 
 // StratifiedFamily generates a stratified guarded program with negation

@@ -137,29 +137,33 @@ p(X,Y), not s(X) -> t(X).
 }
 
 // TestApplyDeltaMatchesFromScratch is the tentpole cross-check: after
-// every scripted mutation, the delta-maintained engine must be
+// every scripted mutation, each rung of the adaptive ladder, carried
+// across the delta by RebaseModel the way a snapshot rung is, must be
 // indistinguishable — universe, depths, instance count, three-valued
-// model, exactness — from an engine built from scratch on the mutated
-// database, at every rung of the adaptive ladder, under all four WFS
-// algorithms.
+// model, exactness — from a model built from scratch on the mutated
+// database, and each reference WFS operator run on the rebased grounding
+// must reproduce the warm-started model.
 func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 	depths := []int{4, 6, 8}
 	for _, script := range deltaScripts {
-		for _, alg := range []Algorithm{AltFixpoint, UnfoundedSets, ForwardProofs, Remainder} {
-			t.Run(script.name+"/"+alg.String(), func(t *testing.T) {
+		for _, ref := range references {
+			t.Run(script.name+"/"+ref.name, func(t *testing.T) {
 				prog, db, _, st := compile(t, script.src)
-				inc := NewEngine(prog, db, Options{Algorithm: alg})
-				for _, d := range depths {
-					inc.EvaluateAtDepth(d) // warm every rung before mutating
+				e := NewEngine(prog, db, Options{})
+				rungs := make([]*Model, len(depths))
+				for j, d := range depths {
+					rungs[j] = e.EvaluateAtDepth(d) // warm every rung before mutating
 				}
 				for i, op := range script.ops {
 					db = applyDBOp(t, st, db, op)
-					inc.ApplyDelta(db)
-					for _, d := range depths {
-						got := inc.EvaluateAtDepth(d)
-						want := NewEngine(prog, db, Options{Algorithm: alg}).EvaluateAtDepth(d)
+					for j, d := range depths {
+						rungs[j] = RebaseModel(rungs[j], prog, e.Opts, d, db)
+						want := NewEngine(prog, db, Options{}).EvaluateAtDepth(d)
 						t.Logf("op %d depth %d", i, d)
-						checkSameModel(t, st, got, want)
+						checkSameModel(t, st, rungs[j], want)
+						if !ref.wfs(rungs[j].GP).Equal(rungs[j].GM) {
+							t.Errorf("op %d depth %d: %s disagrees with the rebased model", i, d, ref.name)
+						}
 					}
 				}
 			})
@@ -198,16 +202,17 @@ func TestRebaseModelTruncatedFallsBack(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaThenDeepen: after a delta, a depth the engine never
-// evaluated extends the rebased chase rather than re-chasing.
+// TestApplyDeltaThenDeepen: after a delta, a depth no rung was evaluated
+// at is reached from the rebased depth-4 rung — by extending its chase,
+// as the next snapshot rung does, or by rebasing straight to the deeper
+// depth — and both match a from-scratch evaluation there.
 func TestApplyDeltaThenDeepen(t *testing.T) {
 	prog, db, _, st := compile(t, example4)
 	e := NewEngine(prog, db, Options{})
-	e.EvaluateAtDepth(4)
+	m4 := e.EvaluateAtDepth(4)
 	db2 := applyDBOp(t, st, db, opAdd("p", "0", "1"))
-	e.ApplyDelta(db2)
-	e.EvaluateAtDepth(4) // rebases the staged depth-4 model
-	got := e.EvaluateAtDepth(7)
 	want := NewEngine(prog, db2, Options{}).EvaluateAtDepth(7)
-	checkSameModel(t, st, got, want)
+	rebased := RebaseModel(m4, prog, e.Opts, 4, db2)
+	checkSameModel(t, st, ExtendModel(rebased, prog, e.Opts, 7), want)
+	checkSameModel(t, st, RebaseModel(m4, prog, e.Opts, 7, db2), want)
 }

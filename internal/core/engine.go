@@ -5,15 +5,17 @@
 // bound δ.
 //
 // The evaluation pipeline is: bounded guarded chase of P+ = (D ∪ Σf)+
-// (package chase) → finite ground normal program (package ground) → one of
-// four WFS fixpoint algorithms → three-valued model over the derived
-// universe, with every atom outside the universe false (it has no forward
-// proof within the bound, Definition 5). Proposition 12 guarantees a finite
-// sufficient depth n·δ for NBCQ answering; because δ is astronomically
-// large, the engine answers queries by adaptive deepening with a
-// stabilization window, and reports exactness whenever the chase saturates
-// below the bound (in which case the computed model is the genuine
-// well-founded model restricted to the relevant atoms).
+// (package chase) → finite ground normal program (package ground) → the
+// modular alternating-fixpoint WFS solve → three-valued model over the
+// derived universe, with every atom outside the universe false (it has no
+// forward proof within the bound, Definition 5). Proposition 12 guarantees
+// a finite sufficient depth n·δ for NBCQ answering; because δ is
+// astronomically large, the engine answers queries by adaptive deepening
+// with a stabilization window, and reports exactness whenever the chase
+// saturates below the bound (in which case the computed model is the
+// genuine well-founded model restricted to the relevant atoms). The other
+// WFS operators of the paper live in package ground as reference
+// implementations the tests check this path against.
 package core
 
 import (
@@ -58,38 +60,6 @@ func cancelCause(tok *cancel.Token) error {
 	return context.Canceled
 }
 
-// Algorithm selects which of the four equivalent WFS fixpoint algorithms
-// evaluates the ground program.
-type Algorithm int
-
-const (
-	// AltFixpoint is the van Gelder alternating fixpoint (default,
-	// fastest).
-	AltFixpoint Algorithm = iota
-	// UnfoundedSets iterates WP = TP ∪ ¬.UP literally (§2.6).
-	UnfoundedSets
-	// ForwardProofs iterates the ŴP operator of Definition 7.
-	ForwardProofs
-	// Remainder computes the Brass–Dix program remainder (residual
-	// program) — a fourth independent algorithm used for cross-checking.
-	Remainder
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AltFixpoint:
-		return "alternating-fixpoint"
-	case UnfoundedSets:
-		return "unfounded-sets"
-	case ForwardProofs:
-		return "forward-proofs"
-	case Remainder:
-		return "remainder"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // Options configure an Engine. The zero value selects defaults.
 type Options struct {
 	// Depth is the chase depth for Evaluate; 0 means DefaultDepth.
@@ -97,8 +67,6 @@ type Options struct {
 	// MaxAtoms caps the chase universe (safety valve); 0 means a large
 	// default.
 	MaxAtoms int
-	// Algorithm selects the WFS fixpoint algorithm.
-	Algorithm Algorithm
 
 	// Parallelism bounds the worker pool of the modular (SCC-wise)
 	// solver: independent dependency components on one topological level
@@ -221,11 +189,6 @@ type Engine struct {
 	cached *Model         // model at Opts.Depth
 	models map[int]*Model // depth → model, for ladder reuse
 
-	// prevModels holds the per-depth models evaluated before the last
-	// ApplyDelta: a request for one of these depths rebases the old model
-	// onto the current database (RebaseModel) instead of evaluating cold.
-	prevModels map[int]*Model
-
 	// Deepest chase and grounding computed so far; deeper evaluations
 	// resume from these.
 	res *chase.Result
@@ -282,19 +245,14 @@ func (e *Engine) Evaluate() *Model {
 // request (outside the usual monotone deepening pattern) falls back to a
 // fresh bounded chase.
 func (e *Engine) EvaluateAtDepth(depth int) *Model {
-	return e.EvaluateAtDepthTraced(depth, nil)
+	return e.EvaluateAtDepthCancelTraced(depth, nil, nil)
 }
 
-// EvaluateAtDepthTraced is EvaluateAtDepth with observability: the chase
-// (fresh or extended), grounding, condensation, and solve become child
-// spans of tr, with chase shape counters (see chaseCounters). tr nil is
-// the plain evaluation — cache hits record nothing either way.
-func (e *Engine) EvaluateAtDepthTraced(depth int, tr *trace.Span) *Model {
-	return e.EvaluateAtDepthCancelTraced(depth, nil, tr)
-}
-
-// EvaluateAtDepthCancelTraced is EvaluateAtDepthTraced under a
-// cancellation token (nil = never cancelled). An interrupted evaluation
+// EvaluateAtDepthCancelTraced is EvaluateAtDepth under a cancellation
+// token (nil = never cancelled), with the chase (fresh or extended),
+// grounding, condensation, and solve recorded as child spans of tr with
+// chase shape counters (see chaseCounters); tr nil records nothing, and
+// cache hits record nothing either way. An interrupted evaluation
 // returns a Model with Interrupted set; interrupted state is never
 // cached and never installed as the engine's resumable chase, so a
 // later un-cancelled request at the same depth evaluates cleanly.
@@ -303,22 +261,6 @@ func (e *Engine) EvaluateAtDepthCancelTraced(depth int, tok *cancel.Token, tr *t
 		e.models = make(map[int]*Model)
 	}
 	if m, ok := e.models[depth]; ok {
-		return m
-	}
-	if pm, ok := e.prevModels[depth]; ok {
-		// A model from before the last ApplyDelta: rebase it onto the
-		// current database instead of re-evaluating from scratch. The
-		// staged model is consumed only by a completed rebase — an
-		// interrupted one leaves it staged for the next request.
-		m := RebaseModelCancelTraced(pm, e.Prog, e.Opts, depth, e.DB, tok, tr)
-		if m.Interrupted {
-			return m
-		}
-		delete(e.prevModels, depth)
-		if e.res == nil || depth >= e.res.Opts.MaxDepth {
-			e.res, e.gp = m.Chase, m.GP
-		}
-		e.models[depth] = m
 		return m
 	}
 	var res *chase.Result
@@ -386,27 +328,6 @@ func chaseCounters(tr *trace.Span, res *chase.Result) {
 	}
 }
 
-// ApplyDelta rebases the engine onto a mutated database. Nothing is
-// re-evaluated eagerly: every cached model is staged for rebasing, and
-// the next EvaluateAtDepth at a staged depth carries the old model across
-// the (set-level) database change via RebaseModel — resumed chase for
-// additions, forest replay for retractions, warm-started fixpoint — so
-// the adaptive ladder after a small delta costs a fraction of a rebuild.
-// newDB must be the complete database after the mutation, with every atom
-// interned in the engine's store.
-func (e *Engine) ApplyDelta(newDB program.Database) {
-	e.DB = newDB
-	if e.prevModels == nil {
-		e.prevModels = make(map[int]*Model)
-	}
-	for d, m := range e.models {
-		e.prevModels[d] = m // staged models from older epochs are superseded
-	}
-	e.models = make(map[int]*Model)
-	e.cached = nil
-	e.res, e.gp = nil, nil
-}
-
 // ExtendModel continues a previously evaluated model's chase to a deeper
 // depth and evaluates the model there: the resumable-chase counterpart of
 // EvaluateAtDepth for layers that manage models themselves (the snapshot
@@ -416,18 +337,13 @@ func (e *Engine) ApplyDelta(newDB program.Database) {
 // grounding are appended copies, so prev keeps serving concurrent
 // readers.
 func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int) *Model {
-	return ExtendModelTraced(prev, prog, opts, depth, nil)
+	return ExtendModelCancelTraced(prev, prog, opts, depth, nil, nil)
 }
 
-// ExtendModelTraced is ExtendModel with observability (see
-// EvaluateAtDepthTraced for the span inventory).
-func ExtendModelTraced(prev *Model, prog *program.Program, opts Options, depth int, tr *trace.Span) *Model {
-	return ExtendModelCancelTraced(prev, prog, opts, depth, nil, tr)
-}
-
-// ExtendModelCancelTraced is ExtendModelTraced under a cancellation
-// token (nil = never cancelled); an interrupted extension returns a
-// discardable Model with Interrupted set.
+// ExtendModelCancelTraced is ExtendModel under a cancellation token (nil
+// = never cancelled), recording its phases under tr (see
+// EvaluateAtDepthCancelTraced for the span inventory); an interrupted
+// extension returns a discardable Model with Interrupted set.
 func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, tok *cancel.Token, tr *trace.Span) *Model {
 	opts = opts.withDefaults()
 	cs := tr.Child("chase-extend")
@@ -462,15 +378,7 @@ func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 // truncated chase, or a depth mismatch from an off-ladder caller) falls
 // back to cold evaluation at the requested depth.
 func RebaseModel(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database) *Model {
-	return RebaseModelTraced(prev, prog, opts, depth, newDB, nil)
-}
-
-// RebaseModelTraced is RebaseModel with observability: the delta-apply
-// breakdown (diff, overdelete/rederive/reground under a delta-rebase
-// child, cone warm starts) becomes child spans of tr with the delta and
-// cone sizes as counters. tr nil is the plain rebase.
-func RebaseModelTraced(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tr *trace.Span) *Model {
-	return RebaseModelCancelTraced(prev, prog, opts, depth, newDB, nil, tr)
+	return RebaseModelCancelTraced(prev, prog, opts, depth, newDB, nil, nil)
 }
 
 // interruptedModel is the discardable marker a cancelled stage returns:
@@ -481,8 +389,11 @@ func interruptedModel(prev *Model) *Model {
 	return &Model{Chase: prev.Chase, GP: prev.GP, GM: prev.GM, Interrupted: true}
 }
 
-// RebaseModelCancelTraced is RebaseModelTraced under a cancellation
-// token (nil = never cancelled). The token gates every stage — the
+// RebaseModelCancelTraced is RebaseModel under a cancellation token (nil
+// = never cancelled), recording the delta-apply breakdown (diff,
+// overdelete/rederive/reground under a delta-rebase child, cone warm
+// starts) as child spans of tr with the delta and cone sizes as
+// counters; tr nil records nothing. The token gates every stage — the
 // forest replay, the data-dimension continuation, the warm solves, the
 // deepening, and crucially the cold-rebuild fallback, which must not
 // run when the rebase failed *because* of the cancel.
@@ -507,7 +418,7 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 		}
 		if ok {
 			ws := tr.Child("warm-solve")
-			gm := ground.IncrementalModelCancelTraced(reb.GP, prev.GM, reb.Seeds, solverCancelFor(opts, tok), tok, ws)
+			gm := ground.IncrementalModelCancelTraced(reb.GP, prev.GM, reb.Seeds, solverCancelForTraced(opts, tok, nil), tok, ws)
 			ws.End()
 			if gm.Interrupted {
 				return interruptedModel(prev)
@@ -533,7 +444,7 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 					seeds = append(seeds, res.Instances[i].Head)
 				}
 				ws2 := tr.Child("warm-solve")
-				gm = ground.IncrementalModelCancelTraced(gp, gm, seeds, solverCancelFor(opts, tok), tok, ws2)
+				gm = ground.IncrementalModelCancelTraced(gp, gm, seeds, solverCancelForTraced(opts, tok, nil), tok, ws2)
 				ws2.End()
 				if gm.Interrupted {
 					return interruptedModel(prev)
@@ -558,63 +469,24 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 	return modelFromCancelTraced(opts, res, gp, depth, tok, tr)
 }
 
-// solverFor returns the solve path the options select, as a function
-// over ground programs (also handed to the warm-started incremental
-// evaluation, which applies it to the affected subprogram): the modular
-// SCC-wise evaluation, with the configured fixpoint algorithm run inside
-// each negation-cyclic component and up to opts.Parallelism independent
-// components solved concurrently.
-func solverFor(opts Options) func(*ground.Program) *ground.Model {
-	return solverForTraced(opts, nil)
-}
-
-// solverForTraced is solverFor with the modular solve recording its
-// condense/solve phases (and, on a Detailed trace, the slowest
-// components) onto tr.
-func solverForTraced(opts Options, tr *trace.Span) func(*ground.Program) *ground.Model {
-	return solverCancelForTraced(opts, nil, tr)
-}
-
-// solverCancelFor is solverFor carrying a cancellation token into the
-// modular solve (nil = never cancelled).
-func solverCancelFor(opts Options, tok *cancel.Token) func(*ground.Program) *ground.Model {
-	return solverCancelForTraced(opts, tok, nil)
-}
-
+// solverCancelForTraced returns the one production solve path as a
+// function over ground programs (also handed to the warm-started
+// incremental evaluation, which applies it to the affected subprogram):
+// the modular SCC-wise evaluation, with the alternating fixpoint run
+// inside each negation-cyclic component and up to opts.Parallelism
+// independent components solved concurrently. The token (nil = never
+// cancelled) is carried into the solve, which records its condense/solve
+// phases (and, on a Detailed trace, the slowest components) onto tr.
 func solverCancelForTraced(opts Options, tok *cancel.Token, tr *trace.Span) func(*ground.Program) *ground.Model {
-	algo := algorithmFor(opts.Algorithm)
 	par := opts.Parallelism
 	return func(p *ground.Program) *ground.Model {
-		return ground.SolveModularCancelTraced(p, algo, par, tok, tr)
+		return ground.SolveModularCancelTraced(p, ground.AlternatingFixpoint, par, tok, tr)
 	}
 }
 
-// algorithmFor maps the option to the raw global WFS fixpoint algorithm.
-func algorithmFor(a Algorithm) func(*ground.Program) *ground.Model {
-	switch a {
-	case UnfoundedSets:
-		return ground.UnfoundedIteration
-	case ForwardProofs:
-		return ground.ForwardProofIteration
-	case Remainder:
-		return ground.Remainder
-	default:
-		return ground.AlternatingFixpoint
-	}
-}
-
-// modelFrom runs the configured WFS fixpoint algorithm over a grounded
-// chase and wraps the result with its exactness and guard-band metadata.
-func modelFrom(opts Options, res *chase.Result, gp *ground.Program, depth int) *Model {
-	return modelFromTraced(opts, res, gp, depth, nil)
-}
-
-func modelFromTraced(opts Options, res *chase.Result, gp *ground.Program, depth int, tr *trace.Span) *Model {
-	return wrapModel(opts, res, gp, solverForTraced(opts, tr)(gp), depth)
-}
-
-// modelFromCancelTraced is modelFromTraced with the token threaded into
-// the solve; an interrupted solve (or chase) marks the model.
+// modelFromCancelTraced runs the production solve over a grounded chase
+// and wraps the result with its exactness and guard-band metadata; an
+// interrupted solve (or chase) marks the model.
 func modelFromCancelTraced(opts Options, res *chase.Result, gp *ground.Program, depth int, tok *cancel.Token, tr *trace.Span) *Model {
 	return wrapModel(opts, res, gp, solverCancelForTraced(opts, tok, tr)(gp), depth)
 }
@@ -838,25 +710,19 @@ type AnswerStats struct {
 // diverge.
 func AdaptiveAnswer(opts Options, modelAt func(depth int) (*Model, error),
 	compile func(*Model) (*program.Query, error)) (ground.Truth, *AnswerStats, error) {
-	return AdaptiveAnswerTraced(opts,
+	return AdaptiveAnswerCancelTraced(opts,
 		func(d int, _ *trace.Span) (*Model, error) { return modelAt(d) },
-		compile, nil)
+		compile, nil, nil)
 }
 
-// AdaptiveAnswerTraced is the ladder with observability: each depth rung
-// becomes a depth-N child span of tr (model materialization recorded by
-// modelAt under the span it receives, the query match under a match
-// child) carrying the three-valued answer at that depth as a counter.
-// tr nil is the plain ladder; the one extra nil check per rung is the
-// entire disabled cost.
-func AdaptiveAnswerTraced(opts Options, modelAt func(depth int, tr *trace.Span) (*Model, error),
-	compile func(*Model) (*program.Query, error), tr *trace.Span) (ground.Truth, *AnswerStats, error) {
-	return AdaptiveAnswerCancelTraced(opts, modelAt, compile, nil, tr)
-}
-
-// AdaptiveAnswerCancelTraced is the ladder under a cancellation token
-// (nil = never cancelled). The token is checked before every rung, and
-// a rung whose model comes back Interrupted converts to the token's
+// AdaptiveAnswerCancelTraced is the ladder with observability and under
+// a cancellation token. Each depth rung becomes a depth-N child span of
+// tr (model materialization recorded by modelAt under the span it
+// receives, the query match under a match child) carrying the
+// three-valued answer at that depth as a counter; tr nil is the plain
+// ladder, and the one extra nil check per rung is the entire disabled
+// cost. The token (nil = never cancelled) is checked before every rung,
+// and a rung whose model comes back Interrupted converts to the token's
 // cause (context.DeadlineExceeded / context.Canceled) as the error. On
 // cancellation the stats of the *completed* rungs and the last computed
 // answer are still returned alongside the error — the graceful-

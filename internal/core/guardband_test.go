@@ -77,14 +77,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if AltFixpoint.String() != "alternating-fixpoint" ||
-		UnfoundedSets.String() != "unfounded-sets" ||
-		ForwardProofs.String() != "forward-proofs" {
-		t.Errorf("Algorithm strings wrong")
-	}
-}
-
 func TestTruthOutsideUniverse(t *testing.T) {
 	prog, db, _, st := compile(t, "p(a).")
 	m := NewEngine(prog, db, Options{}).Evaluate()

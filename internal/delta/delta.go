@@ -77,24 +77,18 @@ type Result struct {
 // scratch.
 func Rebase(res *chase.Result, gp *ground.Program, prog *program.Program,
 	newDB program.Database, added, removed []atom.AtomID) (Result, bool) {
-	return RebaseTraced(res, gp, prog, newDB, added, removed, nil)
+	return RebaseCancelTraced(res, gp, prog, newDB, added, removed, nil, nil)
 }
 
-// RebaseTraced is Rebase with observability: the overdelete (retract),
-// rederive (extend-db), and reground stages become child spans of tr,
-// with delta sizes (added/removed facts, dead and refired instances) as
-// counters. tr nil degrades to the plain rebase.
-func RebaseTraced(res *chase.Result, gp *ground.Program, prog *program.Program,
-	newDB program.Database, added, removed []atom.AtomID, tr *trace.Span) (Result, bool) {
-	return RebaseCancelTraced(res, gp, prog, newDB, added, removed, nil, tr)
-}
-
-// RebaseCancelTraced is RebaseTraced under a cancellation token (nil =
-// never cancelled): the token is threaded into the retraction replay and
-// the data-dimension chase continuation, and polled between stages. A
-// cancelled rebase reports ok=false with an interrupted chase — callers
-// on a cancellable path must check the token before falling back to a
-// from-scratch rebuild.
+// RebaseCancelTraced is Rebase with observability and under a
+// cancellation token. The overdelete (retract), rederive (extend-db), and
+// reground stages become child spans of tr, with delta sizes
+// (added/removed facts, dead and refired instances) as counters; tr nil
+// records nothing. The token (nil = never cancelled) is threaded into the
+// retraction replay and the data-dimension chase continuation, and polled
+// between stages. A cancelled rebase reports ok=false with an interrupted
+// chase — callers on a cancellable path must check the token before
+// falling back to a from-scratch rebuild.
 func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Program,
 	newDB program.Database, added, removed []atom.AtomID, tok *cancel.Token, tr *trace.Span) (Result, bool) {
 	if res.Truncated {

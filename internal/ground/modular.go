@@ -47,6 +47,7 @@ import (
 // rules and atoms partition by component, components on one level are
 // claimed by exactly one worker each, and cross-level visibility is
 // ordered by the pool's WaitGroup barrier.
+
 // maxParallelism caps the worker pool regardless of the requested
 // parallelism: the option is client-reachable through the server's
 // session options, and worker scratch is allocated per worker, so an
@@ -54,8 +55,11 @@ import (
 // the size of the request.
 const maxParallelism = 256
 
+// SolveModular is the modular solve with solve run inside each
+// negation-cyclic component and up to parallelism components solved
+// concurrently (see SolveModularCancelTraced).
 func SolveModular(p *Program, solve func(*Program) *Model, parallelism int) *Model {
-	return SolveModularTraced(p, solve, parallelism, nil)
+	return SolveModularCancelTraced(p, solve, parallelism, nil, nil)
 }
 
 // topSlowestSCCs bounds how many per-component timings a detailed trace
@@ -114,20 +118,15 @@ func timedSolveComp(p *Program, cond *Condensation, ci int32,
 	return rounds
 }
 
-// SolveModularTraced is SolveModular with observability: a condense child
-// span, SCC-shape counters on tr, and — only when tr is Detailed — the
-// top-k slowest components attached as child spans. tr nil degrades to
-// the plain solve.
-func SolveModularTraced(p *Program, solve func(*Program) *Model, parallelism int, tr *trace.Span) *Model {
-	return SolveModularCancelTraced(p, solve, parallelism, nil, tr)
-}
-
-// SolveModularCancelTraced is SolveModularTraced under a cancellation
-// token (nil = never cancelled). The token is polled at component
-// granularity — the sequential loop, each worker's claim loop, and the
-// level barrier — so a cancel stops the solve within one component's
-// work; a stopped solve returns with Interrupted set and a partial truth
-// assignment that callers must discard.
+// SolveModularCancelTraced is SolveModular with observability and under
+// a cancellation token. It records a condense child span and SCC-shape
+// counters on tr and — only when tr is Detailed — attaches the top-k
+// slowest components as child spans; tr nil records nothing. The token
+// (nil = never cancelled) is polled at component granularity — the
+// sequential loop, each worker's claim loop, and the level barrier — so a
+// cancel stops the solve within one component's work; a stopped solve
+// returns with Interrupted set and a partial truth assignment that
+// callers must discard.
 func SolveModularCancelTraced(p *Program, solve func(*Program) *Model, parallelism int, tok *cancel.Token, tr *trace.Span) *Model {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

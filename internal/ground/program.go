@@ -8,9 +8,12 @@
 //   - stratified (perfect-model) evaluation, the baseline semantics of [1];
 //   - a brute-force stable-model enumerator used as a test oracle.
 //
-// The four WFS algorithms are independent implementations that must agree
-// (Theorem 8 and the classic equivalences); the test suite enforces this on
-// the paper's examples and on randomized programs.
+// The alternating fixpoint is the one production algorithm (run through
+// SolveModular); the other three WFS operators are independent reference
+// implementations that must agree with it (Theorem 8 and the classic
+// equivalences). Only tests call them: the suite enforces the agreement
+// on the paper's examples, on randomized programs, and on the groundings
+// of production models.
 //
 // Atoms are dense local indexes; the engine layer maps them to global
 // atom.AtomIDs from the chase universe. An atom with no rules (in

@@ -1,9 +1,11 @@
 package ground
 
-// This file holds the three independent WFS algorithms. All compute the
-// same three-valued model (Theorem 8 and the classical equivalences
-// between the alternating fixpoint and the unfounded-set characterization,
-// van Gelder–Ross–Schlipf [2], Baral–Subrahmanian [7]); the test suite
+// This file holds the production WFS algorithm (the alternating fixpoint)
+// and two of its references, the unfounded-set and forward-proof
+// iterations (the third is remainder.go). All compute the same
+// three-valued model (Theorem 8 and the classical equivalences between the
+// alternating fixpoint and the unfounded-set characterization, van
+// Gelder–Ross–Schlipf [2], Baral–Subrahmanian [7]); the test suite
 // cross-checks them.
 
 // AlternatingFixpoint computes the well-founded model via the van Gelder

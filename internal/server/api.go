@@ -26,8 +26,6 @@
 package server
 
 import (
-	"fmt"
-
 	wfs "repro"
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -35,28 +33,27 @@ import (
 )
 
 // SessionOptions is the JSON surface of core.Options. Zero/absent fields
-// select engine defaults.
+// select engine defaults; unknown fields are rejected (readJSON).
 type SessionOptions struct {
-	Depth           int    `json:"depth,omitempty"`
-	MaxAtoms        int    `json:"max_atoms,omitempty"`
-	Algorithm       string `json:"algorithm,omitempty"` // alternating-fixpoint | unfounded-sets | forward-proofs | remainder
-	Parallelism     int    `json:"parallelism,omitempty"`
-	AdaptiveStart   int    `json:"adaptive_start,omitempty"`
-	AdaptiveStep    int    `json:"adaptive_step,omitempty"`
-	StabilityWindow int    `json:"stability_window,omitempty"`
-	MaxDepth        int    `json:"max_depth,omitempty"`
-	GuardBand       int    `json:"guard_band,omitempty"`
+	Depth           int `json:"depth,omitempty"`
+	MaxAtoms        int `json:"max_atoms,omitempty"`
+	Parallelism     int `json:"parallelism,omitempty"`
+	AdaptiveStart   int `json:"adaptive_start,omitempty"`
+	AdaptiveStep    int `json:"adaptive_step,omitempty"`
+	StabilityWindow int `json:"stability_window,omitempty"`
+	MaxDepth        int `json:"max_depth,omitempty"`
+	GuardBand       int `json:"guard_band,omitempty"`
 	// NoCertify keeps the heuristic adaptive ladder even when static
 	// analysis certifies a chase depth bound (see wfs.Options.NoCertify).
 	NoCertify bool `json:"no_certify,omitempty"`
 }
 
 // toOptions translates the JSON options into engine options.
-func (o *SessionOptions) toOptions() (wfs.Options, error) {
+func (o *SessionOptions) toOptions() wfs.Options {
 	if o == nil {
-		return wfs.Options{}, nil
+		return wfs.Options{}
 	}
-	opts := wfs.Options{
+	return wfs.Options{
 		Depth:           o.Depth,
 		MaxAtoms:        o.MaxAtoms,
 		Parallelism:     o.Parallelism,
@@ -67,19 +64,6 @@ func (o *SessionOptions) toOptions() (wfs.Options, error) {
 		GuardBand:       o.GuardBand,
 		NoCertify:       o.NoCertify,
 	}
-	switch o.Algorithm {
-	case "", "alternating-fixpoint":
-		opts.Algorithm = core.AltFixpoint
-	case "unfounded-sets":
-		opts.Algorithm = core.UnfoundedSets
-	case "forward-proofs":
-		opts.Algorithm = core.ForwardProofs
-	case "remainder":
-		opts.Algorithm = core.Remainder
-	default:
-		return wfs.Options{}, fmt.Errorf("unknown algorithm %q", o.Algorithm)
-	}
-	return opts, nil
 }
 
 // CreateSessionRequest loads a program under a name.
@@ -286,7 +270,6 @@ type SessionStatsResponse struct {
 	Name       string                    `json:"name"`
 	Facts      int                       `json:"facts"`
 	Epoch      uint64                    `json:"epoch"`
-	Algorithm  string                    `json:"algorithm"`
 	Stratified bool                      `json:"stratified"`
 	DeltaBound string                    `json:"delta_bound"`
 	DeltaBits  int                       `json:"delta_bits"`
@@ -300,7 +283,6 @@ func sessionStatsDTO(name string, st wfs.Stats, em wfs.EngineMetricsSnapshot, re
 		Name:       name,
 		Facts:      st.Facts,
 		Epoch:      st.Epoch,
-		Algorithm:  st.Algorithm,
 		Stratified: st.Stratified,
 		DeltaBound: st.DeltaBound,
 		DeltaBits:  st.DeltaBits,

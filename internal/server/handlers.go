@@ -52,12 +52,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	sess, err := s.reg.CreateTraced(req.Name, req.Program, opts, requestTrace(r).span())
+	sess, err := s.reg.CreateTraced(req.Name, req.Program, req.Options.toOptions(), requestTrace(r).span())
 	if err != nil {
 		writeError(w, r, statusFor(err), err)
 		return

@@ -301,9 +301,6 @@ func TestSessionStats(t *testing.T) {
 	if !st.Stratified {
 		t.Errorf("authorship program should be stratified")
 	}
-	if st.Algorithm != "alternating-fixpoint" {
-		t.Errorf("algorithm = %q", st.Algorithm)
-	}
 	if st.DeltaBound == "" || st.DeltaBits == 0 {
 		t.Errorf("δ bound missing: %+v", st)
 	}
@@ -322,24 +319,32 @@ func TestSessionOptions(t *testing.T) {
 		Program: winMove,
 		// NoCertify: win-move certifies at depth 1, which would clamp the
 		// explicit Depth below; this test checks option passthrough.
-		Options: &SessionOptions{Algorithm: "remainder", Depth: 4, NoCertify: true},
+		Options: &SessionOptions{Depth: 4, NoCertify: true},
 	}
 	if code := c.do("POST", "/v1/sessions", req, nil); code != 201 {
 		t.Fatalf("create with options: status %d", code)
 	}
 	var st SessionStatsResponse
 	c.do("GET", "/v1/sessions/r/stats", nil, &st)
-	if st.Algorithm != "remainder" {
-		t.Errorf("algorithm = %q, want remainder", st.Algorithm)
-	}
 	if st.Model.Depth != 4 {
 		t.Errorf("depth = %d, want 4", st.Model.Depth)
 	}
 
-	req.Name = "bad"
-	req.Options = &SessionOptions{Algorithm: "quantum"}
-	if code := c.do("POST", "/v1/sessions", req, nil); code != 400 {
-		t.Errorf("unknown algorithm: status %d, want 400", code)
+	// The retired WFS-algorithm knob is an unknown field now: a client
+	// still sending it gets a structured 400 naming the field, never a
+	// silently ignored option.
+	for _, alg := range []string{"remainder", "alternating-fixpoint"} {
+		body := json.RawMessage(`{"name":"old","program":"p(a).","options":{"algorithm":"` + alg + `"}}`)
+		var er ErrorResponse
+		if code := c.do("POST", "/v1/sessions", body, &er); code != http.StatusBadRequest {
+			t.Errorf("options.algorithm=%s: status %d, want 400", alg, code)
+		}
+		if !strings.Contains(er.Error, `unknown field "algorithm"`) {
+			t.Errorf("options.algorithm=%s: error %q does not name the field", alg, er.Error)
+		}
+	}
+	if code := c.do("GET", "/v1/sessions/old", nil, nil); code != http.StatusNotFound {
+		t.Errorf("rejected create left a session behind: status %d", code)
 	}
 }
 

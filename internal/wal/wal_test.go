@@ -486,6 +486,75 @@ func TestCheckpointFallback(t *testing.T) {
 	man2.Close()
 }
 
+// parentCheckpoint is a checkpoint payload byte-for-byte as the release
+// before the WFS-algorithm knob was retired wrote it: winMove plus
+// move(c,d) at epoch 1, in a session created with "algorithm":
+// "remainder" — hence "Algorithm":3 in its options.
+const parentCheckpoint = `{"name":"old","source":"move(X,Y), not win(Y) -\u003e win(X).\nmove(a,b). move(b,a). move(b,c).\n","options":{"Depth":0,"MaxAtoms":0,"Algorithm":3,"Parallelism":0,"AdaptiveStart":0,"AdaptiveStep":0,"StabilityWindow":0,"MaxDepth":0,"GuardBand":0,"CertifiedDepth":0,"NoCertify":false},"epoch":1,"facts":[{"pred":"move","args":["a","b"]},{"pred":"move","args":["b","a"]},{"pred":"move","args":["b","c"]},{"pred":"move","args":["c","d"]}],"written_at_unix_nano":1760000000000000000}`
+
+// TestRecoverCheckpointWithRetiredAlgorithm: a data directory written
+// before the algorithm option was removed still recovers. The unknown
+// "Algorithm" key is ignored, the session answers exactly as it did
+// (the release that wrote it answered win(a), win(b) undefined, win(c)
+// true, win(d) false), and its log keeps accepting and replaying
+// mutations.
+func TestRecoverCheckpointWithRetiredAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	man, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdir := man.sessionDir("old")
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	frame := appendFrame(nil, []byte(parentCheckpoint))
+	if err := os.WriteFile(filepath.Join(sdir, ckptName(1)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err := man.Recover()
+	if err != nil || len(skipped) != 0 || len(recs) != 1 {
+		t.Fatalf("Recover: recs=%d skipped=%v err=%v", len(recs), skipped, err)
+	}
+	rec := recs[0]
+	if rec.Name != "old" || rec.CheckpointEpoch != 1 || rec.Sys.Epoch() != 1 {
+		t.Fatalf("recovered %q at checkpoint epoch %d, system epoch %d", rec.Name, rec.CheckpointEpoch, rec.Sys.Epoch())
+	}
+	if rec.Options != (wfs.Options{}) {
+		t.Errorf("options = %+v, want the defaults the old session ran with", rec.Options)
+	}
+	for atom, want := range map[string]wfs.Truth{"win(a)": wfs.Undefined, "win(b)": wfs.Undefined, "win(c)": wfs.True, "win(d)": wfs.False} {
+		if got, err := rec.Sys.TruthOf(atom); err != nil || got != want {
+			t.Errorf("%s = %v (%v), want %v", atom, got, err, want)
+		}
+	}
+
+	rec.Sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef) error {
+		return rec.Log.Append(e, adds, retracts)
+	})
+	if err := rec.Sys.AddFact("move", "d", "e"); err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+	man2, _ := Open(dir, Options{})
+	defer man2.Close()
+	recs, _, err = man2.Recover()
+	if err != nil || len(recs) != 1 || recs[0].Replayed != 1 {
+		t.Fatalf("second Recover: recs=%v err=%v", recs, err)
+	}
+	want, err := wfs.Load(winMove)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.AddFact("move", "c", "d"); err != nil { // epoch 1, the checkpoint
+		t.Fatal(err)
+	}
+	if err := want.AddFact("move", "d", "e"); err != nil { // epoch 2, the replayed tail
+		t.Fatal(err)
+	}
+	requireSameState(t, want, recs[0].Sys)
+}
+
 // TestCleanCloseReplaysNothing: checkpoint-then-close (what the server
 // does on graceful shutdown) leaves a log whose recovery replays zero
 // records.

@@ -715,7 +715,6 @@ func (s *Snapshot) Stats() Stats {
 			Facts:      len(s.db),
 			Epoch:      s.epoch,
 			Model:      m.Stats(),
-			Algorithm:  s.opts.Algorithm.String(),
 			Stratified: strat,
 			DeltaBound: formatBig(delta),
 			DeltaBits:  delta.BitLen(),

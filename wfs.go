@@ -50,10 +50,6 @@
 // — snapshot. The System's string convenience methods (Answer, Select,
 // TruthOf, …) are implemented as "grab current snapshot, run read" and
 // remain safe for concurrent use.
-//
-// The Engine and Model accessors hand out live internal state bound to the
-// system's own mutable store and are intended for single-goroutine use
-// only (tools, tests, benchmarks).
 package wfs
 
 import (
@@ -83,8 +79,8 @@ const (
 	True      = ground.True
 )
 
-// Options re-exports the engine options (chase depth, algorithm choice,
-// adaptive-deepening and guard-band parameters).
+// Options re-exports the engine options (chase depth, atom budget,
+// solver parallelism, adaptive-deepening and guard-band parameters).
 type Options = core.Options
 
 // ErrBudgetExceeded re-exports the structured resource-budget error: an
@@ -121,12 +117,10 @@ type System struct {
 	// mu serializes mutations (AddFact, LoadCSV) and snapshot
 	// construction; snapshot readers only take the write side when the
 	// snapshot must be rebuilt after a write, and cheap metadata
-	// accessors (Epoch, NumFacts, …) take the read side. The legacy
-	// Engine/Model accessors also build under the write side.
-	mu     sync.RWMutex
-	epoch  uint64
-	engine *core.Engine
-	snap   atomic.Pointer[Snapshot]
+	// accessors (Epoch, NumFacts, …) take the read side.
+	mu    sync.RWMutex
+	epoch uint64
+	snap  atomic.Pointer[Snapshot]
 
 	// prevSnap stages the last published snapshot across a mutation so
 	// the next Snapshot call can rebase its evaluated rungs onto the
@@ -279,8 +273,7 @@ func (s *System) AddFact(pred string, args ...string) error {
 
 // invalidateLocked unpublishes the current snapshot after a database
 // mutation, staging it for delta rebasing by the next Snapshot call, and
-// bumps the epoch. The legacy engine is not dropped — applyLocked rebases
-// it. Callers must hold mu.
+// bumps the epoch. Callers must hold mu.
 func (s *System) invalidateLocked() {
 	if snap := s.snap.Load(); snap != nil {
 		s.prevSnap = snap
@@ -289,39 +282,11 @@ func (s *System) invalidateLocked() {
 	s.epoch++
 }
 
-// engineLocked returns (building if necessary) the legacy evaluation
-// engine over the system's live store. Callers must hold mu.
-func (s *System) engineLocked() *core.Engine {
-	if s.engine == nil {
-		s.engine = core.NewEngine(s.prog, s.db, s.opts)
-	}
-	return s.engine
-}
-
 // snapshot is Snapshot for internal read paths; the error is currently
 // always nil but kept on the public method for forward compatibility.
 func (s *System) snapshot() *Snapshot {
 	snap, _ := s.Snapshot()
 	return snap
-}
-
-// Engine returns (building if necessary) an evaluation engine over the
-// system's live store. The returned engine is live internal state: it must
-// not be used concurrently with other System methods. Prefer Snapshot for
-// anything concurrent.
-func (s *System) Engine() *core.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engineLocked()
-}
-
-// Model evaluates (and caches) the well-founded model at the configured
-// depth over the live store. Like Engine, the returned model must not be
-// used concurrently with other System methods.
-func (s *System) Model() *core.Model {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engineLocked().Evaluate()
 }
 
 // Answer parses an NBCQ (with or without leading '?') and answers it via
@@ -459,7 +424,6 @@ type Stats struct {
 
 	Model core.ModelStats // chase + ground model statistics
 
-	Algorithm  string // WFS fixpoint algorithm in use
 	Stratified bool   // program admits a stratification
 	DeltaBound string // Proposition 12 δ (decimal, or "≈2^k" when huge)
 	DeltaBits  int    // bit length of δ
