@@ -1,6 +1,7 @@
 package wfs
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -68,7 +69,7 @@ func TestCertifiedChainRendersEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rows, err := snap.Select(q)
+		_, rows, err := snap.Select(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,19 +1,20 @@
 // Command wfsd serves the WFS engine over HTTP/JSON: named sessions of
 // loaded guarded normal Datalog± programs, incremental fact assertion,
 // NBCQ answering with adaptive deepening, non-Boolean selection,
-// ground-atom truth and proofs, and engine statistics — with an LRU
-// answer cache and bounded request concurrency in front.
+// ground-atom truth and proofs, and engine statistics — with bounded
+// request concurrency in front. Every read is computed on the session's
+// current immutable snapshot, which builds each model at most once.
 //
 // Usage:
 //
-//	wfsd [-addr :8080] [-max-sessions N] [-cache-size N]
-//	     [-max-concurrent N] [-max-queue-wait 5s] [-slow-query 0]
+//	wfsd [-addr :8080] [-max-sessions N] [-max-concurrent N]
+//	     [-max-queue-wait 5s] [-slow-query 0]
 //	     [-query-timeout 0] [-access-log] [-pprof-addr :6060]
 //	     [-trace-buffer N] [-data-dir DIR] [-checkpoint-every N]
 //	     [-fsync=true] [-wal-breaker-threshold 3] [-wal-probe-interval 2s]
 //	     [-preload prog.dl [-preload-name default]]
 //
-// Resource governance: -query-timeout bounds every uncached query
+// Resource governance: -query-timeout bounds every query and select
 // evaluation with a server-side deadline — a query still running when it
 // expires is cooperatively cancelled (504; or, with ?partial=1, degraded
 // to the deepest completed approximation's answer marked inexact), and a
@@ -34,7 +35,7 @@
 //
 // Observability: GET /metrics serves Prometheus text metrics,
 // ?trace=1 on the query endpoint returns a per-phase evaluation trace,
-// -slow-query logs uncached queries over the threshold with their phase
+// -slow-query logs queries over the threshold with their phase
 // breakdown, and -pprof-addr serves net/http/pprof on a separate
 // listener (off by default; keep it private). Every request carries a
 // W3C traceparent identity (continued from the caller's header or
@@ -69,10 +70,9 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		maxSessions   = flag.Int("max-sessions", server.DefaultMaxSessions, "max live sessions (-1 = unlimited)")
-		cacheSize     = flag.Int("cache-size", server.DefaultCacheSize, "answer cache entries (-1 = disabled)")
 		maxConcurrent = flag.Int("max-concurrent", server.DefaultMaxConcurrent, "max in-flight requests (-1 = unlimited)")
 		maxQueueWait  = flag.Duration("max-queue-wait", server.DefaultMaxQueueWait, "max wait for a concurrency slot before 429 (-1s = unbounded)")
-		slowQuery     = flag.Duration("slow-query", 0, "log uncached queries slower than this with phase breakdown (0 = off)")
+		slowQuery     = flag.Duration("slow-query", 0, "log queries slower than this with phase breakdown (0 = off)")
 		queryTimeout  = flag.Duration("query-timeout", 0, "server-side deadline per query evaluation: 504 on expiry, or a degraded answer with ?partial=1 (0 = off)")
 		accessLog     = flag.Bool("access-log", false, "log one structured line per request (includes trace_id)")
 		traceBuffer   = flag.Int("trace-buffer", server.DefaultTraceBufferSize, "flight-recorder capacity in retained request traces (-1 = disabled)")
@@ -92,7 +92,6 @@ func main() {
 
 	cfg := server.Config{
 		MaxSessions:         *maxSessions,
-		CacheSize:           *cacheSize,
 		MaxConcurrent:       *maxConcurrent,
 		MaxQueueWait:        *maxQueueWait,
 		SlowQueryThreshold:  *slowQuery,

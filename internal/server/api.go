@@ -1,9 +1,10 @@
 // Package server implements wfsd's HTTP/JSON serving layer over the WFS
-// engine: a registry of named loaded programs ("sessions"), an LRU answer
-// cache keyed by (session, epoch, normalized query), bounded request
-// concurrency, and handlers for program loading, incremental fact
-// assertion, NBCQ answering, non-Boolean selection, ground-atom
-// truth/explanation, and statistics. See DESIGN.md §Server.
+// engine: a registry of named loaded programs ("sessions"), bounded
+// request concurrency, and handlers for program loading, incremental
+// fact assertion, NBCQ answering, non-Boolean selection, ground-atom
+// truth/explanation, and statistics. Every read is computed on the
+// session's current immutable snapshot, which builds each model at most
+// once. See DESIGN.md §Server.
 //
 // API summary (all request/response bodies JSON):
 //
@@ -199,20 +200,17 @@ func answerStatsDTO(s *core.AnswerStats) *AnswerStats {
 }
 
 // QueryResponse is the answer to an NBCQ. Trace is present only when
-// the request asked for one (?trace=1); traced responses bypass the
-// answer cache. TraceID accompanies the trace — the same evaluation is
-// pinned in the flight recorder and retrievable later at
-// GET /v1/traces/{trace_id}.
+// the request asked for one (?trace=1). TraceID accompanies the trace —
+// the same evaluation is pinned in the flight recorder and retrievable
+// later at GET /v1/traces/{trace_id}.
 type QueryResponse struct {
 	Query  string       `json:"query"` // normalized form
 	Answer string       `json:"answer"`
-	Cached bool         `json:"cached"`
 	Stats  *AnswerStats `json:"stats,omitempty"`
 	// Partial marks a gracefully degraded answer: the evaluation hit its
 	// deadline, the client asked for ?partial=1, and Answer is the
 	// deepest COMPLETED approximation rung's answer — sound for that
-	// depth but not proven stable (Stats.Exact is false). Partial
-	// answers are never cached.
+	// depth but not proven stable (Stats.Exact is false).
 	Partial bool             `json:"partial,omitempty"`
 	Trace   *trace.EvalTrace `json:"trace,omitempty"`
 	TraceID string           `json:"trace_id,omitempty"`
@@ -223,22 +221,19 @@ type SelectResponse struct {
 	Query  string     `json:"query"` // normalized form
 	Vars   []string   `json:"vars"`
 	Tuples [][]string `json:"tuples"`
-	Cached bool       `json:"cached"`
 }
 
 // TruthResponse is the three-valued truth of a ground atom.
 type TruthResponse struct {
-	Atom   string `json:"atom"`
-	Truth  string `json:"truth"`
-	Cached bool   `json:"cached"`
+	Atom  string `json:"atom"`
+	Truth string `json:"truth"`
 }
 
 // ExplainResponse is a rendered forward proof of a true ground atom.
 type ExplainResponse struct {
-	Atom   string `json:"atom"`
-	True   bool   `json:"true"`
-	Proof  string `json:"proof,omitempty"`
-	Cached bool   `json:"cached"`
+	Atom  string `json:"atom"`
+	True  bool   `json:"true"`
+	Proof string `json:"proof,omitempty"`
 }
 
 // ModelStats mirrors core.ModelStats in JSON form.
@@ -309,13 +304,8 @@ func sessionStatsDTO(name string, st wfs.Stats, em wfs.EngineMetricsSnapshot, re
 
 // ServerStatsResponse reports server-wide statistics.
 type ServerStatsResponse struct {
-	Sessions int        `json:"sessions"`
-	Cache    CacheStats `json:"cache"`
-	// SingleflightShared counts answers served from another request's
-	// in-flight computation (the stampede window between a cache miss
-	// and the leader's Put).
-	SingleflightShared int64 `json:"singleflight_shared"`
-	InFlight           int64 `json:"in_flight"`
+	Sessions int   `json:"sessions"`
+	InFlight int64 `json:"in_flight"`
 	// Limiter saturation: requests queued for a slot right now, and
 	// cumulative rejections (429 after MaxQueueWait, 503 when the
 	// client hung up while queued).
@@ -335,6 +325,16 @@ type ServerStatsResponse struct {
 	// WAL reports durability state; absent when the server runs without
 	// a data directory.
 	WAL *WALStats `json:"wal,omitempty"`
+
+	// Cache and SingleflightShared are always zero and never serialized:
+	// the server has no answer cache. Their only reason to exist is that
+	// benchmark/layers.go, frozen until ROADMAP 6.2 re-records the
+	// harness, still compiles against them; delete them with 6.2.
+	Cache struct {
+		Hits, Misses uint64
+		Entries      int
+	} `json:"-"`
+	SingleflightShared int64 `json:"-"`
 }
 
 // WALBucket is one fsync-latency histogram bucket; LESeconds -1 marks

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -102,9 +103,8 @@ func TestQueryDeadline504(t *testing.T) {
 
 // TestPartialDegradedAnswer: the same doomed query under ?partial=1
 // degrades to the deepest completed rung's answer — 200, partial=true,
-// exact=false, at least one completed depth — and the degraded answer
-// is never cached (a repeat without ?partial=1 still runs and still
-// times out, rather than replaying an inexact cached body).
+// exact=false, at least one completed depth — and a repeat without
+// ?partial=1 still runs and still times out.
 func TestPartialDegradedAnswer(t *testing.T) {
 	c := newTestClient(t, Config{QueryTimeout: 100 * time.Millisecond})
 	code := c.do("POST", "/v1/sessions",
@@ -130,16 +130,14 @@ func TestPartialDegradedAnswer(t *testing.T) {
 		t.Errorf("degraded answer = %q", resp.Answer)
 	}
 
-	// The degraded answer must not have been cached: the exact same
-	// query without ?partial=1 must evaluate again and blow the
-	// deadline, not serve a 200 from the cache.
+	// The exact same query without ?partial=1 evaluates again and blows
+	// the deadline.
 	if code := c.do("POST", "/v1/sessions/e/query", QueryRequest{Query: "? w(a)."}, nil); code != http.StatusGatewayTimeout {
 		t.Fatalf("repeat without partial: status %d, want 504", code)
 	}
 
 	// A query that finishes inside the deadline behaves identically with
-	// or without ?partial=1: exact answer, no partial flag, cached for
-	// the next caller (partial does not opt out of the cache on success).
+	// or without ?partial=1: exact answer, no partial flag.
 	c.mustCreate("w", winMove)
 	var exact QueryResponse
 	if code := c.do("POST", "/v1/sessions/w/query?partial=1", QueryRequest{Query: "? win(a)."}, &exact); code != http.StatusOK {
@@ -148,9 +146,53 @@ func TestPartialDegradedAnswer(t *testing.T) {
 	if exact.Partial || exact.Stats == nil || !exact.Stats.Exact {
 		t.Errorf("in-time partial query: %+v, want exact non-partial", exact)
 	}
-	var again QueryResponse
-	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "? win(a)."}, &again); code != http.StatusOK || !again.Cached {
-		t.Errorf("exact answer computed under partial=1 was not cached: status %d cached=%v", code, again.Cached)
+}
+
+// TestSelectDeadline504: /select runs under the query deadline like
+// /query. A model build that outlives it is cancelled and answered 504,
+// its limiter slot is freed, no goroutine is left behind, and selects on
+// a small session keep succeeding.
+func TestSelectDeadline504(t *testing.T) {
+	c := newTestClient(t, Config{QueryTimeout: 100 * time.Millisecond})
+	opts := endlessOptions()
+	// The selected model sits ~800 one-level rungs up the ladder, whose
+	// build cost grows quadratically with depth: far past the deadline,
+	// yet small enough in memory to finish should cancellation break.
+	opts.Depth = 800
+	code := c.do("POST", "/v1/sessions",
+		CreateSessionRequest{Name: "e", Program: endlessChain, Options: opts}, nil)
+	if code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	c.mustCreate("w", winMove)
+	baseline := runtime.NumGoroutine()
+
+	var errResp ErrorResponse
+	if code := c.do("POST", "/v1/sessions/e/select", QueryRequest{Query: "? w(X)."}, &errResp); code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline select: status %d, want 504", code)
+	}
+	if !strings.Contains(errResp.Error, "deadline") {
+		t.Errorf("error body %q does not mention the deadline", errResp.Error)
+	}
+
+	var sr SelectResponse
+	if code := c.do("POST", "/v1/sessions/w/select", QueryRequest{Query: "? win(X)."}, &sr); code != http.StatusOK || len(sr.Tuples) != 1 {
+		t.Fatalf("select on a small session: status %d tuples %v, want [[b]]", code, sr.Tuples)
+	}
+
+	var stats ServerStatsResponse
+	if code := c.do("GET", "/v1/stats", nil, &stats); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	if stats.QueryTimeouts != 1 || stats.InFlight != 0 {
+		t.Errorf("query_timeouts = %d, in_flight = %d, want 1 and 0", stats.QueryTimeouts, stats.InFlight)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, baseline %d — the cancelled build leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

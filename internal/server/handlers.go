@@ -8,6 +8,7 @@ import (
 	"time"
 
 	wfs "repro"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -17,21 +18,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ServerStatsResponse{
-		Sessions:           s.reg.Len(),
-		Cache:              s.cache.Stats(),
-		SingleflightShared: s.shared.Load(),
-		InFlight:           s.limiter.inFlight.Load(),
-		Waiting:            s.limiter.waiting.Load(),
-		RejectedTimeout:    s.limiter.timeouts.Load(),
-		RejectedCanceled:   s.limiter.canceled.Load(),
-		MaxConcurrent:      s.cfg.MaxConcurrent,
-		MaxQueueWaitMS:     s.cfg.MaxQueueWait.Milliseconds(),
-		QueryTimeoutMS:     s.cfg.QueryTimeout.Milliseconds(),
-		QueryTimeouts:      s.queryTimeouts.Load(),
-		QueryCancels:       s.queryCancels.Load(),
-		SlowQueries:        s.slowQueries.Load(),
-		UptimeSeconds:      time.Since(s.started).Seconds(),
-		WAL:                s.walStats(),
+		Sessions:         s.reg.Len(),
+		InFlight:         s.limiter.inFlight.Load(),
+		Waiting:          s.limiter.waiting.Load(),
+		RejectedTimeout:  s.limiter.timeouts.Load(),
+		RejectedCanceled: s.limiter.canceled.Load(),
+		MaxConcurrent:    s.cfg.MaxConcurrent,
+		MaxQueueWaitMS:   s.cfg.MaxQueueWait.Milliseconds(),
+		QueryTimeoutMS:   s.cfg.QueryTimeout.Milliseconds(),
+		QueryTimeouts:    s.queryTimeouts.Load(),
+		QueryCancels:     s.queryCancels.Load(),
+		SlowQueries:      s.slowQueries.Load(),
+		UptimeSeconds:    time.Since(s.started).Seconds(),
+		WAL:              s.walStats(),
 	})
 }
 
@@ -91,12 +90,10 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	sess := s.reg.Delete(name)
-	if sess == nil {
+	if s.reg.Delete(name) == nil {
 		writeError(w, r, http.StatusNotFound, &ErrNoSession{Name: name})
 		return
 	}
-	s.cache.DeleteSession(sess.ID())
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -146,7 +143,6 @@ func (s *Server) handleAddFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	s.warmAfterMutation(sess, root)
 	nFacts, epoch := sess.Sys.FactsEpoch()
-	s.cache.PruneStale(sess.ID(), epoch)
 	writeJSON(w, http.StatusOK, AddFactsResponse{Added: len(facts), Facts: nFacts, Epoch: epoch})
 }
 
@@ -179,71 +175,7 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 	}
 	s.warmAfterMutation(sess, root)
 	nFacts, epoch := sess.Sys.FactsEpoch()
-	s.cache.PruneStale(sess.ID(), epoch)
 	writeJSON(w, http.StatusOK, RetractResponse{Retracted: len(facts), Facts: nFacts, Epoch: epoch})
-}
-
-// cachedQuery wraps the fetch-normalize-lookup-compute-store cycle shared
-// by the query-shaped endpoints. compute runs on a cache miss against the
-// session's current snapshot: because a snapshot is immutable and carries
-// its epoch, the computed answer is always consistent with the cache key —
-// no post-compute epoch re-check is needed, and concurrent reads on one
-// session share the snapshot instead of serializing behind the system's
-// evaluation lock.
-//
-// Misses are additionally deduplicated through a singleflight group keyed
-// by the same cache key: N identical queries arriving while the answer is
-// still being computed (the stampede window the LRU cannot cover) wait
-// for the one in-flight evaluation instead of computing N times. Shared
-// results report cached=true — from the caller's perspective the answer
-// came from someone else's computation.
-func (s *Server) cachedQuery(sess *Session, kind, norm string, compute func(*wfs.Snapshot) (any, error)) (any, bool, error) {
-	snap, err := sess.Sys.Snapshot()
-	if err != nil {
-		return nil, false, err
-	}
-	key := answerKey(sess.ID(), snap.Epoch(), kind, norm)
-	if v, ok := s.cache.Get(key); ok {
-		return v, true, nil
-	}
-	run := func() (any, error) {
-		v, err := compute(snap)
-		if err != nil {
-			return nil, err
-		}
-		// Cache only if the session is still the registered one — a
-		// concurrent DELETE purges the cache by session ID — and still at
-		// the snapshot's epoch: a concurrent mutation prunes the
-		// session's stale-epoch entries (PruneStale), and a Put landing
-		// after either purge would squat unreachably in the LRU until it
-		// ages out. The re-checks shrink that window from the whole
-		// evaluation to the instants before Put; the LRU bound handles
-		// the residue.
-		if cur, err := s.reg.Get(sess.Name); err == nil && cur == sess {
-			if _, epoch := sess.Sys.FactsEpoch(); epoch == snap.Epoch() {
-				s.cache.Put(key, sess.ID(), snap.Epoch(), v)
-			}
-		}
-		return v, nil
-	}
-	v, shared, err := s.flight.do(key, run)
-	if shared && err != nil && isCancelErr(err) {
-		// The leader's evaluation was cancelled by ITS request's
-		// deadline or disconnect, not ours — our context may have plenty
-		// of time left, and inheriting the leader's death sentence would
-		// make one impatient client fail every rider behind it. Retry
-		// once outside the group with our own compute (and so our own
-		// context); if WE are then too slow, the error is genuinely ours.
-		v, err = run()
-		shared = false
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if shared {
-		s.shared.Add(1)
-	}
-	return v, shared, nil
 }
 
 // queryContext derives the evaluation context of a query-shaped
@@ -257,164 +189,79 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 	return r.Context(), func() {}
 }
 
+// handleQuery answers an NBCQ on the session's current snapshot, under
+// the query deadline. The snapshot is immutable and carries its epoch,
+// so the answer is that epoch's; concurrent identical queries share its
+// models, each built at most once, and what every caller repeats is a
+// sub-microsecond match.
+//
+// ?trace=1 records a detailed span tree under the request's root, pins
+// the trace in the flight recorder (retrievable at /v1/traces/{id} after
+// the response is gone) and returns it inline. Otherwise the evaluation
+// runs under a coarse span only when the slow-query log or the flight
+// recorder can use it: a threshold breach then logs where the time went
+// and a retained trace shows the evaluation, not a blank.
+//
+// ?partial=1 degrades gracefully: when the deadline (or a disconnect,
+// though then nobody reads the body) cancels the ladder after at least
+// one approximation rung completed, the deepest completed rung's answer
+// is served 200 with partial=true and stats.exact=false. With no
+// completed rung there is nothing sound to say, and the request fails
+// like any other.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sess, q, norm, ok := s.queryInput(w, r, "query")
+	snap, q, norm, ok := s.queryInput(w, r, "query")
 	if !ok {
 		return
 	}
-	if r.URL.Query().Get("trace") == "1" {
-		s.tracedQuery(w, r, sess, q, norm)
-		return
-	}
-	if r.URL.Query().Get("partial") == "1" {
-		s.partialQuery(w, r, sess, q, norm)
-		return
-	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	ht := requestTrace(r)
-	v, cached, err := s.cachedQuery(sess, "answer", norm, func(snap *wfs.Snapshot) (any, error) {
-		if s.cfg.SlowQueryThreshold <= 0 && s.recorder == nil {
-			ans, stats, err := snap.AnswerCtxStats(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			return QueryResponse{Query: norm, Answer: ans.String(), Stats: answerStatsDTO(stats)}, nil
+	traced := r.URL.Query().Get("trace") == "1"
+	var qspan *trace.Span
+	switch {
+	case traced:
+		ht.pin()
+		if qspan = ht.span().ChildDetailed("query"); qspan == nil {
+			qspan = trace.NewDetailed("query")
 		}
-		// Slow-query logging or the flight recorder armed: run every
-		// uncached compute under a coarse span hung off the request's
-		// root, so a threshold breach can log where the time went and a
-		// retained trace shows the evaluation, not a blank. Coarse
-		// tracing skips the per-SCC and per-depth detail, so its cost
-		// is a handful of span allocations per build — noise next to an
-		// actual build.
-		qspan := ht.span().Child("query")
-		if qspan == nil {
+	case s.cfg.SlowQueryThreshold > 0 || s.recorder != nil:
+		// Coarse tracing skips the per-SCC and per-depth detail, so its
+		// cost is a handful of span allocations per build.
+		if qspan = ht.span().Child("query"); qspan == nil {
 			qspan = trace.New("query")
 		}
+	}
+	var (
+		ans   wfs.Truth
+		stats *core.AnswerStats
+		err   error
+	)
+	if qspan == nil {
+		ans, stats, err = snap.AnswerCtxStats(ctx, q)
+	} else {
 		start := time.Now()
-		ans, stats, err := snap.AnswerCtxTraced(ctx, q, qspan)
+		ans, stats, err = snap.AnswerCtxTraced(ctx, q, qspan)
 		qspan.End()
-		if err != nil {
-			return nil, err
-		}
 		if d := time.Since(start); s.cfg.SlowQueryThreshold > 0 && d >= s.cfg.SlowQueryThreshold {
 			ht.markSlow()
-			s.logSlow(ht, sess.Name, norm, d, qspan.Trace())
+			s.logSlow(ht, r.PathValue("name"), norm, d, qspan.Trace())
 		}
-		return QueryResponse{Query: norm, Answer: ans.String(), Stats: answerStatsDTO(stats)}, nil
-	})
-	if err != nil {
-		writeError(w, r, s.queryStatus(err), err)
-		return
 	}
-	resp := v.(QueryResponse)
-	resp.Cached = cached
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// partialQuery serves ?partial=1: graceful degradation under the query
-// deadline. An exact answer already in the cache is strictly better
-// than any partial one, so the cache is consulted; but the computation
-// runs OUTSIDE the singleflight group and a degraded answer is never
-// stored — it is sound only for the depth the deadline allowed, and a
-// later caller with more time deserves the exact one. When the deadline
-// (or a disconnect, though then nobody reads the body) cancels the
-// ladder after at least one approximation rung completed, the deepest
-// completed rung's answer is served 200 with partial=true and
-// stats.exact=false; with no completed rung there is nothing sound to
-// say, and the request fails exactly like a non-partial one.
-func (s *Server) partialQuery(w http.ResponseWriter, r *http.Request, sess *Session, q *wfs.Query, norm string) {
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	ht := requestTrace(r)
-	snap, err := sess.Sys.Snapshot()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	key := answerKey(sess.ID(), snap.Epoch(), "answer", norm)
-	if v, ok := s.cache.Get(key); ok {
-		resp := v.(QueryResponse)
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	qspan := ht.span().Child("query")
-	if qspan == nil {
-		qspan = trace.New("query")
-	}
-	start := time.Now()
-	ans, stats, err := snap.AnswerCtxTraced(ctx, q, qspan)
-	qspan.End()
-	if d := time.Since(start); s.cfg.SlowQueryThreshold > 0 && d >= s.cfg.SlowQueryThreshold {
-		ht.markSlow()
-		s.logSlow(ht, sess.Name, norm, d, qspan.Trace())
-	}
+	resp := QueryResponse{Query: norm, Answer: ans.String(), Stats: answerStatsDTO(stats)}
 	if err != nil {
 		status := s.queryStatus(err) // counts the timeout/cancel even when degrading
-		if isCancelErr(err) && stats != nil && len(stats.Depths) > 0 {
-			st := answerStatsDTO(stats)
-			st.Exact = false
-			writeJSON(w, http.StatusOK, QueryResponse{
-				Query: norm, Answer: ans.String(), Stats: st, Partial: true,
-			})
+		degrade := r.URL.Query().Get("partial") == "1" && isCancelErr(err) && stats != nil && len(stats.Depths) > 0
+		if !degrade {
+			writeError(w, r, status, err)
 			return
 		}
-		writeError(w, r, status, err)
-		return
+		resp.Stats.Exact = false
+		resp.Partial = true
 	}
-	// Exact answer within the deadline: cache it like the normal path.
-	resp := QueryResponse{Query: norm, Answer: ans.String(), Stats: answerStatsDTO(stats)}
-	if cur, gerr := s.reg.Get(sess.Name); gerr == nil && cur == sess {
-		if _, epoch := sess.Sys.FactsEpoch(); epoch == snap.Epoch() {
-			s.cache.Put(key, sess.ID(), snap.Epoch(), resp)
-		}
+	if traced {
+		resp.Trace, resp.TraceID = qspan.Trace(), ht.TraceID()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// tracedQuery answers ?trace=1 requests with a detailed evaluation
-// trace, bypassing the answer cache and the singleflight group: the
-// point of tracing is to observe what this evaluation costs, and a
-// cached answer has no evaluation to observe. The response is never
-// stored, so the trace-carrying body cannot be replayed to an untraced
-// caller. The detailed span tree hangs under the request's root and the
-// trace is pinned in the flight recorder, so it stays retrievable at
-// /v1/traces/{id} after the response is gone.
-func (s *Server) tracedQuery(w http.ResponseWriter, r *http.Request, sess *Session, q *wfs.Query, norm string) {
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	ht := requestTrace(r)
-	ht.pin()
-	snap, err := sess.Sys.Snapshot()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	qspan := ht.span().ChildDetailed("query")
-	if qspan == nil {
-		qspan = trace.NewDetailed("query")
-	}
-	start := time.Now()
-	ans, stats, err := snap.AnswerCtxTraced(ctx, q, qspan)
-	qspan.End()
-	if err != nil {
-		writeError(w, r, s.queryStatus(err), err)
-		return
-	}
-	et := qspan.Trace()
-	if d := time.Since(start); s.cfg.SlowQueryThreshold > 0 && d >= s.cfg.SlowQueryThreshold {
-		ht.markSlow()
-		s.logSlow(ht, sess.Name, norm, d, et)
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Query:   norm,
-		Answer:  ans.String(),
-		Stats:   answerStatsDTO(stats),
-		Trace:   et,
-		TraceID: ht.TraceID(),
-	})
 }
 
 // logSlow emits the structured slow-query line with the compact phase
@@ -428,84 +275,66 @@ func (s *Server) logSlow(ht *reqTrace, session, query string, d time.Duration, e
 		ht.TraceID(), session, query, d.Round(time.Microsecond), et.Compact())
 }
 
+// handleSelect returns the certain-answer relation of a non-Boolean
+// query, under the query deadline like /query: a model build that
+// outlives it is cancelled (504, or 503 for a disconnect) and installs
+// nothing.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	sess, q, norm, ok := s.queryInput(w, r, "query")
+	snap, q, norm, ok := s.queryInput(w, r, "query")
 	if !ok {
 		return
 	}
-	ht := requestTrace(r)
-	v, cached, err := s.cachedQuery(sess, "select", norm, func(snap *wfs.Snapshot) (any, error) {
-		vars, tuples, err := snap.SelectTraced(q, ht.span())
-		if err != nil {
-			return nil, err
-		}
-		if vars == nil {
-			vars = []string{} // JSON: [] not null (ground query)
-		}
-		if tuples == nil {
-			tuples = [][]string{}
-		}
-		return SelectResponse{Query: norm, Vars: vars, Tuples: tuples}, nil
-	})
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
+	vars, tuples, err := snap.Select(ctx, q, requestTrace(r).span())
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, r, s.queryStatus(err), err)
 		return
 	}
-	resp := v.(SelectResponse)
-	resp.Cached = cached
-	writeJSON(w, http.StatusOK, resp)
+	if vars == nil {
+		vars = []string{} // JSON: [] not null (ground query)
+	}
+	if tuples == nil {
+		tuples = [][]string{}
+	}
+	writeJSON(w, http.StatusOK, SelectResponse{Query: norm, Vars: vars, Tuples: tuples})
 }
 
 func (s *Server) handleTruth(w http.ResponseWriter, r *http.Request) {
-	sess, _, norm, ok := s.queryInput(w, r, "atom")
+	snap, _, norm, ok := s.queryInput(w, r, "atom")
 	if !ok {
 		return
 	}
-	v, cached, err := s.cachedQuery(sess, "truth", norm, func(snap *wfs.Snapshot) (any, error) {
-		t, err := snap.TruthOf(norm)
-		if err != nil {
-			return nil, err
-		}
-		return TruthResponse{Atom: norm, Truth: t.String()}, nil
-	})
+	t, err := snap.TruthOf(norm)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	resp := v.(TruthResponse)
-	resp.Cached = cached
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, TruthResponse{Atom: norm, Truth: t.String()})
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	sess, _, norm, ok := s.queryInput(w, r, "atom")
+	snap, _, norm, ok := s.queryInput(w, r, "atom")
 	if !ok {
 		return
 	}
-	v, cached, err := s.cachedQuery(sess, "explain", norm, func(snap *wfs.Snapshot) (any, error) {
-		// Explain distinguishes malformed input (error → 400) from an
-		// atom that simply is not true (ok=false → empty proof).
-		proof, isTrue, err := snap.Explain(norm)
-		if err != nil {
-			return nil, err
-		}
-		return ExplainResponse{Atom: norm, True: isTrue, Proof: proof}, nil
-	})
+	// Explain distinguishes malformed input (error → 400) from an atom
+	// that simply is not true (ok=false → empty proof).
+	proof, isTrue, err := snap.Explain(norm)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	resp := v.(ExplainResponse)
-	resp.Cached = cached
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ExplainResponse{Atom: norm, True: isTrue, Proof: proof})
 }
 
-// queryInput decodes the request body of a query-shaped endpoint and
-// prepares the query/atom text in the named field exactly once: the
-// prepared query serves both as the canonical cache key (q.String()) and,
-// for the query-shaped endpoints, as the compiled form answered against
-// the snapshot — no re-parse on a cache miss.
-func (s *Server) queryInput(w http.ResponseWriter, r *http.Request, field string) (*Session, *wfs.Query, string, bool) {
+// queryInput decodes the request body of a query-shaped endpoint,
+// prepares the query/atom text in the named field exactly once, and
+// takes the session's current snapshot, on which the endpoint computes.
+// The prepared query serves both as the compiled form answered against
+// the snapshot and, rendered (q.String()), as the canonical text echoed
+// back.
+func (s *Server) queryInput(w http.ResponseWriter, r *http.Request, field string) (*wfs.Snapshot, *wfs.Query, string, bool) {
 	sess := s.session(w, r)
 	if sess == nil {
 		return nil, nil, "", false
@@ -531,10 +360,15 @@ func (s *Server) queryInput(w http.ResponseWriter, r *http.Request, field string
 	norm := q.String()
 	if field == "atom" {
 		// Atoms echo back in atom form, not query form ("win(a)", not
-		// "? win(a)."). Still canonical, so still a stable cache key.
+		// "? win(a).").
 		norm = strings.TrimSuffix(strings.TrimPrefix(norm, "? "), ".")
 	}
-	return sess, q, norm, true
+	snap, err := sess.Sys.Snapshot()
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err)
+		return nil, nil, "", false
+	}
+	return snap, q, norm, true
 }
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {

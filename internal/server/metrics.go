@@ -19,15 +19,15 @@ import (
 
 // This file is wfsd's zero-dependency metrics surface: per-route request
 // latency histograms and status counters collected by the instrument
-// middleware, rendered together with cache/limiter/session gauges as
+// middleware, rendered together with limiter/session gauges as
 // Prometheus text exposition format 0.0.4 on GET /metrics. Everything a
 // scrape reads is either an atomic or held under the single httpMetrics
 // mutex; nothing on this path takes a session's evaluation lock or
 // forces a model build.
 
 // latencyBuckets are the histogram upper bounds in seconds. Queries
-// range from sub-millisecond cache hits to multi-second cold builds, so
-// the buckets span four decades.
+// range from sub-millisecond warm matches to multi-second cold builds,
+// so the buckets span four decades.
 var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
 // routeStats accumulates one route's observations. Guarded by
@@ -246,19 +246,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.httpMetrics.mu.Unlock()
 
-	// Answer cache and singleflight.
-	cs := s.cache.Stats()
-	p.family("wfsd_answer_cache_hits_total", "Answer cache hits.", "counter")
-	p.sample("wfsd_answer_cache_hits_total", "", float64(cs.Hits))
-	p.family("wfsd_answer_cache_misses_total", "Answer cache misses.", "counter")
-	p.sample("wfsd_answer_cache_misses_total", "", float64(cs.Misses))
-	p.family("wfsd_answer_cache_entries", "Answer cache current entries.", "gauge")
-	p.sample("wfsd_answer_cache_entries", "", float64(cs.Entries))
-	p.family("wfsd_answer_cache_capacity", "Answer cache capacity in entries.", "gauge")
-	p.sample("wfsd_answer_cache_capacity", "", float64(cs.Capacity))
-	p.family("wfsd_singleflight_shared_total", "Answers served from another request's in-flight computation.", "counter")
-	p.sample("wfsd_singleflight_shared_total", "", float64(s.shared.Load()))
-
 	// Limiter saturation.
 	p.family("wfsd_limiter_in_flight", "Requests currently executing.", "gauge")
 	p.sample("wfsd_limiter_in_flight", "", float64(s.limiter.inFlight.Load()))
@@ -273,7 +260,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Server-level gauges.
 	p.family("wfsd_sessions", "Live sessions.", "gauge")
 	p.sample("wfsd_sessions", "", float64(s.reg.Len()))
-	p.family("wfsd_slow_queries_total", "Uncached queries slower than the slow-query threshold.", "counter")
+	p.family("wfsd_slow_queries_total", "Queries slower than the slow-query threshold.", "counter")
 	p.sample("wfsd_slow_queries_total", "", float64(s.slowQueries.Load()))
 	p.family("wfsd_query_timeouts_total", "Queries cancelled by the server-side deadline (504, or degraded 200 under ?partial=1).", "counter")
 	p.sample("wfsd_query_timeouts_total", "", float64(s.queryTimeouts.Load()))

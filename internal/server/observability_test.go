@@ -8,10 +8,14 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 // syncBuf is a goroutine-safe log sink: the server logs from request
@@ -169,8 +173,9 @@ func TestRecoverPanics(t *testing.T) {
 
 // TestMetricsEndpoint scrapes /metrics after real traffic and checks the
 // exposition covers every advertised area: per-route request metrics
-// (labeled by mux pattern, not raw path), cache and singleflight
-// counters, limiter gauges, and per-session engine counters.
+// (labeled by mux pattern, not raw path), limiter gauges, and
+// per-session engine counters — and none of the retired answer-reuse
+// families.
 func TestMetricsEndpoint(t *testing.T) {
 	c := newTestClient(t, Config{})
 	c.mustCreate("w", winMove)
@@ -178,8 +183,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "win(b)"}, &qr); code != 200 {
 		t.Fatalf("query: status %d", code)
 	}
-	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "win(b)"}, &qr); code != 200 || !qr.Cached {
-		t.Fatalf("repeat query: status %d cached %v, want cache hit", code, qr.Cached)
+	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "win(b)"}, &qr); code != 200 {
+		t.Fatalf("repeat query: status %d", code)
 	}
 
 	resp, err := http.Get(c.srv.URL + "/metrics")
@@ -202,11 +207,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`wfsd_http_request_duration_seconds_bucket{route="POST /v1/sessions/{name}/query",le="+Inf"} 2`,
 		`wfsd_http_request_duration_seconds_count{route="POST /v1/sessions/{name}/query"} 2`,
 		`wfsd_http_requests_total{route="POST /v1/sessions",code="201"} 1`,
-		// Cache and singleflight.
-		"wfsd_answer_cache_hits_total 1",
-		"wfsd_answer_cache_misses_total 1",
-		"wfsd_answer_cache_capacity",
-		"wfsd_singleflight_shared_total",
 		// Limiter saturation.
 		"wfsd_limiter_in_flight",
 		"wfsd_limiter_waiting 0",
@@ -225,6 +225,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+	// The four answer-reuse families and the shared-computation counter
+	// are gone with the mechanism they measured.
+	for _, gone := range []string{"wfsd_answer_", "wfsd_singleflight_"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("scrape still carries a removed %s* family", gone)
+		}
+	}
 	if strings.Contains(body, "/v1/sessions/w/") {
 		t.Error("scrape leaks raw request paths into route labels")
 	}
@@ -239,8 +246,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestQueryTrace exercises ?trace=1: the response carries a phase tree
 // rooted at the query whose children sum to no more than the root's
-// wall time, traced responses bypass the cache, and untraced responses
-// carry no trace.
+// wall time, every traced request evaluates and carries its own trace,
+// and untraced responses carry no trace.
 func TestQueryTrace(t *testing.T) {
 	c := newTestClient(t, Config{})
 	c.mustCreate("w", winMove)
@@ -279,9 +286,9 @@ func TestQueryTrace(t *testing.T) {
 		t.Errorf("ladder has no depth spans:\n%s", et.Format())
 	}
 
-	// A second traced query is still evaluated, not served from cache.
-	if code := c.do("POST", "/v1/sessions/w/query?trace=1", QueryRequest{Query: "win(b)"}, &qr); code != 200 || qr.Cached || qr.Trace == nil {
-		t.Fatalf("second traced query: status %d cached %v trace %v", code, qr.Cached, qr.Trace != nil)
+	// A second traced query carries its own trace.
+	if code := c.do("POST", "/v1/sessions/w/query?trace=1", QueryRequest{Query: "win(b)"}, &qr); code != 200 || qr.Trace == nil {
+		t.Fatalf("second traced query: status %d trace %v", code, qr.Trace != nil)
 	}
 
 	// Untraced responses never carry a trace.
@@ -348,8 +355,8 @@ func TestConcurrentTracedQueries(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLog arms a 1ns threshold so every uncached query counts
-// as slow, and checks the structured line carries the phase breakdown.
+// TestSlowQueryLog arms a 1ns threshold so every query counts as slow,
+// and checks the structured line carries the phase breakdown.
 func TestSlowQueryLog(t *testing.T) {
 	buf := &syncBuf{}
 	c := newTestClient(t, Config{
@@ -367,19 +374,19 @@ func TestSlowQueryLog(t *testing.T) {
 			t.Errorf("slow-query line missing %q:\n%s", want, line)
 		}
 	}
-	// A cache hit computes nothing and must not log again.
+	// A repeated query computes again on the snapshot, so it logs again.
 	before := strings.Count(buf.String(), "slow-query")
-	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "win(b)"}, &qr); code != 200 || !qr.Cached {
-		t.Fatalf("repeat query: status %d cached %v", code, qr.Cached)
+	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "win(b)"}, &qr); code != 200 {
+		t.Fatalf("repeat query: status %d", code)
 	}
-	if after := strings.Count(buf.String(), "slow-query"); after != before {
-		t.Errorf("cache hit logged a slow query: %d -> %d", before, after)
+	if after := strings.Count(buf.String(), "slow-query"); after != before+1 {
+		t.Errorf("repeated query logged %d -> %d slow-query lines, want one more", before, after)
 	}
 
 	var ss ServerStatsResponse
 	c.do("GET", "/v1/stats", nil, &ss)
-	if ss.SlowQueries < 1 {
-		t.Errorf("stats slow_queries = %d, want >= 1", ss.SlowQueries)
+	if ss.SlowQueries != 2 {
+		t.Errorf("stats slow_queries = %d, want 2", ss.SlowQueries)
 	}
 }
 
@@ -446,5 +453,53 @@ func TestSessionStatsEngineCounters(t *testing.T) {
 	}
 	if st.Engine.ChaseAtoms <= 0 {
 		t.Errorf("engine chase_atoms = %d, want > 0", st.Engine.ChaseAtoms)
+	}
+}
+
+// TestMetricsInventoryMatchesREADME keeps the README's metric inventory
+// honest: a scrape of a server with every optional surface on (a
+// WAL-backed session, the flight recorder) must emit exactly the
+// families the table lists, with the listed types. A family added
+// without a row, or deleted while its row survives, fails here.
+func TestMetricsInventoryMatchesREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n### Metric inventory\n")
+	if !ok {
+		t.Fatal("README has no Metric inventory section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	row := regexp.MustCompile("(?m)^\\| `((?:wfsd|go)_[a-z_]+)` \\| ([a-z]+) \\|")
+	documented := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = m[2]
+	}
+
+	c, s, _ := newDurableClient(t, t.TempDir(), wal.Options{})
+	defer s.Close()
+	c.mustCreate("w", winMove)
+	c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "? win(b)."}, nil)
+	c.mustAddFact("w", "move", "c", "d")
+	_, body := c.rawGet("/metrics")
+	emitted := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(strings.TrimPrefix(line, "# TYPE ")); strings.HasPrefix(line, "# TYPE ") && len(f) == 2 {
+			emitted[f[0]] = f[1]
+		}
+	}
+
+	for name, typ := range emitted {
+		if doc, ok := documented[name]; !ok {
+			t.Errorf("/metrics emits %s (%s), which the README table does not list", name, typ)
+		} else if doc != typ {
+			t.Errorf("%s is a %s, but the README table says %s", name, typ, doc)
+		}
+	}
+	for name := range documented {
+		if _, ok := emitted[name]; !ok {
+			t.Errorf("the README table lists %s, which /metrics does not emit", name)
+		}
 	}
 }

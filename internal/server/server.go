@@ -17,9 +17,6 @@ type Config struct {
 	// MaxSessions bounds the registry; 0 means DefaultMaxSessions,
 	// negative means unbounded.
 	MaxSessions int
-	// CacheSize bounds the answer cache in entries; 0 means
-	// DefaultCacheSize, negative disables caching.
-	CacheSize int
 	// MaxConcurrent bounds in-flight requests; 0 means
 	// DefaultMaxConcurrent, negative means unlimited.
 	MaxConcurrent int
@@ -31,8 +28,8 @@ type Config struct {
 	// slot before a 429; 0 means DefaultMaxQueueWait, negative means
 	// wait as long as the client does (the pre-bounded behavior).
 	MaxQueueWait time.Duration
-	// SlowQueryThreshold gates the slow-query log: uncached queries
-	// slower than this log one structured line with the phase
+	// SlowQueryThreshold gates the slow-query log: queries slower
+	// than this log one structured line with the phase
 	// breakdown. 0 disables. The flight recorder also classifies
 	// requests over this threshold as slow (always retained).
 	SlowQueryThreshold time.Duration
@@ -41,7 +38,7 @@ type Config struct {
 	// DefaultTraceBufferSize, negative disables the recorder (requests
 	// still carry trace IDs, but no traces are retained).
 	TraceBufferSize int
-	// QueryTimeout bounds each uncached query evaluation with a
+	// QueryTimeout bounds each query and select evaluation with a
 	// server-side deadline: a query still running when it expires is
 	// cooperatively cancelled (its limiter slot and goroutines released
 	// within milliseconds) and answered 504, or — when the client opted
@@ -68,7 +65,6 @@ type Config struct {
 // Serving-layer defaults.
 const (
 	DefaultMaxSessions     = 1024
-	DefaultCacheSize       = 4096
 	DefaultMaxConcurrent   = 64
 	DefaultMaxBodyBytes    = 8 << 20 // 8 MiB: program text can be sizeable
 	DefaultMaxQueueWait    = 5 * time.Second
@@ -88,12 +84,6 @@ func (c Config) withDefaults() Config {
 		c.MaxSessions = DefaultMaxSessions
 	case c.MaxSessions < 0:
 		c.MaxSessions = 0 // registry: 0 = unbounded
-	}
-	switch {
-	case c.CacheSize == 0:
-		c.CacheSize = DefaultCacheSize
-	case c.CacheSize < 0:
-		c.CacheSize = 0 // cache: 0 = disabled
 	}
 	switch {
 	case c.MaxConcurrent == 0:
@@ -134,15 +124,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the wfsd serving layer: session registry + answer cache +
-// request limiter, exposed as an http.Handler.
+// Server is the wfsd serving layer: session registry + request limiter,
+// exposed as an http.Handler. Every read computes on its session's
+// current snapshot, which builds each model at most once.
 type Server struct {
 	cfg         Config
 	reg         *Registry
-	cache       *Cache
-	flight      flightGroup  // collapses concurrent identical computations
-	shared      atomic.Int64 // results served from an in-flight computation
-	slowQueries atomic.Int64 // uncached queries over SlowQueryThreshold
+	slowQueries atomic.Int64 // queries over SlowQueryThreshold
 	limiter     *limiter
 	httpMetrics *httpMetrics
 
@@ -168,7 +156,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		reg:         NewRegistry(cfg.MaxSessions),
-		cache:       NewCache(cfg.CacheSize),
 		limiter:     newLimiter(cfg.MaxConcurrent, cfg.MaxQueueWait),
 		httpMetrics: newHTTPMetrics(),
 		started:     time.Now(),
@@ -234,7 +221,6 @@ func (s *Server) OpenWAL(dir string, wopts wal.Options) (RecoveryStats, error) {
 			src:       rec.Source,
 			opts:      rec.Options,
 			wlog:      rec.Log,
-			id:        sessionIDs.Add(1),
 		}
 		if err := s.reg.adopt(sess); err != nil {
 			s.cfg.Logger.Printf("wal: cannot adopt recovered session %q: %v", rec.Name, err)

@@ -202,29 +202,48 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 }
 
-func TestFactsInvalidateCache(t *testing.T) {
+// TestReadAfterWrite: every read endpoint answers on the snapshot of the
+// latest committed write, after an assertion and after a retraction.
+func TestReadAfterWrite(t *testing.T) {
 	c := newTestClient(t, Config{})
 	c.mustCreate("s", authorship)
 
-	// First ask: miss; second ask: hit.
+	// reads checks that /query, /select, /truth and /explain agree on
+	// whether article(p1) holds.
+	reads := func(stage string, holds bool) {
+		t.Helper()
+		want, articles := "false", 1
+		if holds {
+			want, articles = "true", 2
+		}
+		var q QueryResponse
+		if c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: "article(p1)"}, &q); q.Answer != want {
+			t.Errorf("%s: query article(p1) = %s, want %s", stage, q.Answer, want)
+		}
+		var sr SelectResponse
+		if c.do("POST", "/v1/sessions/s/select", QueryRequest{Query: "article(X)"}, &sr); len(sr.Tuples) != articles {
+			t.Errorf("%s: select article(X) = %v, want %d tuples", stage, sr.Tuples, articles)
+		}
+		var tr TruthResponse
+		if c.do("POST", "/v1/sessions/s/truth", QueryRequest{Atom: "article(p1)"}, &tr); tr.Truth != want {
+			t.Errorf("%s: truth of article(p1) = %s, want %s", stage, tr.Truth, want)
+		}
+		var er ExplainResponse
+		if c.do("POST", "/v1/sessions/s/explain", QueryRequest{Atom: "article(p1)"}, &er); er.True != holds || (er.Proof != "") != holds {
+			t.Errorf("%s: explain article(p1) = %+v, want true=%v", stage, er, holds)
+		}
+	}
+	reads("before any write", false)
+
+	// Whitespace/punctuation variants normalize to the same query.
 	var q1, q2 QueryResponse
 	c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: "article(p1)"}, &q1)
-	if q1.Cached {
-		t.Errorf("first query unexpectedly cached")
-	}
-	if q1.Answer != "false" {
-		t.Errorf("article(p1) = %s, want false (p1 unknown)", q1.Answer)
-	}
-	// Whitespace/punctuation variants normalize to the same key.
 	c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: "  article( p1 ) ."}, &q2)
-	if !q2.Cached {
-		t.Errorf("repeat query not served from cache")
-	}
-	if q2.Answer != q1.Answer {
-		t.Errorf("cached answer %s != original %s", q2.Answer, q1.Answer)
+	if q2.Query != q1.Query || q2.Answer != q1.Answer {
+		t.Errorf("variant %+v differs from %+v", q2, q1)
 	}
 
-	// Adding a fact bumps the epoch and invalidates.
+	// Adding a fact bumps the epoch; the next reads see it.
 	var fr AddFactsResponse
 	if code := c.do("POST", "/v1/sessions/s/facts", AddFactsRequest{Facts: []Fact{{Pred: "conferencePaper", Args: []string{"p1"}}}}, &fr); code != 200 {
 		t.Fatalf("add facts: status %d", code)
@@ -232,21 +251,20 @@ func TestFactsInvalidateCache(t *testing.T) {
 	if fr.Added != 1 || fr.Epoch == 0 {
 		t.Errorf("add facts response: %+v", fr)
 	}
-	var q3 QueryResponse
-	c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: "article(p1)"}, &q3)
-	if q3.Cached {
-		t.Errorf("post-write query served stale cache entry")
-	}
-	if q3.Answer != "true" {
-		t.Errorf("article(p1) after insert = %s, want true", q3.Answer)
-	}
+	reads("after /facts", true)
 
-	// The stats endpoint shows the cache traffic.
+	// Retracting it bumps the epoch again; the next reads see that too.
+	var rr RetractResponse
+	if code := c.do("POST", "/v1/sessions/s/retract", AddFactsRequest{Facts: []Fact{{Pred: "conferencePaper", Args: []string{"p1"}}}}, &rr); code != 200 {
+		t.Fatalf("retract: status %d", code)
+	}
+	if rr.Retracted != 1 || rr.Epoch <= fr.Epoch {
+		t.Errorf("retract response: %+v after %+v", rr, fr)
+	}
+	reads("after /retract", false)
+
 	var ss ServerStatsResponse
 	c.do("GET", "/v1/stats", nil, &ss)
-	if ss.Cache.Hits == 0 {
-		t.Errorf("server stats show no cache hits: %+v", ss.Cache)
-	}
 	if ss.Sessions != 1 {
 		t.Errorf("server stats sessions = %d, want 1", ss.Sessions)
 	}
@@ -260,7 +278,10 @@ func TestFactsInvalidateCache(t *testing.T) {
 	}
 }
 
-func TestRecreatedSessionDoesNotInheritCache(t *testing.T) {
+// TestRecreatedSessionStartsFresh: a session deleted and recreated under
+// the same name (its epoch restarts at zero) answers from its own
+// program, never from the earlier incarnation's.
+func TestRecreatedSessionStartsFresh(t *testing.T) {
 	c := newTestClient(t, Config{})
 	c.mustCreate("s", "p(a).")
 	var q1 QueryResponse
@@ -272,16 +293,54 @@ func TestRecreatedSessionDoesNotInheritCache(t *testing.T) {
 		t.Fatalf("delete: status %d", code)
 	}
 	// Recreate under the same name with a program where p(a) is false.
-	// The new session restarts at epoch 0, which must not alias the old
-	// incarnation's cache entries.
 	c.mustCreate("s", "q(b).")
 	var q2 QueryResponse
 	c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: "p(a)"}, &q2)
-	if q2.Cached {
-		t.Errorf("recreated session served the old incarnation's cache entry")
-	}
 	if q2.Answer != "false" {
 		t.Errorf("p(a) in recreated session = %s, want false", q2.Answer)
+	}
+}
+
+// TestQueryStampedeBuildsOnce: concurrent identical first queries on a
+// fresh session all answer, and the session builds its model exactly
+// once — the snapshot builds each model under its own lock, and callers
+// that arrive mid-build wait for that build and reuse it. A move chain
+// behind winMove makes the build take milliseconds, so the requests
+// really do arrive mid-build.
+func TestQueryStampedeBuildsOnce(t *testing.T) {
+	c := newTestClient(t, Config{})
+	var prog strings.Builder
+	prog.WriteString(winMove)
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&prog, "move(n%d,n%d). ", i, i+1)
+	}
+	c.mustCreate("s", prog.String())
+
+	const n = 12
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var resp QueryResponse
+			if code := c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: "win(b)"}, &resp); code != http.StatusOK {
+				t.Errorf("query status %d", code)
+			} else if resp.Answer != "true" {
+				t.Errorf("answer = %q, want true", resp.Answer)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	var st SessionStatsResponse
+	if code := c.do("GET", "/v1/sessions/s/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("session stats: status %d", code)
+	}
+	if st.Engine.Builds != 1 {
+		t.Errorf("engine builds = %d after %d concurrent first queries, want 1", st.Engine.Builds, n)
 	}
 }
 
@@ -406,13 +465,6 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-
-	// The repeated identical queries must have produced cache hits.
-	var ss ServerStatsResponse
-	c.do("GET", "/v1/stats", nil, &ss)
-	if ss.Cache.Hits == 0 {
-		t.Errorf("no cache hits after %d repeated queries: %+v", goroutines*iters, ss.Cache)
-	}
 }
 
 func TestRequestLimits(t *testing.T) {
@@ -444,7 +496,7 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestAddFactsAtomicBatch: a batch with one invalid fact applies nothing
-// — database size and epoch are unchanged, and cached answers stay valid.
+// — database size and epoch are unchanged, and reads still see the old state.
 func TestAddFactsAtomicBatch(t *testing.T) {
 	c := newTestClient(t, Config{})
 	c.mustCreate("s", "move(a,b). move(b,a). move(b,c).\nmove(X,Y), not win(Y) -> win(X).")
@@ -516,33 +568,6 @@ func TestRetractEndpoint(t *testing.T) {
 		{Pred: "p", Args: []string{"a"}},
 	}}, nil); code != 404 {
 		t.Errorf("unknown session retract: status %d, want 404", code)
-	}
-}
-
-// TestMutationPrunesStaleCacheEntries: a mutation evicts the session's
-// now-unreachable old-epoch answers instead of leaving them to rot until
-// LRU eviction.
-func TestMutationPrunesStaleCacheEntries(t *testing.T) {
-	c := newTestClient(t, Config{})
-	c.mustCreate("s", "p(a).\np(X) -> q(X).")
-	// Populate the cache at epoch 0.
-	for _, query := range []string{"q(a)", "p(a)", "q(zz)"} {
-		c.do("POST", "/v1/sessions/s/query", QueryRequest{Query: query}, nil)
-	}
-	var ss ServerStatsResponse
-	c.do("GET", "/v1/stats", nil, &ss)
-	if ss.Cache.Entries != 3 {
-		t.Fatalf("cache entries = %d, want 3", ss.Cache.Entries)
-	}
-	// A mutation bumps the epoch: every epoch-0 entry must be pruned.
-	if code := c.do("POST", "/v1/sessions/s/facts", AddFactsRequest{Facts: []Fact{
-		{Pred: "p", Args: []string{"b"}},
-	}}, nil); code != 200 {
-		t.Fatalf("add fact failed")
-	}
-	c.do("GET", "/v1/stats", nil, &ss)
-	if ss.Cache.Entries != 0 {
-		t.Errorf("cache entries after mutation = %d, want 0 (stale epochs pruned)", ss.Cache.Entries)
 	}
 }
 

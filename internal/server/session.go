@@ -37,19 +37,7 @@ type Session struct {
 	// breaker trips the session into read-only mode after consecutive
 	// WAL append failures (nil = breaker disabled). See readonly.go.
 	breaker *breaker
-
-	// id is unique across all sessions ever created in this process,
-	// including recreations under a reused name. Cache keys embed it
-	// rather than the name, so a delete-and-recreate can never collide
-	// with entries of the earlier incarnation (whose epoch also restarts
-	// at zero).
-	id uint64
 }
-
-// ID returns the session's process-unique identity.
-func (s *Session) ID() uint64 { return s.id }
-
-var sessionIDs atomic.Uint64
 
 // Registry is the concurrency-safe store of live sessions, bounded to
 // maxSessions (0 = unbounded).
@@ -97,7 +85,7 @@ func NewRegistry(maxSessions int) *Registry {
 
 // validateName enforces the session-name grammar: non-empty, at most 128
 // bytes, and free of control characters and '/' (names appear in URL
-// paths and cache-key prefixes).
+// paths).
 func validateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("server: session name must be non-empty")
@@ -209,7 +197,7 @@ func (r *Registry) CreateTraced(name, src string, opts wfs.Options, tr *trace.Sp
 	if rep := sys.Analysis(); rep != nil && rep.HasErrors() {
 		return nil, &ErrProgramDiagnostics{Diagnostics: rep.Diagnostics}
 	}
-	sess := &Session{Name: name, CreatedAt: r.now(), Sys: sys, src: src, opts: opts, id: sessionIDs.Add(1)}
+	sess := &Session{Name: name, CreatedAt: r.now(), Sys: sys, src: src, opts: opts}
 	if r.wal != nil {
 		// The initial checkpoint IS the durable "source load" record:
 		// program text, options, the database as loaded, epoch 0. It is
@@ -357,8 +345,8 @@ func (r *Registry) Get(name string) (*Session, error) {
 	return s, nil
 }
 
-// Delete removes the named session, returning it (nil if absent) so
-// callers can purge per-session state keyed by its ID. With durability
+// Delete removes the named session, returning it (nil if absent). With
+// durability
 // enabled, the session's log directory is removed too (outside the
 // registry lock — directory removal is IO), making the deletion survive
 // restarts.

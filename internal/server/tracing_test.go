@@ -299,7 +299,7 @@ func TestStartupRecoveryTracePinned(t *testing.T) {
 func TestSlowQueryTraceRetained(t *testing.T) {
 	buf := &syncBuf{}
 	c := newTestClient(t, Config{
-		SlowQueryThreshold: 1, // nanosecond: everything uncached breaches
+		SlowQueryThreshold: 1, // nanosecond: every query breaches
 		Logger:             log.New(buf, "", 0),
 	})
 	c.mustCreate("w", winMove)

@@ -584,13 +584,19 @@ func (s *Snapshot) AnswerAll() []QueryResult {
 // are tuples over ∆, so bindings to labelled nulls are excluded). The
 // first return lists the variable names. Selection runs against the model
 // at the configured depth.
-func (s *Snapshot) Select(q *Query) ([]string, [][]string, error) { return s.SelectTraced(q, nil) }
-
-// SelectTraced is Select recording its work under the caller's span: the
-// model build, if this call pays for one, and a match child carrying the
-// matcher's counters (core.Model.AnswerTraced). A nil span is Select.
-func (s *Snapshot) SelectTraced(q *Query, tr *trace.Span) ([]string, [][]string, error) {
-	m, _ := s.base.get(s, nil, tr)
+//
+// ctx bounds the model build this call may pay for: a build it cancels
+// returns ctx's error and installs nothing, so the model stays cold for
+// the next caller (the match itself does not poll). tr, when non-nil,
+// records the build and a match child carrying the matcher's counters
+// (core.Model.AnswerTraced).
+func (s *Snapshot) Select(ctx context.Context, q *Query, tr *trace.Span) ([]string, [][]string, error) {
+	tok := cancel.For(ctx)
+	m, err := s.base.get(s, tok, tr)
+	tok.Release() // the build ran synchronously; nothing polls the token now
+	if err != nil {
+		return nil, nil, err
+	}
 	cq, err := s.compileFor(q, m)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package wfs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -188,7 +189,7 @@ func TestTrueFactsRespectGuardBand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rows, err := snap.Select(q)
+		_, rows, err := snap.Select(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

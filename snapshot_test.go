@@ -1,6 +1,7 @@
 package wfs
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -170,7 +171,7 @@ func TestSnapshotSelectAndFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars, rows, err := snap.Select(q)
+	vars, rows, err := snap.Select(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestSnapshotOneModelPerDepth(t *testing.T) {
 	if got := sys.Metrics().Read().Builds; got != 1 {
 		t.Fatalf("builds after the first answer = %d, want 1", got)
 	}
-	if _, tuples, err := snap.Select(q); err != nil || len(tuples) != 1 {
+	if _, tuples, err := snap.Select(context.Background(), q, nil); err != nil || len(tuples) != 1 {
 		t.Errorf("select = %v (%v)", tuples, err)
 	}
 	if tv, err := snap.TruthOf("win(c)"); err != nil || tv != False {
@@ -460,7 +461,7 @@ func TestMatchSpanCounters(t *testing.T) {
 	}
 	for i, wantBuilds := range []int64{1, 0} { // the first request builds move/0, the second finds it
 		root := trace.New("select")
-		_, tuples, err := snap.SelectTraced(sel, root)
+		_, tuples, err := snap.Select(context.Background(), sel, root)
 		if err != nil {
 			t.Fatal(err)
 		}

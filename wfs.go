@@ -233,8 +233,7 @@ func (s *System) SnapshotTraced(tr *trace.Span) (*Snapshot, error) {
 }
 
 // Epoch returns the database epoch: a counter bumped by every mutation
-// (AddFact, LoadCSV). Caching layers key cached answers by epoch so that
-// fact writes invalidate them.
+// (AddFact, LoadCSV). Every snapshot carries the epoch it was taken at.
 func (s *System) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -361,7 +360,7 @@ func (s *System) Select(query string) ([]string, [][]string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.snapshot().Select(q)
+	return s.snapshot().Select(context.Background(), q, nil)
 }
 
 // AnswerAll answers every query embedded in the loaded source.
@@ -447,7 +446,8 @@ func formatBig(v *big.Int) string {
 // NormalizeQuery parses an NBCQ and re-renders it in canonical surface
 // form, without touching any store. Two queries that differ only in
 // whitespace, the optional leading '?', or the trailing '.' normalize to
-// the same string, making it a suitable answer-cache key.
+// the same string, so callers can compare or group queries by their
+// canonical text.
 func NormalizeQuery(query string) (string, error) {
 	pq, err := parser.ParseQueryString(query)
 	if err != nil {
