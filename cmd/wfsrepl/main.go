@@ -250,30 +250,10 @@ func repl(sys *wfs.System, base string, in io.Reader, out io.Writer) {
 			// The line is parsed as a unit so compound lines ("p(a).
 			// q(b).") cancel every fact they assert.
 			if u, perr := parser.Parse(line); perr == nil {
-				for _, rule := range u.Rules {
-					if !rule.IsFact() {
-						continue
-					}
-					for _, h := range rule.Head {
-						args := make([]string, 0, len(h.Args))
-						for _, a := range h.Args {
-							if a.IsVar {
-								args = nil
-								break
-							}
-							args = append(args, a.Name)
-						}
-						if args == nil && len(h.Args) > 0 {
-							continue
-						}
-						kept := retracted[:0]
-						for _, r := range retracted {
-							if r.pred != h.Pred || !slices.Equal(r.args, args) {
-								kept = append(kept, r)
-							}
-						}
-						retracted = kept
-					}
+				for _, f := range u.Facts {
+					retracted = slices.DeleteFunc(retracted, func(r retraction) bool {
+						return r.pred == f.Pred && slices.Equal(r.args, f.Args)
+					})
 				}
 			}
 			// Replay the surviving retractions: the rebuild resurrected

@@ -293,15 +293,11 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	defer endCommit()
 	added := make([]atom.AtomID, 0, len(adds))
 	for _, f := range adds {
-		p, err := s.store.Pred(f.pred, len(f.args))
+		a, err := s.store.Fact(f.pred, f.args)
 		if err != nil {
 			return err // unreachable: arities validated above
 		}
-		ts := make([]term.ID, len(f.args))
-		for i, arg := range f.args {
-			ts[i] = s.store.Terms.Const(arg)
-		}
-		added = append(added, s.store.Atom(p, ts))
+		added = append(added, a)
 	}
 	// Commit.
 	newDB := s.db

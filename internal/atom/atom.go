@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/term"
@@ -222,9 +223,10 @@ func (s *Store) Atom(p PredID, args []term.ID) AtomID {
 	if want := s.pred(p).arity; len(args) != want {
 		panic(fmt.Sprintf("atom: %s applied to %d args, want %d", s.pred(p).name, len(args), want))
 	}
-	key := atomKey(p, args)
+	var buf keyBuf
+	key := atomKey(&buf, p, args)
 	for c := s; c != nil; c = c.base {
-		if id, ok := c.atomIdx[key]; ok {
+		if id, ok := c.atomIdx[string(key)]; ok {
 			return id
 		}
 	}
@@ -238,29 +240,71 @@ func (s *Store) Atom(p PredID, args []term.ID) AtomID {
 	s.argSpace = append(s.argSpace, args...)
 	id := AtomID(s.offAtoms + len(s.atoms))
 	s.atoms = append(s.atoms, atomData{pred: p, off: off, n: int32(len(args))})
-	s.atomIdx[key] = id
+	s.atomIdx[string(key)] = id
 	s.byPred[p] = append(s.byPred[p], id)
 	return id
 }
 
+// Fact interns the database fact pred(args...) over constants: the
+// predicate at arity len(args), then each constant in order, then the
+// atom. An arity clash with the interned schema is the only error, and it
+// interns nothing.
+func (s *Store) Fact(pred string, args []string) (AtomID, error) {
+	p, err := s.Pred(pred, len(args))
+	if err != nil {
+		return NoAtom, err
+	}
+	var small [8]term.ID
+	ts := small[:0]
+	if len(args) > len(small) {
+		ts = make([]term.ID, 0, len(args))
+	}
+	for _, a := range args {
+		ts = append(ts, s.Terms.Const(a))
+	}
+	return s.Atom(p, ts), nil
+}
+
+// Grow makes room for n more atoms with nargs arguments in total, so a
+// bulk load of known size interns without regrowing the atom table.
+func (s *Store) Grow(n, nargs int) {
+	s.mutable()
+	if len(s.atomIdx) == 0 {
+		s.atomIdx = make(map[string]AtomID, n)
+	}
+	s.atoms = slices.Grow(s.atoms, n)
+	s.argSpace = slices.Grow(s.argSpace, nargs)
+}
+
 // Lookup returns the ID of an already-interned ground atom, if present.
 func (s *Store) Lookup(p PredID, args []term.ID) (AtomID, bool) {
-	key := atomKey(p, args)
+	var buf keyBuf
+	key := atomKey(&buf, p, args)
 	for c := s; c != nil; c = c.base {
-		if id, ok := c.atomIdx[key]; ok {
+		if id, ok := c.atomIdx[string(key)]; ok {
 			return id, true
 		}
 	}
 	return NoAtom, false
 }
 
-func atomKey(p PredID, args []term.ID) string {
-	buf := make([]byte, 4+4*len(args))
-	binary.LittleEndian.PutUint32(buf, uint32(p))
-	for i, a := range args {
-		binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(a))
+// keyBuf holds the key of an atom of arity up to 8, so that building a
+// key on the stack and indexing a map with string(key) allocates nothing;
+// only a newly inserted key is copied to the heap.
+type keyBuf [4 + 4*8]byte
+
+// atomKey renders the map key of p(args...) — p and each argument as
+// little-endian uint32s — into buf when it fits.
+func atomKey(buf *keyBuf, p PredID, args []term.ID) []byte {
+	key := buf[:0]
+	if n := 4 + 4*len(args); n > len(buf) {
+		key = make([]byte, 0, n)
 	}
-	return string(buf)
+	key = binary.LittleEndian.AppendUint32(key, uint32(p))
+	for _, a := range args {
+		key = binary.LittleEndian.AppendUint32(key, uint32(a))
+	}
+	return key
 }
 
 // Len reports the number of interned ground atoms (including the base

@@ -134,9 +134,9 @@ func (s *Store) Instantiate(p Pattern, sub Subst) AtomID {
 // and ground query literals; the key (see atomKey) is built in place, so
 // patterns of common arity allocate nothing.
 func (s *Store) InstantiateLookup(p Pattern, sub Subst) (AtomID, bool) {
-	var small [4 + 4*8]byte
-	key := small[:0]
-	if n := 4 + 4*len(p.Args); n > len(small) {
+	var buf keyBuf
+	key := buf[:0]
+	if n := 4 + 4*len(p.Args); n > len(buf) {
 		key = make([]byte, 0, n)
 	}
 	key = binary.LittleEndian.AppendUint32(key, uint32(p.Pred))

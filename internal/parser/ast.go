@@ -59,8 +59,9 @@ const (
 	KindEGD
 )
 
-// Rule is a parsed clause: a fact, a normal TGD, a negative constraint, or
-// an EGD.
+// Rule is a parsed clause: a normal TGD, a negative constraint, an EGD,
+// or a fact with a variable (which the compiler rejects). Ground facts
+// are Facts, not Rules.
 type Rule struct {
 	Kind RuleKind
 	Body []Literal
@@ -70,7 +71,8 @@ type Rule struct {
 	Line            int
 }
 
-// IsFact reports whether the rule is a fact (TGD with empty body).
+// IsFact reports whether the rule is a fact (TGD with empty body); in a
+// parsed Unit such a rule has a variable.
 func (r *Rule) IsFact() bool { return r.Kind == KindTGD && len(r.Body) == 0 }
 
 // Query is a parsed NBCQ.
@@ -79,11 +81,42 @@ type Query struct {
 	Line     int
 }
 
-// Unit is a parsed source unit: rules (including facts) and queries in
+// Fact is a ground atom of the database: Pred applied to the constants
+// Args (nil for a proposition). Before is the number of rules that
+// precede the fact in the source, so a compiler can interleave facts and
+// rules in source order.
+type Fact struct {
+	Pred   string
+	Args   []string
+	Line   int
+	Before int
+}
+
+// Unit is a parsed source unit: rules, ground facts, and queries, each in
 // source order.
 type Unit struct {
 	Rules   []*Rule
+	Facts   []Fact
 	Queries []*Query
+}
+
+// Walk visits the unit's rules and facts in source order, stopping at
+// the first error; the queries are not visited.
+func (u *Unit) Walk(rule func(*Rule) error, fact func(Fact) error) error {
+	facts := u.Facts
+	for i := 0; ; i++ {
+		for ; len(facts) > 0 && facts[0].Before <= i; facts = facts[1:] {
+			if err := fact(facts[0]); err != nil {
+				return err
+			}
+		}
+		if i == len(u.Rules) {
+			return nil
+		}
+		if err := rule(u.Rules[i]); err != nil {
+			return err
+		}
+	}
 }
 
 // SyntaxError reports a lexical or syntactic error with position info.

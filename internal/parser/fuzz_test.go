@@ -1,9 +1,13 @@
 package parser
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-// FuzzParse checks the parser never panics and that accepted inputs
-// round-trip stably through the printer.
+// FuzzParse checks the parser never panics, that the fact fast path and
+// the general path agree — the same Unit or the same *SyntaxError — and
+// that accepted inputs round-trip stably through the printer.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"p(a).",
@@ -21,11 +25,28 @@ func FuzzParse(f *testing.F) {
 		"p(a)..",
 		"?",
 		"-> q.",
+		"p(a,).",
+		"p(a) .",
+		`p( "x" , 1_0 ).`,
+		"not(a).",
+		"false.",
+		"p(a)% c\n.",
+		"p(é).",
+		"P(a).",
+		"p(a), q(b).",
+		"p(a) -> q(a).",
+		"p(not).",
+		"p(false).",
+		"p(\n a ). q(",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		u, err := Parse(src)
+		u, err := parse(src, true)
+		slow, slowErr := parse(src, false)
+		if !reflect.DeepEqual(err, slowErr) || !reflect.DeepEqual(u, slow) {
+			t.Fatalf("fast path diverges on %q:\nfast %+v, %v\nslow %+v, %v", src, u, err, slow, slowErr)
+		}
 		if err != nil {
 			return // rejected inputs just need to not panic
 		}

@@ -64,6 +64,7 @@ type token struct {
 	kind      tokKind
 	text      string
 	line, col int
+	off       int // byte offset of the token in the source
 }
 
 type lexer struct {
@@ -83,6 +84,9 @@ func (l *lexer) errf(line, col int, format string, args ...any) *SyntaxError {
 func (l *lexer) peekRune() (rune, int) {
 	if l.pos >= len(l.src) {
 		return 0, 0
+	}
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
 	}
 	return utf8.DecodeRuneInString(l.src[l.pos:])
 }
@@ -120,66 +124,82 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// isIdentStart and isIdentPart classify ASCII without a table lookup; on
+// ASCII they agree with the unicode classes used for everything else.
 func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+	if r < utf8.RuneSelf {
+		return isASCIILetter(byte(r)) || r == '_'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '\''
+	if r < utf8.RuneSelf {
+		return isASCIIIdentPart(byte(r))
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+func isASCIILetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+
+func isASCIIDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isASCIIIdentPart(c byte) bool {
+	return isASCIILetter(c) || isASCIIDigit(c) || c == '_' || c == '\''
 }
 
 // next returns the next token, or an error on malformed input.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
-	line, col := l.line, l.col
+	tok := token{line: l.line, col: l.col, off: l.pos}
 	r, size := l.peekRune()
 	if size == 0 {
-		return token{kind: tokEOF, line: line, col: col}, nil
+		tok.kind = tokEOF
+		return tok, nil
+	}
+	single := func(kind tokKind) (token, error) {
+		l.advance(r, size)
+		tok.kind, tok.text = kind, l.src[tok.off:l.pos]
+		return tok, nil
 	}
 	switch {
 	case r == '(':
-		l.advance(r, size)
-		return token{kind: tokLParen, text: "(", line: line, col: col}, nil
+		return single(tokLParen)
 	case r == ')':
-		l.advance(r, size)
-		return token{kind: tokRParen, text: ")", line: line, col: col}, nil
+		return single(tokRParen)
 	case r == ',':
-		l.advance(r, size)
-		return token{kind: tokComma, text: ",", line: line, col: col}, nil
+		return single(tokComma)
 	case r == '.':
-		l.advance(r, size)
-		return token{kind: tokPeriod, text: ".", line: line, col: col}, nil
+		return single(tokPeriod)
 	case r == '?':
-		l.advance(r, size)
-		return token{kind: tokQuestion, text: "?", line: line, col: col}, nil
+		return single(tokQuestion)
 	case r == '=':
-		l.advance(r, size)
-		return token{kind: tokEq, text: "=", line: line, col: col}, nil
+		return single(tokEq)
 	case r == '-':
 		l.advance(r, size)
 		r2, size2 := l.peekRune()
 		if r2 != '>' {
-			return token{}, l.errf(line, col, "expected '->' after '-'")
+			return token{}, l.errf(tok.line, tok.col, "expected '->' after '-'")
 		}
 		l.advance(r2, size2)
-		return token{kind: tokArrow, text: "->", line: line, col: col}, nil
+		tok.kind, tok.text = tokArrow, "->"
+		return tok, nil
 	case r == '"':
 		l.advance(r, size)
 		start := l.pos
 		for {
 			r2, size2 := l.peekRune()
 			if size2 == 0 || r2 == '\n' {
-				return token{}, l.errf(line, col, "unterminated string literal")
+				return token{}, l.errf(tok.line, tok.col, "unterminated string literal")
 			}
 			if r2 == '"' {
-				text := l.src[start:l.pos]
+				tok.kind, tok.text = tokString, l.src[start:l.pos]
 				l.advance(r2, size2)
-				return token{kind: tokString, text: text, line: line, col: col}, nil
+				return tok, nil
 			}
 			l.advance(r2, size2)
 		}
 	case unicode.IsDigit(r):
-		start := l.pos
 		for {
 			r2, size2 := l.peekRune()
 			if size2 == 0 || !(unicode.IsDigit(r2) || r2 == '_') {
@@ -187,9 +207,9 @@ func (l *lexer) next() (token, error) {
 			}
 			l.advance(r2, size2)
 		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: line, col: col}, nil
+		tok.kind, tok.text = tokNumber, l.src[tok.off:l.pos]
+		return tok, nil
 	case isIdentStart(r):
-		start := l.pos
 		for {
 			r2, size2 := l.peekRune()
 			if size2 == 0 || !isIdentPart(r2) {
@@ -197,19 +217,20 @@ func (l *lexer) next() (token, error) {
 			}
 			l.advance(r2, size2)
 		}
-		text := l.src[start:l.pos]
-		switch text {
-		case "not":
-			return token{kind: tokNot, text: text, line: line, col: col}, nil
-		case "false":
-			return token{kind: tokFalse, text: text, line: line, col: col}, nil
+		tok.text = l.src[tok.off:l.pos]
+		first, _ := utf8.DecodeRuneInString(tok.text)
+		switch {
+		case tok.text == "not":
+			tok.kind = tokNot
+		case tok.text == "false":
+			tok.kind = tokFalse
+		case unicode.IsUpper(first) || first == '_':
+			tok.kind = tokVar
+		default:
+			tok.kind = tokIdent
 		}
-		first, _ := utf8.DecodeRuneInString(text)
-		if unicode.IsUpper(first) || first == '_' {
-			return token{kind: tokVar, text: text, line: line, col: col}, nil
-		}
-		return token{kind: tokIdent, text: text, line: line, col: col}, nil
+		return tok, nil
 	default:
-		return token{}, l.errf(line, col, "unexpected character %q", r)
+		return token{}, l.errf(tok.line, tok.col, "unexpected character %q", r)
 	}
 }

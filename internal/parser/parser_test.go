@@ -2,6 +2,7 @@ package parser
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,19 +18,38 @@ func parseOne(t *testing.T, src string) *Unit {
 
 func TestParseFact(t *testing.T) {
 	u := parseOne(t, "person(john).")
-	if len(u.Rules) != 1 || !u.Rules[0].IsFact() {
-		t.Fatalf("expected one fact, got %+v", u.Rules)
-	}
-	a := u.Rules[0].Head[0]
-	if a.Pred != "person" || len(a.Args) != 1 || a.Args[0].Name != "john" || a.Args[0].IsVar {
-		t.Errorf("fact parsed wrong: %+v", a)
+	want := []Fact{{Pred: "person", Args: []string{"john"}, Line: 1}}
+	if len(u.Rules) != 0 || !reflect.DeepEqual(u.Facts, want) {
+		t.Fatalf("got rules %+v facts %+v, want facts %+v", u.Rules, u.Facts, want)
 	}
 }
 
 func TestParsePropositionalFact(t *testing.T) {
 	u := parseOne(t, "rain.")
-	if len(u.Rules) != 1 || u.Rules[0].Head[0].Pred != "rain" || len(u.Rules[0].Head[0].Args) != 0 {
-		t.Errorf("propositional fact parsed wrong")
+	if want := []Fact{{Pred: "rain", Line: 1}}; !reflect.DeepEqual(u.Facts, want) {
+		t.Errorf("facts = %+v, want %+v", u.Facts, want)
+	}
+}
+
+// TestParseFactsInterleaved: every ground fact, fast path or not, lands
+// in Unit.Facts with its line and the number of rules before it; a fact
+// with a variable stays a rule for the compiler to reject.
+func TestParseFactsInterleaved(t *testing.T) {
+	u := parseOne(t, "a(x).\np(X) -> q(X).\nb( y ,\n 1_0 ) .\nr(X).\nc% comment\n.\nd(\"é\").")
+	want := []Fact{
+		{Pred: "a", Args: []string{"x"}, Line: 1, Before: 0},
+		{Pred: "b", Args: []string{"y", "1_0"}, Line: 3, Before: 1},
+		{Pred: "c", Line: 6, Before: 2},
+		{Pred: "d", Args: []string{"é"}, Line: 8, Before: 2},
+	}
+	if !reflect.DeepEqual(u.Facts, want) {
+		t.Errorf("facts = %+v, want %+v", u.Facts, want)
+	}
+	if len(u.Rules) != 2 || u.Rules[1].Line != 5 || !u.Rules[1].IsFact() {
+		t.Errorf("rules = %+v, want the TGD and the non-ground fact r(X) on line 5", u.Rules)
+	}
+	if got, want := Format(u), "a(x).\np(X) -> q(X).\nb(y, 1_0).\nr(X).\nc.\nd(é).\n"; got != want {
+		t.Errorf("Format = %q, want %q", got, want)
 	}
 }
 
@@ -93,6 +113,16 @@ func TestParseQueryString(t *testing.T) {
 	}
 }
 
+// TestParseQueryStringRejectsFacts: a fact after the query makes the
+// text more than one query.
+func TestParseQueryStringRejectsFacts(t *testing.T) {
+	for _, src := range []string{"p(X). q(a).", "? p(X). q.", "p(X). q(Y)."} {
+		if _, err := ParseQueryString(src); err == nil {
+			t.Errorf("ParseQueryString(%q) accepted", src)
+		}
+	}
+}
+
 func TestParseComments(t *testing.T) {
 	u := parseOne(t, `
 % a percent comment
@@ -100,19 +130,17 @@ p(a). # a hash comment
 # full-line comment
 q(b).
 `)
-	if len(u.Rules) != 2 {
-		t.Errorf("comments broke parsing: %d rules", len(u.Rules))
+	want := []Fact{{Pred: "p", Args: []string{"a"}, Line: 3}, {Pred: "q", Args: []string{"b"}, Line: 5}}
+	if !reflect.DeepEqual(u.Facts, want) {
+		t.Errorf("comments broke parsing: facts %+v, want %+v", u.Facts, want)
 	}
 }
 
 func TestParseNumbersAndStrings(t *testing.T) {
 	u := parseOne(t, `p(0, 42, "Hello World", x_1).`)
-	args := u.Rules[0].Head[0].Args
 	want := []string{"0", "42", "Hello World", "x_1"}
-	for i, w := range want {
-		if args[i].Name != w || args[i].IsVar {
-			t.Errorf("arg %d = %+v, want constant %q", i, args[i], w)
-		}
+	if len(u.Facts) != 1 || !reflect.DeepEqual(u.Facts[0].Args, want) {
+		t.Errorf("facts = %+v, want one with args %q", u.Facts, want)
 	}
 }
 

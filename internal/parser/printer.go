@@ -120,17 +120,27 @@ func FormatQuery(q *Query) string {
 	return b.String()
 }
 
-// Format renders a full unit, one statement per line, rules before queries
-// in their original order.
+// FormatFact renders a database fact, including the terminating period.
+func FormatFact(f Fact) string {
+	a := Atom{Pred: f.Pred, Args: make([]Term, len(f.Args))}
+	for i, c := range f.Args {
+		a.Args[i] = Term{Name: c}
+	}
+	return FormatAtom(a) + "."
+}
+
+// Format renders a full unit, one statement per line: rules and facts in
+// their source order, then the queries.
 func Format(u *Unit) string {
 	var b strings.Builder
-	for _, r := range u.Rules {
-		b.WriteString(FormatRule(r))
+	line := func(s string) {
+		b.WriteString(s)
 		b.WriteByte('\n')
 	}
+	_ = u.Walk(func(r *Rule) error { line(FormatRule(r)); return nil }, // the visitors never fail
+		func(f Fact) error { line(FormatFact(f)); return nil })
 	for _, q := range u.Queries {
-		b.WriteString(FormatQuery(q))
-		b.WriteByte('\n')
+		line(FormatQuery(q))
 	}
 	return b.String()
 }

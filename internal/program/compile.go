@@ -9,35 +9,65 @@ import (
 )
 
 // Compile translates a parsed unit into a compiled program and database.
-// Facts (rules with empty bodies and ground heads) become database atoms;
-// everything else is validated (guardedness, safety) and Skolemized. The
-// returned queries correspond to the unit's '?' statements in order.
+// Facts become database atoms; everything else is validated (guardedness,
+// safety) and Skolemized. Facts intern interleaved with the rules, in
+// source order, so every ID is the one a rule-by-rule compile of the
+// source would assign. The returned queries correspond to the unit's '?'
+// statements in order.
 func Compile(unit *parser.Unit, st *atom.Store) (*Program, Database, []*Query, error) {
-	prog := &Program{Store: st}
-	var db Database
-	for _, r := range unit.Rules {
-		if r.IsFact() {
-			a, err := compileFact(r, st)
-			if err != nil {
-				return nil, nil, nil, err
-			}
+	nargs := 0
+	for _, f := range unit.Facts {
+		nargs += len(f.Args)
+	}
+	st.Grow(len(unit.Facts), nargs)
+	db := make(Database, 0, len(unit.Facts))
+	prog, queries, err := compileUnit(unit, st, func(f parser.Fact) error {
+		a, err := st.Fact(f.Pred, f.Args)
+		if err == nil {
 			db = append(db, a)
-			continue
 		}
-		if err := compileClause(prog, r, st); err != nil {
-			return nil, nil, nil, err
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prog, db, queries, nil
+}
+
+// CompileSchema is Compile for a unit whose database comes from elsewhere
+// (a checkpoint): each fact interns only its predicate, at its place in
+// the source, so predicate IDs and arity errors are those of Compile, and
+// no fact constant or atom is interned.
+func CompileSchema(unit *parser.Unit, st *atom.Store) (*Program, []*Query, error) {
+	return compileUnit(unit, st, func(f parser.Fact) error {
+		_, err := st.Pred(f.Pred, len(f.Args))
+		return err
+	})
+}
+
+// compileUnit compiles the unit's rules and queries, calling fact for each
+// fact at its place among the rules.
+func compileUnit(unit *parser.Unit, st *atom.Store, fact func(parser.Fact) error) (*Program, []*Query, error) {
+	prog := &Program{Store: st}
+	err := unit.Walk(func(r *parser.Rule) error { return compileClause(prog, r, st) }, func(f parser.Fact) error {
+		if err := fact(f); err != nil {
+			return &ClauseError{Line: f.Line, Clause: parser.FormatFact(f), Err: err}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	var queries []*Query
 	for _, q := range unit.Queries {
 		cq, err := CompileQuery(q, st)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		queries = append(queries, cq)
 	}
 	prog.indexGuards()
-	return prog, db, queries, nil
+	return prog, queries, nil
 }
 
 // CompileText parses and compiles src in one step.
@@ -47,22 +77,6 @@ func CompileText(src string, st *atom.Store) (*Program, Database, []*Query, erro
 		return nil, nil, nil, err
 	}
 	return Compile(unit, st)
-}
-
-func compileFact(r *parser.Rule, st *atom.Store) (atom.AtomID, error) {
-	a := r.Head[0]
-	p, err := st.Pred(a.Pred, len(a.Args))
-	if err != nil {
-		return 0, &ClauseError{Line: r.Line, Clause: parser.FormatRule(r), Err: err}
-	}
-	args := make([]term.ID, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar {
-			return 0, &ClauseError{Line: r.Line, Clause: parser.FormatRule(r), Err: ErrNonGroundFact}
-		}
-		args[i] = st.Terms.Const(t.Name)
-	}
-	return st.Atom(p, args), nil
 }
 
 // varEnv assigns dense slots to variable names in appearance order.
@@ -147,6 +161,14 @@ func findGuard(pos []atom.Pattern, numUniv int) int {
 func compileClause(prog *Program, r *parser.Rule, st *atom.Store) error {
 	wrap := func(err error) error {
 		return &ClauseError{Line: r.Line, Clause: parser.FormatRule(r), Err: err}
+	}
+	if r.IsFact() {
+		// The parser files ground facts under Unit.Facts: this one has a
+		// variable.
+		if _, err := st.Pred(r.Head[0].Pred, len(r.Head[0].Args)); err != nil {
+			return wrap(err)
+		}
+		return wrap(ErrNonGroundFact)
 	}
 	env := newVarEnv()
 	pos, neg, err := compileBody(r.Body, env, st)

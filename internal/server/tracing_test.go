@@ -292,6 +292,14 @@ func TestStartupRecoveryTracePinned(t *testing.T) {
 	if rt.Trace == nil || rt.Trace.Find("recover-session") == nil || rt.Trace.Find("replay") == nil {
 		t.Errorf("recovery trace missing recover-session/replay spans:\n%s", rt.Trace.Format())
 	}
+	// Restore parses the source and compiles it with the checkpoint's
+	// three facts (the added move(c,d) is the replayed record).
+	restore := rt.Trace.Find("restore")
+	if restore == nil || restore.Find("parse") == nil || restore.Find("compile") == nil {
+		t.Errorf("restore span lacks parse/compile children:\n%s", rt.Trace.Format())
+	} else if n := restore.Find("compile").Counters["facts"]; n != 3 {
+		t.Errorf("compile facts=%d, want 3", n)
+	}
 }
 
 // TestSlowQueryTraceRetained: a slow-query breach is logged with its

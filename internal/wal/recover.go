@@ -95,9 +95,9 @@ func (m *Manager) recoverSession(dir string, tr *trace.Span) (Recovered, error) 
 	if err != nil {
 		return Recovered{}, err
 	}
-	endRestore := tr.Phase("restore")
-	sys, err := wfs.Restore(ck.Source, ck.Options, ck.Facts, ck.Epoch)
-	endRestore()
+	sp := tr.Child("restore")
+	sys, err := wfs.Restore(ck.Source, ck.Options, ck.Facts, ck.Epoch, sp)
+	sp.End()
 	if err != nil {
 		return Recovered{}, err
 	}

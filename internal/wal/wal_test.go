@@ -587,6 +587,50 @@ func TestCleanCloseReplaysNothing(t *testing.T) {
 	man2.Close()
 }
 
+// TestRecoveredSchemaMatchesLive: recovery takes the database from the
+// checkpoint but the schema from the source, so a predicate known only
+// from source facts keeps its arity after every one of its facts is
+// retracted, and the live and the recovered session reject the same
+// wrong-arity add and the same wrong-arity query with the same error.
+func TestRecoveredSchemaMatchesLive(t *testing.T) {
+	const src = winMove + "color(a, red). color(b, blue).\n"
+	dir := t.TempDir()
+	man, live, l := openLogged(t, dir, Options{}, "s", src)
+	if err := live.Apply(wfs.NewDelta().Retract("color", "a", "red").Retract("color", "b", "blue")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(func() Checkpoint {
+		facts, epoch := live.DumpState()
+		return Checkpoint{Source: src, Options: wfs.Options{}, Epoch: epoch, Facts: facts}
+	}); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	man.Close()
+	man2, _ := Open(dir, Options{})
+	defer man2.Close()
+	recs, _, err := man2.Recover()
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("Recover: recs=%d err=%v", len(recs), err)
+	}
+	recovered := recs[0].Sys
+	requireSameState(t, live, recovered)
+	errs := func(sys *wfs.System) (add, query error) {
+		_, query = sys.Answer("? color(X).")
+		return sys.AddFact("color", "c"), query
+	}
+	liveAdd, liveQuery := errs(live)
+	recAdd, recQuery := errs(recovered)
+	if liveAdd == nil || liveQuery == nil {
+		t.Fatalf("live session accepted color/1: add %v, query %v", liveAdd, liveQuery)
+	}
+	if recAdd == nil || recAdd.Error() != liveAdd.Error() {
+		t.Errorf("recovered add error %v, want %v", recAdd, liveAdd)
+	}
+	if recQuery == nil || recQuery.Error() != liveQuery.Error() {
+		t.Errorf("recovered query error %v, want %v", recQuery, liveQuery)
+	}
+}
+
 func TestManagerRemove(t *testing.T) {
 	dir := t.TempDir()
 	man, sys, _ := openLogged(t, dir, Options{}, "gone", winMove)

@@ -3,10 +3,10 @@ package wfs
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/program"
 	"repro/internal/term"
+	"repro/internal/trace"
 )
 
 // DumpState renders the current database as store-independent fact
@@ -39,45 +39,45 @@ func (s *System) DumpState() (facts []FactRef, epoch uint64) {
 }
 
 // Restore rebuilds a System from checkpoint state: it compiles src (rules,
-// constraints, and embedded queries) under opts exactly like
-// LoadWithOptions, then REPLACES the database with the given facts — the
-// facts compiled from src are discarded, since a checkpoint's fact list is
-// the complete database, source facts included — and sets the mutation
-// epoch. Predicates appearing only in facts are created at the fact's
-// arity; an arity clash with the compiled schema reports a corrupt
-// checkpoint rather than silently misloading.
+// constraints, and embedded queries) under opts like LoadWithOptions, but
+// takes the database from facts — a checkpoint's fact list is the
+// complete database, source facts included — and sets the mutation epoch.
+// The source's facts intern only their predicates, so the restored schema
+// is the loaded one; predicates appearing only in facts are created at
+// the fact's arity, and an arity clash with the compiled schema reports a
+// corrupt checkpoint rather than silently misloading. The phases — parse,
+// compile (counting the facts), analyze — are recorded under tr (nil
+// records nothing).
 //
 // Restore plus an in-order replay of the deltas committed after the
 // checkpoint (System.Apply bumps the epoch by one per batch, matching the
 // epochs a CommitHook observed) reproduces the pre-crash system state.
-func Restore(src string, opts Options, facts []FactRef, epoch uint64) (*System, error) {
-	st := atom.NewStore(term.NewStore())
-	prog, _, queries, err := program.CompileText(src, st)
+func Restore(src string, opts Options, facts []FactRef, epoch uint64, tr *trace.Span) (*System, error) {
+	unit, err := parse(src, tr)
 	if err != nil {
 		return nil, fmt.Errorf("wfs: restore: %w", err)
 	}
+	sp := tr.Child("compile")
+	defer sp.End()
+	sp.SetCount("facts", int64(len(facts)))
+	st := atom.NewStore(term.NewStore())
+	prog, queries, err := program.CompileSchema(unit, st)
+	if err != nil {
+		return nil, fmt.Errorf("wfs: restore: %w", err)
+	}
+	nargs := 0
+	for _, f := range facts {
+		nargs += len(f.Args)
+	}
+	st.Grow(len(facts), nargs)
 	db := make(program.Database, 0, len(facts))
 	for _, f := range facts {
-		p, err := st.Pred(f.Pred, len(f.Args))
+		a, err := st.Fact(f.Pred, f.Args)
 		if err != nil {
 			return nil, fmt.Errorf("wfs: restore %s: %w", f.Pred, err)
 		}
-		ts := make([]term.ID, len(f.Args))
-		for i, arg := range f.Args {
-			ts[i] = st.Terms.Const(arg)
-		}
-		db = append(db, st.Atom(p, ts))
+		db = append(db, a)
 	}
-	// Mirror LoadWithOptions: analyze the restored program+database and
-	// re-derive the certified depth (the certificate is data-independent,
-	// but diagnostics depend on the restored EDB signature).
-	rep := analysis.Analyze(prog, db, queries)
-	opts.CertifiedDepth = 0
-	if !opts.NoCertify && rep.Certificate != nil {
-		opts.CertifiedDepth = rep.Certificate.DepthBound
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return &System{store: st, prog: prog, db: db, queries: queries, opts: opts, epoch: epoch, analysis: rep}, nil
+	sp.End()
+	return newSystem(st, prog, db, queries, opts, epoch, tr)
 }

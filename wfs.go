@@ -159,16 +159,35 @@ func LoadWithOptions(src string, opts Options) (*System, error) {
 }
 
 // LoadWithOptionsTraced is LoadWithOptions recording the load's phases
-// — parse/compile and the static-analysis pass — as children of tr. A
-// nil tr is LoadWithOptions.
+// — parse, compile (counting the facts) and the static-analysis pass —
+// as children of tr. A nil tr is LoadWithOptions.
 func LoadWithOptionsTraced(src string, opts Options, tr *trace.Span) (*System, error) {
-	endCompile := tr.Phase("parse-compile")
-	st := atom.NewStore(term.NewStore())
-	prog, db, queries, err := program.CompileText(src, st)
-	endCompile()
+	unit, err := parse(src, tr)
 	if err != nil {
 		return nil, err
 	}
+	sp := tr.Child("compile")
+	sp.SetCount("facts", int64(len(unit.Facts)))
+	st := atom.NewStore(term.NewStore())
+	prog, db, queries, err := program.Compile(unit, st)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(st, prog, db, queries, opts, 0, tr)
+}
+
+// parse parses src under a "parse" child of tr.
+func parse(src string, tr *trace.Span) (*parser.Unit, error) {
+	defer tr.Phase("parse")()
+	return parser.Parse(src)
+}
+
+// newSystem is the tail LoadWithOptions and Restore share: it analyzes
+// the compiled program and database under an "analyze" child of tr,
+// derives the certified depth unless opts.NoCertify, and validates opts.
+func newSystem(st *atom.Store, prog *program.Program, db program.Database, queries []*program.Query,
+	opts Options, epoch uint64, tr *trace.Span) (*System, error) {
 	endAnalyze := tr.Phase("analyze")
 	rep := analysis.Analyze(prog, db, queries)
 	endAnalyze()
@@ -181,7 +200,7 @@ func LoadWithOptionsTraced(src string, opts Options, tr *trace.Span) (*System, e
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{store: st, prog: prog, db: db, queries: queries, opts: opts, analysis: rep}, nil
+	return &System{store: st, prog: prog, db: db, queries: queries, opts: opts, epoch: epoch, analysis: rep}, nil
 }
 
 // Analysis returns the load-time static-analysis report: termination

@@ -3,6 +3,8 @@ package wfs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestLoadAndAnswer(t *testing.T) {
@@ -40,6 +42,26 @@ func TestLoadError(t *testing.T) {
 	}
 	if _, err := Load("e(X,Y), t(Y,Z) -> t(X,Z)."); err == nil {
 		t.Errorf("guardedness violation not reported")
+	}
+}
+
+// TestLoadTracedPhases: a traced load records parse, compile (with the
+// number of facts) and analyze as siblings.
+func TestLoadTracedPhases(t *testing.T) {
+	root := trace.New("load")
+	if _, err := LoadWithOptionsTraced("p(a). p(X) -> q(X). p(b). r.", Options{}, root); err != nil {
+		t.Fatal(err)
+	}
+	tr := root.Trace()
+	var names []string
+	for _, c := range tr.Children {
+		names = append(names, c.Name)
+	}
+	if got := strings.Join(names, " "); got != "parse compile analyze" {
+		t.Errorf("phases %q, want \"parse compile analyze\"", got)
+	}
+	if n := tr.Find("compile").Counters["facts"]; n != 3 {
+		t.Errorf("compile facts=%d, want 3", n)
 	}
 }
 
