@@ -317,7 +317,8 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	// new entries, then clip the result so later appends cannot either.
 	newDB = append(newDB[:len(newDB):len(newDB)], added...)
 	s.db = newDB[:len(newDB):len(newDB)]
-	s.invalidateLocked()
+	endCommit()
+	s.invalidateLocked(ap)
 	return nil
 }
 

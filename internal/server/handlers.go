@@ -132,31 +132,18 @@ func (s *Server) handleAddFacts(w http.ResponseWriter, r *http.Request) {
 		d.Add(f.Pred, f.Args...)
 	}
 	// One delta: all-or-nothing validation, one epoch bump, and the
-	// session's evaluation state rebased instead of discarded. The
-	// request's context rides along so a client that disconnects before
-	// the WAL append is asked for nothing — once the append acks, the
-	// commit always completes regardless.
+	// session's warm evaluation state rebased and published before Apply
+	// returns, its spans under the request's. The request's context
+	// rides along so a client that disconnects before the WAL append is
+	// asked for nothing — once the append acks, the commit always
+	// completes regardless.
 	root := requestTrace(r).span()
 	if err := sess.Sys.ApplyCtxTraced(r.Context(), d, root); err != nil {
 		writeError(w, r, mutationStatus(err), fmt.Errorf("%w (nothing applied)", err))
 		return
 	}
-	s.warmAfterMutation(sess, root)
 	nFacts, epoch := sess.Sys.FactsEpoch()
 	writeJSON(w, http.StatusOK, AddFactsResponse{Added: len(facts), Facts: nFacts, Epoch: epoch})
-}
-
-// warmAfterMutation eagerly rebases the session's already-materialized
-// evaluation state onto the post-mutation snapshot, under the mutating
-// request's span. Two effects: the delta-rebase cost lands in the
-// mutation's trace and latency (log-then-commit next to the rebase, per
-// the flight-recorder contract) instead of ambushing the next reader,
-// and models that were cold stay cold — this never triggers a fresh
-// build.
-func (s *Server) warmAfterMutation(sess *Session, root *trace.Span) {
-	if snap, err := sess.Sys.SnapshotTraced(root); err == nil {
-		snap.WarmRebased(root)
-	}
 }
 
 func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
@@ -173,7 +160,6 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, mutationStatus(err), fmt.Errorf("%w (nothing applied)", err))
 		return
 	}
-	s.warmAfterMutation(sess, root)
 	nFacts, epoch := sess.Sys.FactsEpoch()
 	writeJSON(w, http.StatusOK, RetractResponse{Retracted: len(facts), Facts: nFacts, Epoch: epoch})
 }

@@ -233,10 +233,11 @@ func TestMutationTraceStitchesWALAndRebase(t *testing.T) {
 			t.Errorf("mutation trace missing %q span:\n%s", span, rt.Trace.Format())
 		}
 	}
-	// The WAL spans must sit under the mutation's apply, not float free:
-	// log-then-commit timing next to the rebase is the point.
-	if ap := rt.Trace.Find("apply"); ap == nil || ap.Find("wal-append") == nil {
-		t.Errorf("wal-append not nested under apply:\n%s", rt.Trace.Format())
+	// The WAL spans and the rebase must sit under the mutation's apply,
+	// not float free: log-then-commit timing next to the rebase the writer
+	// does before publishing is the point.
+	if ap := rt.Trace.Find("apply"); ap == nil || ap.Find("wal-append") == nil || ap.Find("delta-rebase") == nil {
+		t.Errorf("wal-append or delta-rebase not nested under apply:\n%s", rt.Trace.Format())
 	}
 
 	got := waitContains(t, buf, "trace_id="+wantID)

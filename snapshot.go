@@ -253,12 +253,12 @@ func (s *Snapshot) translateDB(to *atom.Store) (program.Database, bool) {
 }
 
 // newSnapshot builds a snapshot from an already-frozen store clone and a
-// clipped database slice. When prevSnap is non-nil (the last published
-// snapshot, staged across a mutation), every rung links to its same-depth
+// clipped database slice. When prevSnap is non-nil (the published
+// snapshot a mutation succeeds), every rung links to its same-depth
 // predecessor so evaluation can rebase the predecessor's materialized
 // work onto the delta instead of rebuilding; the safe ID-space bounds are
 // inherited, since a rebased rung may serve from any ancestor's chain.
-// Callers (System.Snapshot) hold the system lock.
+// Callers hold the system lock.
 func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 	queries []*program.Query, opts core.Options, epoch uint64, prevSnap *Snapshot,
 	metrics *EngineMetrics) *Snapshot {
@@ -412,15 +412,15 @@ func (s *Snapshot) AnswerCtx(ctx context.Context, q *Query) (Truth, error) {
 
 // answerWarmExact answers q from the first ladder rung alone, when that
 // rung is already materialized and its model is exact — the steady
-// state of every warm snapshot of a terminating program, and the shape
-// the server's cache-miss path hits on almost all traffic. In that
-// state the ladder would return at its first rung anyway, so this path
-// produces byte-identical answers and stats; what it skips is the
-// per-call cancellation plumbing (token acquisition, option
-// revalidation), which on a sub-microsecond warm answer costs more than
-// the answer itself. ok=false (cold first rung, inexact model, or a
-// query that fails to compile) falls back to the full token-carrying
-// ladder, which re-encounters and properly reports any error.
+// state of every warm snapshot of a terminating program, and so the
+// shape almost every server query hits. In that state the ladder would
+// return at its first rung anyway, so this path produces byte-identical
+// answers and stats; what it skips is the per-call cancellation
+// plumbing (token acquisition, option revalidation), which on a
+// sub-microsecond warm answer costs more than the answer itself.
+// ok=false (cold first rung, inexact model, or a query that fails to
+// compile) falls back to the full token-carrying ladder, which
+// re-encounters and properly reports any error.
 func (s *Snapshot) answerWarmExact(q *Query) (Truth, *core.AnswerStats, bool) {
 	if len(s.rungs) == 0 {
 		return False, nil, false
@@ -495,7 +495,7 @@ func (s *Snapshot) AnswerCtxTraced(ctx context.Context, q *Query, root *trace.Sp
 
 // TraceAnswer is Answer recording a detailed evaluation trace (see
 // System.TraceAnswer). Rungs already materialized on this snapshot
-// appear as match-only depth spans; a first traced query after a write
+// appear as match-only depth spans; a first traced query on a cold rung
 // shows the full rebase/build cost it actually paid.
 func (s *Snapshot) TraceAnswer(q *Query) (Truth, *core.AnswerStats, *trace.EvalTrace, error) {
 	return s.TraceAnswerDetail(q, true)
@@ -523,20 +523,37 @@ func (s *Snapshot) AnswerTraced(q *Query, root *trace.Span) (Truth, *core.Answer
 	return s.answerTraced(q, root)
 }
 
-// WarmRebased eagerly materializes the base model and every ladder rung
-// whose previous-epoch counterpart was already materialized, recording
-// the work — including the delta-rebase spans — under tr. The server's
-// mutation path calls this so the rebase a mutation causes lands in the
-// mutating request's trace (and its latency bill) instead of ambushing
-// the next reader; models that were cold before the mutation stay cold.
-func (s *Snapshot) WarmRebased(tr *trace.Span) {
-	// When base is one of the rungs the loop meets it a second time and
-	// skips it: a materialized model has dropped its reb link.
-	if r := s.base.reb.Load(); r != nil && r.done.Load() {
-		s.base.get(s, nil, tr)
+// WarmRebased does nothing: a mutation of a warm system now publishes
+// its successor with every previously warm model already rebased (see
+// System.invalidateLocked), so a published snapshot has nothing left to
+// warm. It stays only because benchmark/layers.go still calls it.
+func (s *Snapshot) WarmRebased(*trace.Span) {}
+
+// warm reports whether any model of the snapshot is materialized.
+func (s *Snapshot) warm() bool {
+	if s.base.done.Load() {
+		return true
 	}
 	for _, sm := range s.rungs {
-		if r := sm.reb.Load(); r != nil && r.done.Load() {
+		if sm.done.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// warmLike materializes every model of s whose counterpart in prev — the
+// snapshot s succeeds, built from the same options and so with the same
+// rung schedule — is materialized, recording the builds under tr. Models
+// linked to prev rebase its work; after a compaction they build fresh.
+// Uncancellable: the caller is a writer that has already committed.
+func (s *Snapshot) warmLike(prev *Snapshot, tr *trace.Span) {
+	// When base is one of the rungs the loop meets it a second time, done.
+	if prev.base.done.Load() {
+		s.base.get(s, nil, tr)
+	}
+	for i, sm := range s.rungs {
+		if prev.rungs[i].done.Load() {
 			sm.get(s, nil, tr)
 		}
 	}

@@ -317,8 +317,8 @@ func TestManyEpochs(t *testing.T) {
 // TestSnapshotOneModelPerDepth: on a certified program the configured
 // depth is the ladder's single rung, so the base model behind Select,
 // TruthOf, Explain, Stats and CheckConstraints is that rung — a read of
-// either kind after the other builds nothing, and a mutation's warm rebase
-// carries one model across, not two.
+// either kind after the other builds nothing, and the rebase a mutation
+// publishes carries one model across, not two.
 func TestSnapshotOneModelPerDepth(t *testing.T) {
 	sys := loadGame(t)
 	q, err := Prepare("? win(b).")
@@ -359,7 +359,6 @@ func TestSnapshotOneModelPerDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next.WarmRebased(nil)
 	if m := sys.Metrics().Read(); m.Builds != 2 || m.Rebases != 1 {
 		t.Errorf("after one mutation: builds = %d, rebases = %d, want 2 and 1", m.Builds, m.Rebases)
 	}

@@ -38,18 +38,21 @@
 // Writes are deltas. Apply commits a batch of fact additions and
 // retractions atomically — all-or-nothing validation, one epoch bump —
 // and AddFact, RetractFact, and LoadCSV are single-delta wrappers over
-// the same path. A write takes the system lock, bumps the epoch, and
-// unpublishes the current snapshot; the next reader rebuilds it by
-// REBASING the previous snapshot's already-evaluated state onto the
-// delta (resumed chase for additions, derivation-forest replay for
-// retractions, warm-started WFS fixpoint over the change's dependency
-// cone — see DESIGN.md "Incremental updates") instead of re-evaluating
-// from scratch. A write therefore contends only with snapshot
-// construction (an O(store) clone), never with in-flight readers, which
-// keep answering against their — now stale, still internally consistent
-// — snapshot. The System's string convenience methods (Answer, Select,
-// TruthOf, …) are implemented as "grab current snapshot, run read" and
-// remain safe for concurrent use.
+// the same path. A write takes the system lock and commits; then, when
+// the published snapshot has any model materialized, the writer builds
+// its successor beside it — store clone, and every model that was warm
+// in the predecessor REBASED onto the delta (resumed chase for
+// additions, derivation-forest replay for retractions, warm-started WFS
+// fixpoint over the change's dependency cone — see DESIGN.md
+// "Incremental updates") — and only then publishes it. Warm stays warm,
+// cold stays cold: a snapshot with nothing materialized is simply
+// unpublished, and the next reader builds the new one cold. Readers
+// never wait for a writer: until the publish they keep answering,
+// lock-free, from the predecessor — stale, still internally consistent
+// — and the publish itself is the mutation's linearization point, so a
+// caller reads its own write once Apply returns. The System's string
+// convenience methods (Answer, Select, TruthOf, …) are implemented as
+// "grab current snapshot, run read" and remain safe for concurrent use.
 package wfs
 
 import (
@@ -115,17 +118,13 @@ type System struct {
 	analysis *analysis.Report
 
 	// mu serializes mutations (AddFact, LoadCSV) and snapshot
-	// construction; snapshot readers only take the write side when the
-	// snapshot must be rebuilt after a write, and cheap metadata
-	// accessors (Epoch, NumFacts, …) take the read side.
+	// construction, including a mutation's warm successor snapshot.
+	// Snapshot readers take the write side only when no snapshot is
+	// published, and the metadata accessors (Epoch, NumFacts, …) take the
+	// read side only then.
 	mu    sync.RWMutex
 	epoch uint64
 	snap  atomic.Pointer[Snapshot]
-
-	// prevSnap stages the last published snapshot across a mutation so
-	// the next Snapshot call can rebase its evaluated rungs onto the
-	// delta (see newSnapshot) instead of rebuilding them from scratch.
-	prevSnap *Snapshot
 
 	// metrics accumulates always-on build observability across every
 	// epoch's snapshots (see EngineMetrics); read via Metrics.
@@ -211,16 +210,17 @@ func newSystem(st *atom.Store, prog *program.Program, db program.Database, queri
 func (s *System) Analysis() *analysis.Report { return s.analysis }
 
 // Snapshot returns the current immutable evaluated view of the system,
-// building it if a write invalidated the previous one. The returned
-// snapshot is safe for unlimited concurrent readers with no lock on the
-// query hot path; it stays answerable (at its epoch) even after later
-// writes.
+// building it if none is published. The returned snapshot is safe for
+// unlimited concurrent readers with no lock on the query hot path; it
+// stays answerable (at its epoch) even after later writes.
 func (s *System) Snapshot() (*Snapshot, error) { return s.SnapshotTraced(nil) }
 
 // SnapshotTraced is Snapshot recording the snapshot construction — the
-// store clone and publication after an epoch change — as a child of tr.
-// The published-snapshot fast path records nothing; a nil tr is
-// Snapshot.
+// store clone and publication when none is published — as a child of
+// tr. A mutation of a warm system publishes its successor itself (see
+// invalidateLocked), so this only ever builds a cold snapshot: after
+// Load or Restore, or after mutations nobody read between. The
+// published-snapshot fast path records nothing; a nil tr is Snapshot.
 func (s *System) SnapshotTraced(tr *trace.Span) (*Snapshot, error) {
 	if snap := s.snap.Load(); snap != nil {
 		return snap, nil
@@ -232,44 +232,45 @@ func (s *System) SnapshotTraced(tr *trace.Span) (*Snapshot, error) {
 	if snap := s.snap.Load(); snap != nil {
 		return snap, nil // another reader built it while we waited
 	}
+	snap := s.newSnapshotLocked(nil)
+	s.snap.Store(snap)
+	return snap, nil
+}
+
+// newSnapshotLocked freezes a clone of the master store and builds a
+// snapshot of the current epoch over it, linked to prev for rebasing
+// (nil builds fresh). Callers must hold mu.
+func (s *System) newSnapshotLocked(prev *Snapshot) *Snapshot {
 	store := s.store.Clone()
 	store.Freeze()
 	// Clip the database so the snapshot's view can never observe a
 	// subsequent append, then share the clipped slice.
 	s.db = s.db[:len(s.db):len(s.db)]
-	// Rebase onto the previous snapshot's evaluated rungs when one is
-	// staged, bounded by the overlay-chain budget: each rebased epoch
-	// layers one more overlay store per rung, so after maxSnapshotChain
-	// generations the next snapshot rebuilds fresh and compacts.
-	prev := s.prevSnap
-	if prev != nil && prev.chain+1 > maxSnapshotChain {
-		prev = nil
-	}
-	snap := newSnapshot(store, s.prog, s.db, s.queries, s.opts, s.epoch, prev, &s.metrics)
-	s.prevSnap = nil
-	s.snap.Store(snap)
-	return snap, nil
+	return newSnapshot(store, s.prog, s.db, s.queries, s.opts, s.epoch, prev, &s.metrics)
 }
 
 // Epoch returns the database epoch: a counter bumped by every mutation
 // (AddFact, LoadCSV). Every snapshot carries the epoch it was taken at.
 func (s *System) Epoch() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
+	_, epoch := s.FactsEpoch()
+	return epoch
 }
 
 // NumFacts returns the current number of database facts.
 func (s *System) NumFacts() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.db)
+	facts, _ := s.FactsEpoch()
+	return facts
 }
 
 // FactsEpoch returns the fact count and epoch as one consistent pair:
 // reading them via NumFacts and Epoch separately can be torn by a
-// concurrent write.
+// concurrent write. The pair is the published snapshot's, so it never
+// queues behind a writer building the next one; the system lock is taken
+// only when no snapshot is published.
 func (s *System) FactsEpoch() (facts int, epoch uint64) {
+	if snap := s.snap.Load(); snap != nil {
+		return len(snap.db), snap.epoch
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.db), s.epoch
@@ -289,15 +290,31 @@ func (s *System) AddFact(pred string, args ...string) error {
 	return s.applyLocked([]factSpec{{pred: pred, args: args}}, nil, nil)
 }
 
-// invalidateLocked unpublishes the current snapshot after a database
-// mutation, staging it for delta rebasing by the next Snapshot call, and
-// bumps the epoch. Callers must hold mu.
-func (s *System) invalidateLocked() {
-	if snap := s.snap.Load(); snap != nil {
-		s.prevSnap = snap
-	}
-	s.snap.Store(nil)
+// invalidateLocked bumps the epoch after a database mutation and
+// replaces the published snapshot. When that snapshot has any model
+// materialized, the writer builds the successor beside it, materializes
+// every model that was warm in it — rebased, or fresh once the overlay
+// chain is at its budget — under tr, and only then publishes it: readers
+// keep answering from the predecessor until the Store, never from a cold
+// successor. Otherwise (nothing published, or nothing read since) it
+// just unpublishes, so WAL replay and cold AddFact loops clone nothing
+// per mutation. Callers must hold mu.
+func (s *System) invalidateLocked(tr *trace.Span) {
 	s.epoch++
+	prev := s.snap.Load()
+	if prev == nil || !prev.warm() {
+		s.snap.Store(nil)
+		return
+	}
+	sp := tr.Child("snapshot-publish")
+	link := prev
+	if prev.chain+1 > maxSnapshotChain {
+		link = nil // compact: rebuild fresh instead of layering one more overlay
+	}
+	next := s.newSnapshotLocked(link)
+	sp.End()
+	next.warmLike(prev, tr)
+	s.snap.Store(next)
 }
 
 // snapshot is Snapshot for internal read paths; the error is currently
