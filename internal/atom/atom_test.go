@@ -62,8 +62,8 @@ func TestAtomInterning(t *testing.T) {
 		t.Errorf("String = %q", s.String(pab))
 	}
 	// Only p(a,b) and p(b,a) were interned; Lookup does not intern.
-	if got := s.ByPred(p); len(got) != 2 {
-		t.Errorf("ByPred returned %d atoms, want 2", len(got))
+	if got := s.Len(); got != 2 {
+		t.Errorf("Len = %d atoms, want 2", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package atom
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -113,33 +112,22 @@ func Undo(sub Subst, trail *[]int32, mark int) {
 // Instantiate interns the ground atom obtained by applying sub to p. All
 // variable slots of p must be bound.
 func (s *Store) Instantiate(p Pattern, sub Subst) AtomID {
-	args := make([]term.ID, len(p.Args))
-	for i, pa := range p.Args {
-		if pa.IsVar() {
-			t := sub[pa.Var]
-			if t == term.None {
-				panic(fmt.Sprintf("atom: instantiating %s with unbound slot %d", s.PatternString(p), pa.Var))
-			}
-			args[i] = t
-		} else {
-			args[i] = pa.Const
-		}
-	}
-	return s.Atom(p.Pred, args)
+	var buf [8]term.ID
+	return s.Atom(p.Pred, s.ground(p, sub, buf[:0]))
 }
 
 // InstantiateLookup is Instantiate without interning: it returns the
 // existing AtomID for the instantiated atom, or (NoAtom, false) if that
-// ground atom has never been derived. Used for side-atom membership checks
-// and ground query literals; the key (see atomKey) is built in place, so
-// patterns of common arity allocate nothing.
+// ground atom has never been interned. Used for side-atom membership
+// checks and ground query literals; patterns of arity up to 8 allocate
+// nothing.
 func (s *Store) InstantiateLookup(p Pattern, sub Subst) (AtomID, bool) {
-	var buf keyBuf
-	key := buf[:0]
-	if n := 4 + 4*len(p.Args); n > len(buf) {
-		key = make([]byte, 0, n)
-	}
-	key = binary.LittleEndian.AppendUint32(key, uint32(p.Pred))
+	var buf [8]term.ID
+	return s.Lookup(p.Pred, s.ground(p, sub, buf[:0]))
+}
+
+// ground appends the arguments of p under sub to args.
+func (s *Store) ground(p Pattern, sub Subst, args []term.ID) []term.ID {
 	for _, pa := range p.Args {
 		t := pa.Const
 		if pa.IsVar() {
@@ -147,14 +135,9 @@ func (s *Store) InstantiateLookup(p Pattern, sub Subst) (AtomID, bool) {
 				panic(fmt.Sprintf("atom: instantiating %s with unbound slot %d", s.PatternString(p), pa.Var))
 			}
 		}
-		key = binary.LittleEndian.AppendUint32(key, uint32(t))
+		args = append(args, t)
 	}
-	for c := s; c != nil; c = c.base {
-		if id, ok := c.atomIdx[string(key)]; ok {
-			return id, true
-		}
-	}
-	return NoAtom, false
+	return args
 }
 
 // PatternString renders a pattern with ?n for variable slots (used in

@@ -162,11 +162,8 @@ func Run(prog *program.Program, db program.Database, opts Options) *Result {
 // the mutable bookkeeping is cloned first — so models already built over
 // r keep serving concurrent readers unchanged.
 //
-// prog must share r's compiled rules (a Program.WithStore of the program
-// r was chased under) and an ID space extending r's store: either r's own
-// store (in-place deepening over a mutable store) or an overlay over its
-// frozen form (the snapshot layer's chained-overlay rungs). Pass r.Prog
-// to continue on the same store. If newDepth does not exceed the current
+// prog must be the program r was chased under, or one sharing its
+// compiled rules and its store; usually it is r.Prog. If newDepth does not exceed the current
 // bound, or the chase already saturated strictly below it (no frontier
 // exists at any depth, so the deeper chase is identical), r is returned
 // unchanged.

@@ -31,8 +31,8 @@ import (
 // database grew to newDB: the atoms of added (the set-level growth, each
 // already interned in the store) are derived at depth 0 and expanded
 // against the carried-over forest, firing only the rule instances the new
-// facts enable. prog must share r's compiled rules and an ID space
-// extending r's store (see Extend). r itself is not mutated.
+// facts enable. prog must share r's compiled rules and store (see
+// Extend). r itself is not mutated.
 //
 // An added atom may already be in the derived universe (an IDB atom now
 // asserted as a fact): its depth drops to 0 and the decrease cascades.

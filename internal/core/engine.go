@@ -331,9 +331,8 @@ func chaseCounters(tr *trace.Span, res *chase.Result) {
 // ExtendModel continues a previously evaluated model's chase to a deeper
 // depth and evaluates the model there: the resumable-chase counterpart of
 // EvaluateAtDepth for layers that manage models themselves (the snapshot
-// ladder's chained rungs). prog must share prev's compiled rules and an
-// ID space extending its store — prev's own store, or a fresh overlay
-// over its frozen form. prev is not mutated: the extended chase and
+// ladder's chained rungs). prog must share prev's compiled rules and its
+// store. prev is not mutated: the extended chase and
 // grounding are appended copies, so prev keeps serving concurrent
 // readers.
 func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int) *Model {
@@ -372,8 +371,7 @@ func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 // mutated; when the database did not change at the set level, prev
 // itself is returned.
 //
-// prog must share prev's compiled rules and an ID space extending its
-// chase's store, and newDB (with every atom interned there) must be the
+// prog must share prev's compiled rules and its chase's store, and newDB (with every atom interned there) must be the
 // full database after the mutation. A state that cannot be rebased (a
 // truncated chase, or a depth mismatch from an off-ladder caller) falls
 // back to cold evaluation at the requested depth.
@@ -604,7 +602,7 @@ func (m *Model) Usable(a atom.AtomID) bool {
 // Precompute builds the matcher's per-predicate candidate lists now rather
 // than on the first query. The per-argument indexes stay lazy, but all lazy
 // matcher state is guarded by a sync.Once, so with or without Precompute a
-// model over a frozen store serves Answer, Select, Satisfies, Bindings,
+// model serves Answer, Select, Satisfies, Bindings,
 // CheckConstraints and WCheck to unlimited concurrent readers. (Explain has
 // its own lazy state; see PrepareExplanations.)
 func (m *Model) Precompute() { m.buildIndexes() }
@@ -703,9 +701,9 @@ type AnswerStats struct {
 // model at a given depth — an error (e.g. a rung schedule mismatch in the
 // snapshot layer) aborts the ladder instead of crashing or silently
 // answering False; an empty schedule (Options.Validate) is an error for
-// the same reason. compile resolves the query against that model's ID
-// space (evaluation layers that intern per model, like snapshots, must
-// recompile when the query references unseen names). Both Engine.Answer
+// the same reason. compile resolves the query for each rung (the snapshot
+// layer resolves names by lookup, so a name a writer interns meanwhile
+// resolves from the next rung on). Both Engine.Answer
 // and the snapshot layer delegate here, so the two paths can never
 // diverge.
 func AdaptiveAnswer(opts Options, modelAt func(depth int) (*Model, error),

@@ -66,8 +66,8 @@ type Result struct {
 
 // Rebase carries (res, gp) — a finished chase of res.DB and its grounding
 // — onto the mutated database newDB, whose set-level change from res.DB
-// is (added, removed), both already interned in res's store (or an
-// overlay extending it; prog must be bound to that store). Retractions
+// is (added, removed), both already interned in res's store (prog must
+// be bound to that store). Retractions
 // replay the derivation forest (chase.Result.Retract), additions extend
 // it (chase.Result.ExtendDB), and the grounding is appended in place for
 // pure additions or rebuilt over the surviving chase after a retraction.

@@ -391,9 +391,9 @@ func (p *Program) extendIndex(prev *Program, firstNewRule int) {
 }
 
 // Local returns the local index of global atom a, or -1 if a is not in the
-// program's universe.
+// program's universe (atom.NoAtom included).
 func (p *Program) Local(a atom.AtomID) int32 {
-	if int(a) < len(p.localIdx) {
+	if a >= 0 && int(a) < len(p.localIdx) {
 		return p.localIdx[a]
 	}
 	return -1

@@ -15,11 +15,7 @@ import (
 // source would assign. The returned queries correspond to the unit's '?'
 // statements in order.
 func Compile(unit *parser.Unit, st *atom.Store) (*Program, Database, []*Query, error) {
-	nargs := 0
-	for _, f := range unit.Facts {
-		nargs += len(f.Args)
-	}
-	st.Grow(len(unit.Facts), nargs)
+	st.Grow(len(unit.Facts))
 	db := make(Database, 0, len(unit.Facts))
 	prog, queries, err := compileUnit(unit, st, func(f parser.Fact) error {
 		a, err := st.Fact(f.Pred, f.Args)
@@ -102,8 +98,80 @@ func (e *varEnv) has(name string) bool {
 	return ok
 }
 
-func compilePattern(a parser.Atom, env *varEnv, st *atom.Store) (atom.Pattern, error) {
-	p, err := st.Pred(a.Pred, len(a.Args))
+// names resolves the predicate and constant names of a clause to IDs.
+type names interface {
+	pred(name string, arity int) (atom.PredID, error)
+	constant(name string) term.ID
+}
+
+// interner resolves names by interning them: compiling a program.
+type interner struct{ st *atom.Store }
+
+func (n interner) pred(name string, arity int) (atom.PredID, error) { return n.st.Pred(name, arity) }
+func (n interner) constant(name string) term.ID                     { return n.st.Terms.Const(name) }
+
+// lookup resolves names without interning: compiling a query for a read.
+// A name the store does not know gets a negative placeholder ID, the same
+// for every use within the query, which no atom of the store can carry.
+type lookup struct {
+	st     *atom.Store
+	preds  map[string]unknownPred
+	consts map[string]term.ID
+}
+
+type unknownPred struct {
+	id    atom.PredID
+	arity int
+}
+
+func (n *lookup) pred(name string, arity int) (atom.PredID, error) {
+	if p, ok, err := n.st.ResolvePred(name, arity); ok {
+		return p, err
+	}
+	u, ok := n.preds[name]
+	if !ok {
+		if n.preds == nil {
+			n.preds = make(map[string]unknownPred)
+		}
+		u = unknownPred{atom.PredID(-1 - len(n.preds)), arity}
+		n.preds[name] = u
+	}
+	if u.arity != arity {
+		return 0, atom.ArityError(name, arity, u.arity)
+	}
+	return u.id, nil
+}
+
+func (n *lookup) constant(name string) term.ID {
+	if t, ok := n.st.Terms.LookupConst(name); ok {
+		return t
+	}
+	t, ok := n.consts[name]
+	if !ok {
+		if n.consts == nil {
+			n.consts = make(map[string]term.ID)
+		}
+		t = term.ID(-2 - len(n.consts)) // below term.None
+		n.consts[name] = t
+	}
+	return t
+}
+
+// unknown reports whether a pattern compiled by lookup holds a placeholder.
+func unknown(p atom.Pattern) bool {
+	if p.Pred < 0 {
+		return true
+	}
+	for _, a := range p.Args {
+		if !a.IsVar() && a.Const < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func compilePattern(a parser.Atom, env *varEnv, n names) (atom.Pattern, error) {
+	p, err := n.pred(a.Pred, len(a.Args))
 	if err != nil {
 		return atom.Pattern{}, err
 	}
@@ -112,7 +180,7 @@ func compilePattern(a parser.Atom, env *varEnv, st *atom.Store) (atom.Pattern, e
 		if t.IsVar {
 			args[i] = atom.VarArg(env.slot(t.Name))
 		} else {
-			args[i] = atom.ConstArg(st.Terms.Const(t.Name))
+			args[i] = atom.ConstArg(n.constant(t.Name))
 		}
 	}
 	return atom.Pattern{Pred: p, Args: args}, nil
@@ -122,11 +190,12 @@ func compilePattern(a parser.Atom, env *varEnv, st *atom.Store) (atom.Pattern, e
 // patterns. All body variables receive slots in appearance order.
 // Equality literals are only legal in queries, not rule bodies.
 func compileBody(body []parser.Literal, env *varEnv, st *atom.Store) (pos, neg []atom.Pattern, err error) {
+	n := interner{st}
 	for _, l := range body {
 		if l.IsEq {
 			return nil, nil, fmt.Errorf("equality literals are only allowed in queries")
 		}
-		pat, err := compilePattern(l.Atom, env, st)
+		pat, err := compilePattern(l.Atom, env, n)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -244,7 +313,7 @@ func compileClause(prog *Program, r *parser.Rule, st *atom.Store) error {
 	if len(heads) > 1 {
 		return compileMultiHead(prog, r, st, env, pos, neg, numUniv)
 	}
-	head, err := compilePattern(heads[0], env, st)
+	head, err := compilePattern(heads[0], env, interner{st})
 	if err != nil {
 		return wrap(err)
 	}
@@ -303,7 +372,7 @@ func compileMultiHead(prog *Program, r *parser.Rule, st *atom.Store, env *varEnv
 	// fresh ones are existential.
 	headPats := make([]atom.Pattern, len(r.Head))
 	for i, h := range r.Head {
-		p, err := compilePattern(h, env, st)
+		p, err := compilePattern(h, env, interner{st})
 		if err != nil {
 			return wrap(err)
 		}
@@ -377,6 +446,27 @@ func compileMultiHead(prog *Program, r *parser.Rule, st *atom.Store, env *varEnv
 // Equality literals (§2.1) are compiled away by unifying variable slots;
 // contradictory constant equalities mark the query Unsat.
 func CompileQuery(q *parser.Query, st *atom.Store) (*Query, error) {
+	return compileQuery(q, interner{st})
+}
+
+// ResolveQuery is CompileQuery for a read: it looks names up in st and
+// interns nothing. A predicate or constant st does not know is in no
+// atom, so a positive literal naming one makes the query Unsat, and a
+// negative one always holds (the matcher's lookup of its atom fails).
+// resolved reports that every name was known; the query is then exactly
+// CompileQuery's, and valid for as long as st lives.
+func ResolveQuery(q *parser.Query, st *atom.Store) (cq *Query, resolved bool, err error) {
+	n := &lookup{st: st}
+	if cq, err = compileQuery(q, n); err != nil {
+		return nil, false, err
+	}
+	for _, p := range cq.Pos {
+		cq.Unsat = cq.Unsat || unknown(p)
+	}
+	return cq, n.preds == nil && n.consts == nil, nil
+}
+
+func compileQuery(q *parser.Query, n names) (*Query, error) {
 	wrap := func(err error) error {
 		return &ClauseError{Line: q.Line, Clause: parser.FormatQuery(q), Err: err}
 	}
@@ -389,7 +479,7 @@ func CompileQuery(q *parser.Query, st *atom.Store) (*Query, error) {
 		if l.IsEq || l.Negated {
 			continue
 		}
-		pat, err := compilePattern(l.Atom, env, st)
+		pat, err := compilePattern(l.Atom, env, n)
 		if err != nil {
 			return nil, wrap(err)
 		}
@@ -455,11 +545,11 @@ func CompileQuery(q *parser.Query, st *atom.Store) (*Query, error) {
 		case lv.IsVar:
 			s := env.slot(lv.Name)
 			grow()
-			bindConst(s, st.Terms.Const(rv.Name))
+			bindConst(s, n.constant(rv.Name))
 		case rv.IsVar:
 			s := env.slot(rv.Name)
 			grow()
-			bindConst(s, st.Terms.Const(lv.Name))
+			bindConst(s, n.constant(lv.Name))
 		default:
 			if lv.Name != rv.Name {
 				unsat = true // distinct constants never equal under UNA
@@ -485,7 +575,7 @@ func CompileQuery(q *parser.Query, st *atom.Store) (*Query, error) {
 				return nil, wrap(fmt.Errorf("%w: %s", ErrUnsafeQuery, t.Name))
 			}
 		}
-		pat, err := compilePattern(l.Atom, env, st)
+		pat, err := compilePattern(l.Atom, env, n)
 		if err != nil {
 			return nil, wrap(err)
 		}

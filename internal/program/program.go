@@ -173,22 +173,6 @@ func (p *Program) String() string {
 	return b.String()
 }
 
-// WithStore returns a shallow copy of the program bound to st, sharing
-// the (immutable after compilation) rules, constraints, EGDs, and guard
-// index. The store must share the ID space the program was compiled
-// against — a Clone of it, or an overlay over a frozen clone — so every
-// pattern's PredIDs and term IDs stay valid. This is how snapshots
-// evaluate one compiled program against many private stores.
-func (p *Program) WithStore(st *atom.Store) *Program {
-	return &Program{
-		Store:       st,
-		Rules:       p.Rules,
-		Constraints: p.Constraints,
-		EGDs:        p.EGDs,
-		byGuardPred: p.byGuardPred,
-	}
-}
-
 // IndexGuards (re)builds the guard-predicate index. Callers constructing
 // or restricting programs outside Compile must call it before the chase.
 func (p *Program) IndexGuards() { p.indexGuards() }

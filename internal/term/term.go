@@ -10,24 +10,24 @@
 // are distinct values, and a Skolem term equals another term only if they
 // are syntactically identical.
 //
-// # Freezing and overlays
+// # One interner
 //
-// Stores are append-only, which makes an immutability discipline cheap:
-// Freeze marks a store read-only (any further interning panics), Clone
-// copies a root store preserving every ID, and NewOverlay layers a fresh
-// mutable store over a frozen base. An overlay continues the base's ID
-// space: lookups resolve through the base chain, and new terms get IDs
-// starting at the base's Len. This is how snapshots answer queries without
-// mutating shared state — query-time interning lands in a small per-call
-// overlay while the frozen base serves unlimited concurrent readers.
+// A Store is append-only, and an ID means the same term for ever once it
+// is assigned: the chase only adds, and a labelled null is a syntactic
+// Skolem term. So one store serves a whole system — its writer, every
+// snapshot and every model — with no copies. Interning looks the key up
+// without a lock and, on a miss, appends under the store's one mutex;
+// lookups and reads by ID never lock. Term data lives in pointer-free
+// chunks that never move, and the index is an open-addressed table of IDs
+// whose keys are the arena contents themselves (arena.go).
 package term
 
 import (
-	"encoding/binary"
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ID identifies an interned term within a Store.
@@ -64,181 +64,105 @@ func (k Kind) String() string {
 	}
 }
 
-type termData struct {
+// rec is one interned term. It holds no pointers: a name or a Skolem
+// argument list lives in one of the store's slabs.
+type rec struct {
 	kind  Kind
-	name  string    // constant or variable name; empty for Skolem terms
 	fn    FunctorID // Skolem functor; -1 otherwise
-	args  []ID      // Skolem arguments; nil otherwise
 	depth int32     // nesting depth: 0 for constants/variables
+	n     int32     // name length, or Skolem argument count
+	at    Ref       // name bytes, or Skolem arguments
 }
 
-type functorData struct {
-	name  string
-	arity int
+type functorRec struct {
+	at       Ref // name bytes
+	n, arity int32
 }
 
-// Store interns terms and Skolem functors. The zero value is not usable;
-// create stores with NewStore (a root store) or NewOverlay (a mutable
-// layer over a frozen base). A Store is not safe for concurrent mutation;
-// a frozen Store is safe for unlimited concurrent readers.
+// Store interns terms and Skolem functors. It is safe for concurrent use:
+// interning appends under one mutex, and lookups and reads by ID take no
+// lock (see the package comment). The zero value is an empty store.
 type Store struct {
-	terms    []termData // local terms; global ID = off + local index
-	functors []functorData
+	mu       sync.Mutex // serializes appends
+	terms    Vec[rec]
+	functors Vec[functorRec]
+	text     Slab[byte] // constant, variable and functor names
+	args     Slab[ID]   // Skolem arguments
 
-	constIdx   map[string]ID
-	varIdx     map[string]ID
-	skolemIdx  map[string]ID // key: packed functor + arg IDs
-	functorIdx map[string]FunctorID
-
-	// Overlay support: base is the frozen store underneath (nil for root
-	// stores); off/offFn are the number of terms/functors in the base
-	// chain, i.e. the first locally owned ID.
-	base   *Store
-	off    int
-	offFn  int
-	frozen bool
+	names    Index // constants and variables, by kind and name
+	skolems  Index // by functor and arguments
+	functorX Index // by name
 }
 
-// NewStore returns an empty root term store.
-func NewStore() *Store {
-	return &Store{
-		constIdx:   make(map[string]ID),
-		varIdx:     make(map[string]ID),
-		skolemIdx:  make(map[string]ID),
-		functorIdx: make(map[string]FunctorID),
-	}
-}
+// NewStore returns an empty term store.
+func NewStore() *Store { return &Store{} }
 
-// NewOverlay returns a mutable store layered over base, which must be
-// frozen. The overlay shares the base's ID space: every base ID resolves
-// identically, and newly interned terms receive IDs from base.Len()
-// upward. Overlays may themselves be frozen and used as bases.
-func NewOverlay(base *Store) *Store {
-	if !base.frozen {
-		panic("term: NewOverlay over an unfrozen base store")
-	}
-	s := NewStore()
-	s.base = base
-	s.off = base.Len()
-	s.offFn = base.NumFunctors()
-	return s
-}
+func (s *Store) data(t ID) *rec { return s.terms.At(int(t)) }
 
-// Clone returns a mutable deep copy of a root store, preserving all IDs.
-// Interning into the clone and the original diverge from the copy point;
-// IDs interned before the clone remain valid in both.
-func (s *Store) Clone() *Store {
-	if s.base != nil {
-		panic("term: Clone of an overlay store")
-	}
-	return &Store{
-		terms:      append([]termData(nil), s.terms...),
-		functors:   append([]functorData(nil), s.functors...),
-		constIdx:   maps.Clone(s.constIdx),
-		varIdx:     maps.Clone(s.varIdx),
-		skolemIdx:  maps.Clone(s.skolemIdx),
-		functorIdx: maps.Clone(s.functorIdx),
-	}
-}
+func (s *Store) functor(f FunctorID) *functorRec { return s.functors.At(int(f)) }
 
-// Freeze marks the store immutable: any further interning panics. Freeze
-// is idempotent. A frozen store is safe for concurrent readers and may
-// serve as the base of overlays.
-func (s *Store) Freeze() { s.frozen = true }
+func (s *Store) name(r *rec) string { return SlabString(&s.text, r.at, int(r.n)) }
 
-// Frozen reports whether the store has been frozen.
-func (s *Store) Frozen() bool { return s.frozen }
+// Len reports the number of interned terms.
+func (s *Store) Len() int { return s.terms.Len() }
 
-func (s *Store) mutable() {
-	if s.frozen {
-		panic("term: interning into a frozen store (use an overlay)")
-	}
-}
-
-// data resolves a term ID through the overlay chain.
-func (s *Store) data(t ID) *termData {
-	for int(t) < s.off {
-		s = s.base
-	}
-	return &s.terms[int(t)-s.off]
-}
-
-// functor resolves a functor ID through the overlay chain.
-func (s *Store) functor(f FunctorID) *functorData {
-	for int(f) < s.offFn {
-		s = s.base
-	}
-	return &s.functors[int(f)-s.offFn]
-}
-
-// Len reports the number of interned terms (including the base chain).
-func (s *Store) Len() int { return s.off + len(s.terms) }
-
-// NumLocal reports the number of terms interned into this layer alone,
-// excluding any base. For root stores NumLocal equals Len.
-func (s *Store) NumLocal() int { return len(s.terms) }
-
-// NumFunctors reports the number of interned Skolem functors (including
-// the base chain).
-func (s *Store) NumFunctors() int { return s.offFn + len(s.functors) }
-
-// NumLocalFunctors reports the functors interned into this layer alone.
-func (s *Store) NumLocalFunctors() int { return len(s.functors) }
+// NumFunctors reports the number of interned Skolem functors.
+func (s *Store) NumFunctors() int { return s.functors.Len() }
 
 // Const interns the data constant with the given name and returns its ID.
-func (s *Store) Const(name string) ID {
-	for c := s; c != nil; c = c.base {
-		if id, ok := c.constIdx[name]; ok {
-			return id
-		}
-	}
-	s.mutable()
-	id := ID(s.off + len(s.terms))
-	s.terms = append(s.terms, termData{kind: Const, name: name, fn: -1})
-	s.constIdx[name] = id
-	return id
-}
+func (s *Store) Const(name string) ID { return s.named(Const, name) }
 
 // Var interns the variable with the given name and returns its ID.
 // Variables live in the same ID space as other terms so substitutions can
 // be expressed as term-to-term maps.
-func (s *Store) Var(name string) ID {
-	for c := s; c != nil; c = c.base {
-		if id, ok := c.varIdx[name]; ok {
-			return id
-		}
+func (s *Store) Var(name string) ID { return s.named(Var, name) }
+
+func (s *Store) named(k Kind, name string) ID {
+	return ID(s.names.Intern(&s.mu, HashString(int32(k), name), s.isNamed(k, name), func() int32 {
+		at, b := s.text.Alloc(len(name))
+		copy(b, name)
+		return int32(s.terms.Push(rec{kind: k, fn: -1, n: int32(len(name)), at: at}))
+	}))
+}
+
+func (s *Store) isNamed(k Kind, name string) func(int32) bool {
+	return func(id int32) bool {
+		r := s.data(ID(id))
+		return r.kind == k && s.name(r) == name
 	}
-	s.mutable()
-	id := ID(s.off + len(s.terms))
-	s.terms = append(s.terms, termData{kind: Var, name: name, fn: -1})
-	s.varIdx[name] = id
-	return id
+}
+
+// LookupConst returns the ID of an already-interned constant.
+func (s *Store) LookupConst(name string) (ID, bool) {
+	id := s.names.Find(HashString(int32(Const), name), s.isNamed(Const, name))
+	return ID(id), id >= 0
 }
 
 // Functor interns a Skolem functor f_{σ,Z} by name with a fixed arity.
 // Re-interning an existing name with a different arity is a programming
 // error and panics: functor identity includes its arity by construction.
 func (s *Store) Functor(name string, arity int) FunctorID {
-	for c := s; c != nil; c = c.base {
-		if id, ok := c.functorIdx[name]; ok {
-			if got := s.FunctorArity(id); got != arity {
-				panic(fmt.Sprintf("term: functor %q re-declared with arity %d (was %d)", name, arity, got))
-			}
-			return id
-		}
+	id := FunctorID(s.functorX.Intern(&s.mu, HashString(0, name), func(id int32) bool {
+		return s.FunctorName(FunctorID(id)) == name
+	}, func() int32 {
+		at, b := s.text.Alloc(len(name))
+		copy(b, name)
+		return int32(s.functors.Push(functorRec{at: at, n: int32(len(name)), arity: int32(arity)}))
+	}))
+	if got := s.FunctorArity(id); got != arity {
+		panic(fmt.Sprintf("term: functor %q re-declared with arity %d (was %d)", name, arity, got))
 	}
-	s.mutable()
-	id := FunctorID(s.offFn + len(s.functors))
-	s.functors = append(s.functors, functorData{name: name, arity: arity})
-	s.functorIdx[name] = id
 	return id
 }
 
 // FunctorName returns the name of an interned functor.
-func (s *Store) FunctorName(f FunctorID) string { return s.functor(f).name }
+func (s *Store) FunctorName(f FunctorID) string {
+	r := s.functor(f)
+	return SlabString(&s.text, r.at, int(r.n))
+}
 
 // FunctorArity returns the arity of an interned functor.
-func (s *Store) FunctorArity(f FunctorID) int { return s.functor(f).arity }
+func (s *Store) FunctorArity(f FunctorID) int { return int(s.functor(f).arity) }
 
 // Skolem interns the ground Skolem term f(args...) and returns its ID.
 // All argument terms must be ground (constants or Skolem terms).
@@ -246,41 +170,22 @@ func (s *Store) Skolem(f FunctorID, args []ID) ID {
 	if want := s.FunctorArity(f); len(args) != want {
 		panic(fmt.Sprintf("term: functor %q applied to %d args, want %d", s.FunctorName(f), len(args), want))
 	}
-	key := skolemKey(f, args)
-	for c := s; c != nil; c = c.base {
-		if id, ok := c.skolemIdx[key]; ok {
-			return id
+	return ID(s.skolems.Intern(&s.mu, HashIDs(int32(f), args), func(id int32) bool {
+		r := s.data(ID(id))
+		return r.fn == f && slices.Equal(s.args.Get(r.at, int(r.n)), args)
+	}, func() int32 {
+		depth := int32(1) // nullary Skolem terms still sit above the constants
+		for _, a := range args {
+			r := s.data(a)
+			if r.kind == Var {
+				panic("term: Skolem term with variable argument")
+			}
+			depth = max(depth, r.depth+1)
 		}
-	}
-	s.mutable()
-	depth := int32(0)
-	for _, a := range args {
-		td := s.data(a)
-		if td.kind == Var {
-			panic("term: Skolem term with variable argument")
-		}
-		if td.depth >= depth {
-			depth = td.depth + 1
-		}
-	}
-	if depth == 0 {
-		depth = 1 // nullary Skolem terms still sit above the constants
-	}
-	own := make([]ID, len(args))
-	copy(own, args)
-	id := ID(s.off + len(s.terms))
-	s.terms = append(s.terms, termData{kind: Skolem, fn: f, args: own, depth: depth})
-	s.skolemIdx[key] = id
-	return id
-}
-
-func skolemKey(f FunctorID, args []ID) string {
-	buf := make([]byte, 4+4*len(args))
-	binary.LittleEndian.PutUint32(buf, uint32(f))
-	for i, a := range args {
-		binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(a))
-	}
-	return string(buf)
+		at, b := s.args.Alloc(len(args))
+		copy(b, args)
+		return int32(s.terms.Push(rec{kind: Skolem, fn: f, depth: depth, n: int32(len(args)), at: at}))
+	}))
 }
 
 // Kind returns the kind of t.
@@ -291,28 +196,28 @@ func (s *Store) Kind(t ID) Kind { return s.data(t).kind }
 func (s *Store) IsGround(t ID) bool { return s.data(t).kind != Var }
 
 // Name returns the name of a constant or variable, or "" for Skolem terms.
-func (s *Store) Name(t ID) string { return s.data(t).name }
+func (s *Store) Name(t ID) string {
+	if r := s.data(t); r.kind != Skolem {
+		return s.name(r)
+	}
+	return ""
+}
 
 // SkolemFunctor returns the functor of a Skolem term, or -1 otherwise.
 func (s *Store) SkolemFunctor(t ID) FunctorID { return s.data(t).fn }
 
 // SkolemArgs returns the argument slice of a Skolem term (do not mutate),
 // or nil otherwise.
-func (s *Store) SkolemArgs(t ID) []ID { return s.data(t).args }
+func (s *Store) SkolemArgs(t ID) []ID {
+	if r := s.data(t); r.kind == Skolem {
+		return s.args.Get(r.at, int(r.n))
+	}
+	return nil
+}
 
 // Depth returns the Skolem-nesting depth of t: 0 for constants and
 // variables, 1+max(arg depths) for Skolem terms.
 func (s *Store) Depth(t ID) int { return int(s.data(t).depth) }
-
-// LookupConst returns the ID of an already-interned constant.
-func (s *Store) LookupConst(name string) (ID, bool) {
-	for c := s; c != nil; c = c.base {
-		if id, ok := c.constIdx[name]; ok {
-			return id, true
-		}
-	}
-	return None, false
-}
 
 // Compare orders two ground terms per §2.1: a lexicographic order on
 // ∆ ∪ ∆N in which every labelled null follows all constants. Constants are
@@ -332,20 +237,21 @@ func (s *Store) Compare(a, b ID) int {
 	}
 	switch ta.kind {
 	case Const, Var:
-		return strings.Compare(ta.name, tb.name)
+		return strings.Compare(s.name(ta), s.name(tb))
 	default: // Skolem
 		fa, fb := s.FunctorName(ta.fn), s.FunctorName(tb.fn)
 		if c := strings.Compare(fa, fb); c != 0 {
 			return c
 		}
-		if c := len(ta.args) - len(tb.args); c != 0 {
+		if c := ta.n - tb.n; c != 0 {
 			if c < 0 {
 				return -1
 			}
 			return 1
 		}
-		for i := range ta.args {
-			if c := s.Compare(ta.args[i], tb.args[i]); c != 0 {
+		aa, ba := s.SkolemArgs(a), s.SkolemArgs(b)
+		for i := range aa {
+			if c := s.Compare(aa[i], ba[i]); c != 0 {
 				return c
 			}
 		}
@@ -364,12 +270,12 @@ func (s *Store) String(t ID) string {
 	td := s.data(t)
 	switch td.kind {
 	case Const, Var:
-		return td.name
+		return s.name(td)
 	default:
 		var b strings.Builder
 		b.WriteString(s.FunctorName(td.fn))
 		b.WriteByte('(')
-		for i, a := range td.args {
+		for i, a := range s.SkolemArgs(t) {
 			if i > 0 {
 				b.WriteByte(',')
 			}

@@ -1,7 +1,10 @@
 package term
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -244,5 +247,36 @@ func TestLenCounts(t *testing.T) {
 	}
 	if s.FunctorName(f) != "f" || s.FunctorArity(f) != 1 {
 		t.Errorf("functor metadata wrong")
+	}
+}
+
+// TestConcurrentInterning: goroutines interning the same keys at once,
+// in different orders, agree on every ID and create each term once.
+func TestConcurrentInterning(t *testing.T) {
+	s := NewStore()
+	f := s.Functor("f", 1)
+	const n, workers = 1000, 8
+	ids := make([][]ID, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]ID, 2*n)
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(n) {
+				c := s.Const(fmt.Sprintf("c%d", i))
+				got[i], got[n+i] = c, s.Skolem(f, []ID{c})
+			}
+			ids[w] = got
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if !slices.Equal(ids[w], ids[0]) {
+			t.Fatalf("worker %d saw other IDs than worker 0", w)
+		}
+	}
+	if s.Len() != 2*n {
+		t.Errorf("Len = %d, want %d", s.Len(), 2*n)
 	}
 }

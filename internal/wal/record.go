@@ -116,7 +116,8 @@ func encodeDelta(dst []byte, epoch uint64, adds, retracts []wfs.FactRef) []byte 
 }
 
 // decodeDelta parses a delta payload. Any structural violation — wrong
-// kind byte, truncated varint or string, trailing bytes — is an error;
+// kind byte, truncated or non-minimal varint, truncated string, trailing
+// bytes — is an error;
 // the caller treats it like a CRC failure (stop replay at this record).
 func decodeDelta(p []byte) (deltaRecord, error) {
 	var rec deltaRecord
@@ -149,6 +150,13 @@ func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
 		d.err = fmt.Errorf("wal: truncated varint in delta record")
+		return 0
+	}
+	if n > 1 && d.buf[n-1] == 0 {
+		// encodeDelta writes minimal varints, so this record is not one
+		// of its records, and accepting it would let two byte strings
+		// decode to one delta.
+		d.err = fmt.Errorf("wal: non-minimal varint in delta record")
 		return 0
 	}
 	d.buf = d.buf[n:]

@@ -10,24 +10,23 @@ import (
 
 // Query is a prepared NBCQ: parsed and normalized once, reusable across
 // any number of snapshots and goroutines. Preparation pays the parse and
-// normalization cost up front; per-snapshot compilation (resolving
-// predicate and constant names to interned IDs) is cached lock-free inside
-// the Query whenever the query mentions only names the snapshot already
-// knows, which is the common case on a hot serving path.
+// normalization cost up front; compilation (resolving predicate and
+// constant names to interned IDs) is cached lock-free inside the Query
+// once every name it mentions is known, which is the common case on a
+// hot serving path.
 type Query struct {
 	text string // canonical surface form (NormalizeQuery)
 	ast  *parser.Query
 
-	// compiled caches the last snapshot-independent compilation. A single
-	// slot suffices: a serving process answers against one current
-	// snapshot at a time, and a miss only costs a recompile.
+	// compiled caches the last fully resolved compilation. A single slot
+	// suffices: a serving process answers against one System at a time,
+	// and a miss only costs a recompile.
 	compiled atomic.Pointer[compiledQuery]
 }
 
-// compiledQuery pins a compiled form to the snapshot base store whose ID
-// space it references. Only "pristine" compilations — those that interned
-// nothing new — are cached, so cq references base IDs exclusively and is
-// valid against every model of that snapshot.
+// compiledQuery pins a compiled form to the System store whose IDs it
+// references. IDs never change meaning, so it is valid against every
+// snapshot and model of that System.
 type compiledQuery struct {
 	store *atom.Store
 	cq    *program.Query

@@ -65,11 +65,7 @@ func Restore(src string, opts Options, facts []FactRef, epoch uint64, tr *trace.
 	if err != nil {
 		return nil, fmt.Errorf("wfs: restore: %w", err)
 	}
-	nargs := 0
-	for _, f := range facts {
-		nargs += len(f.Args)
-	}
-	st.Grow(len(facts), nargs)
+	st.Grow(len(facts))
 	db := make(program.Database, 0, len(facts))
 	for _, f := range facts {
 		a, err := st.Fact(f.Pred, f.Args)

@@ -12,62 +12,48 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/ground"
+	"repro/internal/parser"
 	"repro/internal/program"
-	"repro/internal/term"
 	"repro/internal/trace"
 )
 
-// maxSnapshotChain bounds how many consecutive epochs may rebase their
-// snapshots onto the previous one. Each rebased epoch adds one overlay
-// store layer per materialized rung, and ID resolution walks the layer
-// chain, so unbounded chaining would slowly tax every read; past the
-// budget the next snapshot rebuilds fresh, compacting the chain.
-const maxSnapshotChain = 8
-
 // Snapshot is an immutable, fully evaluable view of a System at one
-// mutation epoch: a frozen term/atom store, the compiled program, and the
-// database as of that epoch. A Snapshot is safe for unlimited concurrent
-// readers and acquires no mutex on the query-answering hot path.
+// mutation epoch: the compiled program and the database as of that epoch,
+// over the System's one term/atom store. A Snapshot is safe for unlimited
+// concurrent readers and acquires no mutex on the query-answering hot
+// path.
 //
-// Evaluation state is built lazily, at most once per snapshot, on private
-// overlay stores layered over the frozen base — so evaluation interns
-// chase-derived terms without ever mutating shared state. The
+// Evaluation state is built lazily, at most once per snapshot, and interns
+// its chase-derived terms and atoms into the shared store: an ID means the
+// same thing for ever, so another snapshot's writer or builds appending
+// beside it change nothing this snapshot can observe. The
 // adaptive-deepening ladder is one chained, resumable chase: rung k+1
-// extends rung k's chase (chase.Result.Extend) into a fresh overlay over
-// rung k's frozen store instead of re-chasing from the database, and its
-// grounding appends to rung k's (ground.ExtendFromChase) with local IDs
-// kept stable. Each rung's model and store are frozen before publication,
-// preserving the immutability contract for concurrent readers of earlier
-// rungs. Query-time interning of names the snapshot has never seen goes
-// into a small per-call overlay the same way.
+// extends rung k's chase (chase.Result.Extend) instead of re-chasing from
+// the database, and its grounding appends to rung k's
+// (ground.ExtendFromChase) with local IDs kept stable. Reads never intern:
+// a query resolves its names by lookup, and a name the store does not know
+// is in no atom.
 //
 // A Snapshot remains answerable forever: it keeps serving its epoch's
 // consistent view even after the originating System has accepted further
 // writes. Grab a fresh snapshot (System.Snapshot) to observe them.
 type Snapshot struct {
-	store   *atom.Store // frozen
+	store   *atom.Store // the System's, shared
 	prog    *program.Program
 	db      program.Database
 	queries []*program.Query
 	opts    core.Options // defaults resolved
 	epoch   uint64
 
+	// numPreds and maxArity are the schema at publish, for the Stats δ
+	// bound: later epochs may intern predicates into the shared store.
+	numPreds, maxArity int
+
 	// base is the model at the configured depth (Select, TruthOf, …): the
 	// ladder rung of that depth when the schedule has one — always, for a
 	// certified program — so each depth is evaluated once per snapshot.
 	base  *snapModel
 	rungs []*snapModel // adaptive-deepening ladder (Answer), chained
-
-	// Delta-rebase bookkeeping (see newSnapshot): chain counts the
-	// epochs since the last fresh build, and the safe*Len fields bound
-	// the ID-space prefix shared with every store chain any rung of this
-	// snapshot might evaluate on — the oldest rebase ancestor's base
-	// store. Compiled queries referencing only IDs below these bounds
-	// are valid against every model of the snapshot.
-	chain       int
-	safeAtomLen int
-	safeTermLen int
-	safePredLen int
 
 	// metrics points at the owning System's always-on counters; rung
 	// builds fold their phase spans into it (EngineMetrics.observeBuild).
@@ -78,28 +64,26 @@ type Snapshot struct {
 	stats     Stats
 }
 
-// snapModel lazily evaluates one model over a private overlay store. The
-// mutex + done flag make construction race-free while letting a
-// cancelled build abort cleanly: a build interrupted by its caller's
-// deadline installs nothing, so the rung stays cold and the next caller
-// (with a live token) rebuilds it — a cancelled request can never poison
-// a rung for every later reader. After done is set, the model and its
-// (frozen) overlay store are read-only and reads take no lock. A
-// snapModel with a prev pointer is a ladder rung: it extends prev's
-// chase into a fresh overlay over prev's frozen store rather than
-// running a private full chase. A snapModel with a reb pointer can
-// instead rebase the same-depth rung of the previous epoch's snapshot
-// onto the applied delta — preferred when that rung was actually
-// materialized, since it reuses all of its work.
+// snapModel lazily evaluates one model. The mutex + done flag make
+// construction race-free while letting a cancelled build abort cleanly: a
+// build interrupted by its caller's deadline installs nothing, so the
+// rung stays cold and the next caller (with a live token) rebuilds it — a
+// cancelled request can never poison a rung for every later reader.
+// After done is set, the model is read-only and reads take no lock. A
+// snapModel with a prev pointer is a ladder rung: it extends prev's chase
+// rather than running a private full chase. A snapModel with a reb
+// pointer can instead rebase a materialized same-depth rung of an earlier
+// epoch onto the database of its own — preferred, since it reuses all of
+// that rung's work.
 type snapModel struct {
 	depth int
 	prev  *snapModel // previous rung of this snapshot; nil for the first rung and for base
-	// reb links the same-depth rung of the previous epoch's snapshot
-	// (nil when fresh). It is cleared once this rung materializes — its
-	// own model is then the better rebase source for later epochs, and
-	// holding the link would keep up to maxSnapshotChain epochs of
-	// evaluation state reachable. Atomic because later epochs' rebase
-	// walks read it concurrently with the clear.
+	// reb links a materialized same-depth rung of an earlier epoch (nil
+	// when there is none: see rebaseSource). It is cleared once this rung
+	// materializes — its own model is then the better rebase source for
+	// later epochs, and holding the link would keep the older model
+	// reachable. Atomic because a successor's link reads it concurrently
+	// with the clear.
 	reb  atomic.Pointer[snapModel]
 	mu   sync.Mutex
 	done atomic.Bool // set after a completed build installs m; read lock-free
@@ -130,28 +114,20 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 	}
 	rebased := false
 	var m *core.Model
-	if rm := sm.rebase(s, tok, build); rm != nil {
+	if r := sm.reb.Load(); r != nil {
 		rebased = true
-		m = rm
+		m = core.RebaseModelCancelTraced(r.m, s.prog, s.opts, sm.depth, s.db, tok, build)
 	} else if sm.prev != nil {
-		// Chained rung: continue the previous rung's chase on an
-		// overlay over its (frozen) store. IDs carry over, so the
-		// extended chase and grounding append to frozen state
-		// without touching it.
+		// Chained rung: continue the previous rung's chase.
 		pm, err := sm.prev.get(s, tok, tr)
 		if err != nil {
 			build.MarkCancelled()
 			build.End()
 			return nil, err
 		}
-		ost := atom.NewOverlay(pm.Chase.Prog.Store)
-		m = core.ExtendModelCancelTraced(pm, s.prog.WithStore(ost), s.opts, sm.depth, tok, build)
-		ost.Freeze()
+		m = core.ExtendModelCancelTraced(pm, s.prog, s.opts, sm.depth, tok, build)
 	} else {
-		ost := atom.NewOverlay(s.store)
-		eng := core.NewEngine(s.prog.WithStore(ost), s.db, s.opts)
-		m = eng.EvaluateAtDepthCancelTraced(sm.depth, tok, build)
-		ost.Freeze()
+		m = core.NewEngine(s.prog, s.db, s.opts).EvaluateAtDepthCancelTraced(sm.depth, tok, build)
 	}
 	if m.Interrupted {
 		build.MarkCancelled()
@@ -162,45 +138,11 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 	m.Precompute()
 	endPre()
 	sm.m = m
-	sm.reb.Store(nil) // release the previous-epoch chain
+	sm.reb.Store(nil) // release the previous epoch's model
 	sm.done.Store(true)
 	build.End()
 	s.metrics.observeBuild(build, rebased)
 	return sm.m, nil
-}
-
-// rebase carries the nearest already-materialized same-depth rung of an
-// earlier epoch across the accumulated database delta: the snapshot's
-// database is translated into that rung's ID space (a fresh overlay over
-// its frozen store) and core.RebaseModel diffs it against the rung's own
-// chase database, so any number of intermediate epochs collapse into one
-// rebase. Rungs that were never materialized are skipped — rebasing must
-// never force old evaluation work that nobody asked for. (A skipped rung
-// that materializes mid-walk may have just cleared its own reb link; the
-// walk then simply ends and get falls back to a fresh build.) Returns
-// nil when no rebase source exists, leaving get on its fresh-build
-// paths; an interrupted rebase surfaces through the returned model's
-// Interrupted flag, which get converts to the token's cause.
-func (sm *snapModel) rebase(s *Snapshot, tok *cancel.Token, tr *trace.Span) *core.Model {
-	for r := sm.reb.Load(); r != nil; r = r.reb.Load() {
-		if !r.done.Load() || r.m == nil || sm.depth != r.depth {
-			continue
-		}
-		pm := r.m
-		base := pm.Chase.Prog.Store
-		if !base.Frozen() {
-			return nil
-		}
-		ost := atom.NewOverlay(base)
-		db, ok := s.translateDB(ost)
-		if !ok {
-			return nil
-		}
-		m := core.RebaseModelCancelTraced(pm, s.prog.WithStore(ost), s.opts, sm.depth, db, tok, tr)
-		ost.Freeze()
-		return m
-	}
-	return nil
 }
 
 // cancelErr is the error a cancelled evaluation surfaces: the token's
@@ -214,80 +156,32 @@ func cancelErr(tok *cancel.Token) error {
 	return context.Canceled
 }
 
-// translateDB maps the snapshot's database — interned in the current
-// master-clone store — into the ID space of an older rung's store chain.
-// Both chains share the master store's history up to the oldest rebase
-// ancestor, so atoms below the safe prefix carry over verbatim; newer
-// atoms (facts added since that ancestor's epoch) re-intern by name into
-// the target overlay. Bails (false) on a database fact with non-constant
-// arguments, which the rebase path cannot translate.
-func (s *Snapshot) translateDB(to *atom.Store) (program.Database, bool) {
-	out := make(program.Database, len(s.db))
-	for i, a := range s.db {
-		if int(a) < s.safeAtomLen {
-			out[i] = a
-			continue
-		}
-		args := s.store.Args(a)
-		ts := make([]term.ID, len(args))
-		for j, tid := range args {
-			if int(tid) < s.safeTermLen {
-				ts[j] = tid
-				continue
-			}
-			if s.store.Terms.Kind(tid) != term.Const {
-				return nil, false
-			}
-			ts[j] = to.Terms.Const(s.store.Terms.Name(tid))
-		}
-		p := s.store.PredOf(a)
-		if int(p) >= s.safePredLen {
-			var err error
-			if p, err = to.Pred(s.store.PredName(p), len(args)); err != nil {
-				return nil, false
-			}
-		}
-		out[i] = to.Atom(p, ts)
-	}
-	return out, true
-}
-
-// newSnapshot builds a snapshot from an already-frozen store clone and a
-// clipped database slice. When prevSnap is non-nil (the published
-// snapshot a mutation succeeds), every rung links to its same-depth
-// predecessor so evaluation can rebase the predecessor's materialized
-// work onto the delta instead of rebuilding; the safe ID-space bounds are
-// inherited, since a rebased rung may serve from any ancestor's chain.
-// Callers hold the system lock.
+// newSnapshot builds a snapshot over the System's store and a clipped
+// database slice. When prevSnap is non-nil (the published snapshot a
+// mutation succeeds), every rung links to its same-depth predecessor's
+// rebase source, so evaluation can rebase materialized work onto the
+// delta instead of rebuilding. Callers hold the system lock.
 func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 	queries []*program.Query, opts core.Options, epoch uint64, prevSnap *Snapshot,
 	metrics *EngineMetrics) *Snapshot {
 	opts = opts.WithDefaults()
 	s := &Snapshot{
-		store:   store,
-		prog:    prog.WithStore(store),
-		db:      db,
-		queries: queries,
-		opts:    opts,
-		epoch:   epoch,
-		metrics: metrics,
-	}
-	if prevSnap != nil {
-		s.chain = prevSnap.chain + 1
-		s.safeAtomLen = prevSnap.safeAtomLen
-		s.safeTermLen = prevSnap.safeTermLen
-		s.safePredLen = prevSnap.safePredLen
-	} else {
-		s.safeAtomLen = store.Len()
-		s.safeTermLen = store.Terms.Len()
-		s.safePredLen = store.NumPreds()
+		store:    store,
+		prog:     prog,
+		db:       db,
+		queries:  queries,
+		opts:     opts,
+		epoch:    epoch,
+		numPreds: store.NumPreds(),
+		maxArity: store.MaxArity(),
+		metrics:  metrics,
 	}
 	var prev *snapModel
 	i := 0
 	for d := opts.AdaptiveStart; d <= opts.MaxDepth; d += opts.AdaptiveStep {
 		sm := &snapModel{depth: d, prev: prev}
 		if prevSnap != nil && i < len(prevSnap.rungs) && prevSnap.rungs[i].depth == d {
-			sm.reb.Store(prevSnap.rungs[i])
+			sm.reb.Store(prevSnap.rungs[i].rebaseSource())
 		}
 		s.rungs = append(s.rungs, sm)
 		if d == opts.Depth {
@@ -299,10 +193,21 @@ func newSnapshot(store *atom.Store, prog *program.Program, db program.Database,
 	if s.base == nil {
 		s.base = &snapModel{depth: opts.Depth}
 		if prevSnap != nil {
-			s.base.reb.Store(prevSnap.base)
+			s.base.reb.Store(prevSnap.base.rebaseSource())
 		}
 	}
 	return s
+}
+
+// rebaseSource is the rung a successor of sm rebases from: sm itself once
+// materialized, else sm's own source, so links never chain through cold
+// rungs and a cold rung retains at most one older model.
+func (sm *snapModel) rebaseSource() *snapModel {
+	src := sm.reb.Load() // before done: a build that completes between still leaves sm
+	if sm.done.Load() {
+		return sm
+	}
+	return src
 }
 
 // Epoch returns the mutation epoch this snapshot was taken at.
@@ -311,52 +216,30 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // NumFacts returns the number of database facts in the snapshot.
 func (s *Snapshot) NumFacts() int { return len(s.db) }
 
-// compileFor compiles a prepared query against the ID space of model m,
-// interning unknown names into a per-call overlay over m's store. When
-// compilation interns nothing new AND references only IDs below the
-// snapshot's safe shared prefix, the result is valid against every model
-// of this snapshot — including delta-rebased rungs living on earlier
-// epochs' store chains, where IDs above the prefix mean different things
-// — and is cached in the Query for lock-free reuse.
-func (s *Snapshot) compileFor(q *Query, m *core.Model) (*program.Query, error) {
+// compileFor resolves a prepared query's names against the System's
+// store, by lookup only. A compile in which every name resolved is cached
+// in the Query: IDs never change meaning, so it is valid on every
+// snapshot of the System. One that met an unknown name is redone on each
+// call, since a later epoch may intern that name.
+func (s *Snapshot) compileFor(q *Query) (*program.Query, error) {
 	if c := q.compiled.Load(); c != nil && c.store == s.store {
 		return c.cq, nil
 	}
-	ost := atom.NewOverlay(m.Chase.Prog.Store)
-	cq, err := program.CompileQuery(q.ast, ost)
+	cq, resolved, err := program.ResolveQuery(q.ast, s.store)
 	if err != nil {
 		return nil, err
 	}
-	if ost.Pristine() && queryWithin(cq, s.safePredLen, s.safeTermLen) {
+	if resolved {
 		q.compiled.Store(&compiledQuery{store: s.store, cq: cq})
 	}
 	return cq, nil
 }
 
-// queryWithin reports whether every predicate and constant the compiled
-// query references lies below the given ID bounds.
-func queryWithin(cq *program.Query, maxPred, maxTerm int) bool {
-	within := func(ps []atom.Pattern) bool {
-		for _, p := range ps {
-			if int(p.Pred) >= maxPred {
-				return false
-			}
-			for _, a := range p.Args {
-				if !a.IsVar() && int(a.Const) >= maxTerm {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return within(cq.Pos) && within(cq.Neg)
-}
-
 // answerLadder runs the adaptive ladder over the snapshot's cached
 // rungs: the same deepening/stability algorithm as Engine.Answer, but
 // each depth resolves to a model built at most once per snapshot.
-// compile resolves the query against each rung's ID space; tr (nil on
-// the hot path) records the per-depth phase breakdown.
+// compile resolves the query for each rung; tr (nil on the hot path)
+// records the per-depth phase breakdown.
 func (s *Snapshot) answerLadder(compile func(*core.Model) (*program.Query, error), tok *cancel.Token, tr *trace.Span) (Truth, *core.AnswerStats, error) {
 	modelAt := func(depth int, tr *trace.Span) (*core.Model, error) {
 		return s.rungAt(depth, tok, tr)
@@ -393,9 +276,7 @@ func (s *Snapshot) Answer(q *Query) (Truth, error) {
 
 // AnswerWithStats is Answer returning the adaptive-deepening trace.
 func (s *Snapshot) AnswerWithStats(q *Query) (Truth, *core.AnswerStats, error) {
-	return s.answerLadder(func(m *core.Model) (*program.Query, error) {
-		return s.compileFor(q, m)
-	}, nil, nil)
+	return s.answerLadder(func(*core.Model) (*program.Query, error) { return s.compileFor(q) }, nil, nil)
 }
 
 // AnswerCtx is Answer under a context: the evaluation polls ctx's
@@ -433,7 +314,7 @@ func (s *Snapshot) answerWarmExact(q *Query) (Truth, *core.AnswerStats, bool) {
 	if !m.Exact {
 		return False, nil, false
 	}
-	cq, err := s.compileFor(q, m)
+	cq, err := s.compileFor(q)
 	if err != nil {
 		return False, nil, false
 	}
@@ -472,9 +353,7 @@ func (s *Snapshot) AnswerCtxStats(ctx context.Context, q *Query) (Truth, *core.A
 		return t, st, nil
 	}
 	tok := cancel.For(ctx)
-	t, st, err := s.answerLadder(func(m *core.Model) (*program.Query, error) {
-		return s.compileFor(q, m)
-	}, tok, nil)
+	t, st, err := s.answerLadder(func(*core.Model) (*program.Query, error) { return s.compileFor(q) }, tok, nil)
 	// The ladder has returned: every rung build ran synchronously under
 	// its rung lock and every solver worker was joined, so nothing can
 	// still poll the token — recycle it (it is a measurable share of the
@@ -544,9 +423,8 @@ func (s *Snapshot) warm() bool {
 
 // warmLike materializes every model of s whose counterpart in prev — the
 // snapshot s succeeds, built from the same options and so with the same
-// rung schedule — is materialized, recording the builds under tr. Models
-// linked to prev rebase its work; after a compaction they build fresh.
-// Uncancellable: the caller is a writer that has already committed.
+// rung schedule — is materialized, rebasing prev's work and recording the
+// builds under tr. Uncancellable: the caller is a writer that has already committed.
 func (s *Snapshot) warmLike(prev *Snapshot, tr *trace.Span) {
 	// When base is one of the rungs the loop meets it a second time, done.
 	if prev.base.done.Load() {
@@ -569,16 +447,13 @@ func (s *Snapshot) answerTraced(q *Query, root *trace.Span) (Truth, *core.Answer
 // answerCancelTraced is answerTraced under a cancellation token.
 func (s *Snapshot) answerCancelTraced(q *Query, tok *cancel.Token, root *trace.Span) (Truth, *core.AnswerStats, error) {
 	ladder := root.Child("ladder")
-	t, st, err := s.answerLadder(func(m *core.Model) (*program.Query, error) {
-		return s.compileFor(q, m)
-	}, tok, ladder)
+	t, st, err := s.answerLadder(func(*core.Model) (*program.Query, error) { return s.compileFor(q) }, tok, ladder)
 	ladder.End()
 	return t, st, err
 }
 
-// answerCompiled runs the ladder for a query compiled at load time against
-// the system's root store (embedded '?' queries). Such queries reference
-// only pre-snapshot IDs, valid against every model.
+// answerCompiled runs the ladder for a query compiled at load time
+// (embedded '?' queries), valid against every model of the System.
 func (s *Snapshot) answerCompiled(cq *program.Query) (Truth, error) {
 	t, _, err := s.answerLadder(func(*core.Model) (*program.Query, error) { return cq, nil }, nil, nil)
 	return t, err
@@ -614,11 +489,11 @@ func (s *Snapshot) Select(ctx context.Context, q *Query, tr *trace.Span) ([]stri
 	if err != nil {
 		return nil, nil, err
 	}
-	cq, err := s.compileFor(q, m)
+	cq, err := s.compileFor(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := m.Chase.Prog.Store
+	st := s.store
 	ms := tr.Child("match")
 	tuples := m.SelectTraced(cq, ms)
 	ms.End()
@@ -633,26 +508,30 @@ func (s *Snapshot) Select(ctx context.Context, q *Query, tr *trace.Span) ([]stri
 	return append([]string(nil), cq.VarNames...), out, nil
 }
 
-// groundAtom parses "pred(c1,…,cn)" against model m's ID space, interning
-// unseen names into a per-call overlay. The returned store renders the
-// atom and any proof over it.
-func (s *Snapshot) groundAtom(m *core.Model, src string) (atom.AtomID, *atom.Store, error) {
-	ost := atom.NewOverlay(m.Chase.Prog.Store)
-	q, err := program.ParseQuery(src, ost)
+// groundAtom parses "pred(c1,…,cn)" and looks the atom up in the store,
+// interning nothing: an atom the store has never seen is atom.NoAtom,
+// which every model holds false.
+func (s *Snapshot) groundAtom(src string) (atom.AtomID, error) {
+	pq, err := parser.ParseQueryString(src)
 	if err != nil {
-		return atom.NoAtom, nil, err
+		return atom.NoAtom, err
+	}
+	q, _, err := program.ResolveQuery(pq, s.store)
+	if err != nil {
+		return atom.NoAtom, err
 	}
 	if len(q.Pos) != 1 || len(q.Neg) != 0 || q.NumVars != 0 {
-		return atom.NoAtom, nil, fmt.Errorf("wfs: %q is not a single ground atom", src)
+		return atom.NoAtom, fmt.Errorf("wfs: %q is not a single ground atom", src)
 	}
-	return ost.Instantiate(q.Pos[0], atom.NewSubst(0)), ost, nil
+	a, _ := s.store.InstantiateLookup(q.Pos[0], nil)
+	return a, nil
 }
 
 // TruthOf returns the truth of a ground atom written in surface syntax,
 // e.g. TruthOf("win(a)"), in the configured-depth model.
 func (s *Snapshot) TruthOf(atomSrc string) (Truth, error) {
 	m, _ := s.base.get(s, nil, nil)
-	a, _, err := s.groundAtom(m, atomSrc)
+	a, err := s.groundAtom(atomSrc)
 	if err != nil {
 		return False, err
 	}
@@ -665,7 +544,7 @@ func (s *Snapshot) TruthOf(atomSrc string) (Truth, error) {
 // distinct: a parse failure is an error, not "false".
 func (s *Snapshot) Explain(atomSrc string) (string, bool, error) {
 	m, _ := s.base.get(s, nil, nil)
-	a, ost, err := s.groundAtom(m, atomSrc)
+	a, err := s.groundAtom(atomSrc)
 	if err != nil {
 		return "", false, err
 	}
@@ -674,13 +553,13 @@ func (s *Snapshot) Explain(atomSrc string) (string, bool, error) {
 	if !ok {
 		return "", false, nil
 	}
-	return proof.Render(ost), true, nil
+	return proof.Render(s.store), true, nil
 }
 
 // WCheck runs the goal-directed membership check on a ground atom.
 func (s *Snapshot) WCheck(atomSrc string) (Truth, *core.WCheckStats, error) {
 	m, _ := s.base.get(s, nil, nil)
-	a, _, err := s.groundAtom(m, atomSrc)
+	a, err := s.groundAtom(atomSrc)
 	if err != nil {
 		return False, nil, err
 	}
@@ -733,7 +612,7 @@ func (s *Snapshot) Stats() Stats {
 	s.statsOnce.Do(func() {
 		m, _ := s.base.get(s, nil, nil)
 		_, strat := s.prog.Stratify()
-		delta := core.DeltaForSchema(s.store)
+		delta := core.Delta(s.numPreds, s.maxArity)
 		s.stats = Stats{
 			Facts:      len(s.db),
 			Epoch:      s.epoch,

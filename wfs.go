@@ -26,22 +26,25 @@
 // # Concurrency
 //
 // The read API is built around immutable snapshots. System.Snapshot
-// returns the current *Snapshot: a frozen term/atom store plus the program
-// and database at one mutation epoch. Any number of goroutines may answer
-// prepared queries (Prepare) against one snapshot simultaneously — the
-// hot path acquires no mutex. Evaluation state (the model at the
-// configured depth and the adaptive-deepening ladder) is built at most
-// once per snapshot, on private overlay stores, so reads never mutate
-// shared state; query-time interning of unseen constants goes into small
-// per-call overlays the same way.
+// returns the current *Snapshot: the program and database at one
+// mutation epoch. Any number of goroutines may answer prepared queries
+// (Prepare) against one snapshot simultaneously — the hot path acquires
+// no mutex. A System has one term/atom store, shared by its writer, every
+// snapshot and every model: it is append-only, so an ID means the same
+// thing for ever, and interning takes one mutex while lookups take none.
+// Evaluation state (the model at the configured depth and the
+// adaptive-deepening ladder) is built at most once per snapshot and
+// interns its derived atoms into that store. Reads intern nothing: a
+// query's names resolve by lookup, and a name the store has never seen
+// is in no atom.
 //
 // Writes are deltas. Apply commits a batch of fact additions and
 // retractions atomically — all-or-nothing validation, one epoch bump —
 // and AddFact, RetractFact, and LoadCSV are single-delta wrappers over
 // the same path. A write takes the system lock and commits; then, when
 // the published snapshot has any model materialized, the writer builds
-// its successor beside it — store clone, and every model that was warm
-// in the predecessor REBASED onto the delta (resumed chase for
+// its successor beside it — every model that was warm in the
+// predecessor REBASED onto the delta (resumed chase for
 // additions, derivation-forest replay for retractions, warm-started WFS
 // fixpoint over the change's dependency cone — see DESIGN.md
 // "Incremental updates") — and only then publishes it. Warm stays warm,
@@ -100,8 +103,8 @@ type Options = core.Options
 type ErrBudgetExceeded = core.ErrBudgetExceeded
 
 // System bundles a compiled guarded normal Datalog± program, its database,
-// and the machinery to evaluate them: a mutable master store that writes
-// intern into, and an atomically published Snapshot that reads serve from.
+// and the machinery to evaluate them: the one term/atom store everything
+// interns into, and an atomically published Snapshot that reads serve from.
 // See the package comment for the concurrency contract.
 type System struct {
 	store   *atom.Store
@@ -215,9 +218,8 @@ func (s *System) Analysis() *analysis.Report { return s.analysis }
 // stays answerable (at its epoch) even after later writes.
 func (s *System) Snapshot() (*Snapshot, error) { return s.SnapshotTraced(nil) }
 
-// SnapshotTraced is Snapshot recording the snapshot construction — the
-// store clone and publication when none is published — as a child of
-// tr. A mutation of a warm system publishes its successor itself (see
+// SnapshotTraced is Snapshot recording the snapshot construction and
+// publication, when none is published, as a child of tr. A mutation of a warm system publishes its successor itself (see
 // invalidateLocked), so this only ever builds a cold snapshot: after
 // Load or Restore, or after mutations nobody read between. The
 // published-snapshot fast path records nothing; a nil tr is Snapshot.
@@ -237,16 +239,14 @@ func (s *System) SnapshotTraced(tr *trace.Span) (*Snapshot, error) {
 	return snap, nil
 }
 
-// newSnapshotLocked freezes a clone of the master store and builds a
-// snapshot of the current epoch over it, linked to prev for rebasing
-// (nil builds fresh). Callers must hold mu.
+// newSnapshotLocked builds a snapshot of the current epoch over the
+// System's store, linked to prev for rebasing (nil builds fresh). Callers
+// must hold mu.
 func (s *System) newSnapshotLocked(prev *Snapshot) *Snapshot {
-	store := s.store.Clone()
-	store.Freeze()
 	// Clip the database so the snapshot's view can never observe a
 	// subsequent append, then share the clipped slice.
 	s.db = s.db[:len(s.db):len(s.db)]
-	return newSnapshot(store, s.prog, s.db, s.queries, s.opts, s.epoch, prev, &s.metrics)
+	return newSnapshot(s.store, s.prog, s.db, s.queries, s.opts, s.epoch, prev, &s.metrics)
 }
 
 // Epoch returns the database epoch: a counter bumped by every mutation
@@ -292,13 +292,12 @@ func (s *System) AddFact(pred string, args ...string) error {
 
 // invalidateLocked bumps the epoch after a database mutation and
 // replaces the published snapshot. When that snapshot has any model
-// materialized, the writer builds the successor beside it, materializes
-// every model that was warm in it — rebased, or fresh once the overlay
-// chain is at its budget — under tr, and only then publishes it: readers
+// materialized, the writer builds the successor beside it, rebases every
+// model that was warm in it under tr, and only then publishes it: readers
 // keep answering from the predecessor until the Store, never from a cold
-// successor. Otherwise (nothing published, or nothing read since) it
-// just unpublishes, so WAL replay and cold AddFact loops clone nothing
-// per mutation. Callers must hold mu.
+// successor. Otherwise (nothing published, or nothing read since) it just
+// unpublishes, so WAL replay and cold AddFact loops build nothing per
+// mutation. Callers must hold mu.
 func (s *System) invalidateLocked(tr *trace.Span) {
 	s.epoch++
 	prev := s.snap.Load()
@@ -307,11 +306,7 @@ func (s *System) invalidateLocked(tr *trace.Span) {
 		return
 	}
 	sp := tr.Child("snapshot-publish")
-	link := prev
-	if prev.chain+1 > maxSnapshotChain {
-		link = nil // compact: rebuild fresh instead of layering one more overlay
-	}
-	next := s.newSnapshotLocked(link)
+	next := s.newSnapshotLocked(prev)
 	sp.End()
 	next.warmLike(prev, tr)
 	s.snap.Store(next)
