@@ -262,10 +262,14 @@ func newUniverse(prog *program.Program, db program.Database, queries []*program.
 	for _, e := range prog.EGDs {
 		addPats(e.PosBody)
 	}
+	last := atom.PredID(-1)
 	for _, a := range db {
-		p := prog.Store.PredOf(a)
-		add(p)
-		u.edb[p] = true
+		// Facts come grouped by predicate, so most of them skip the maps.
+		if p := prog.Store.PredOf(a); p != last {
+			add(p)
+			u.edb[p] = true
+			last = p
+		}
 	}
 	for _, q := range queries {
 		addPats(q.Pos)

@@ -70,7 +70,10 @@ func (s *Store) Pred(name string, arity int) (PredID, error) {
 		copy(b, name)
 		return int32(s.preds.Push(predRec{at: at, n: int32(len(name)), arity: int32(arity)}))
 	}))
-	return id, s.checkArity(id, name, arity)
+	if err := s.checkArity(id, name, arity); err != nil {
+		return 0, err
+	}
+	return id, nil
 }
 
 func (s *Store) isPred(name string) func(int32) bool {
@@ -190,7 +193,7 @@ func (s *Store) Fact(pred string, args []string) (AtomID, error) {
 func (s *Store) Grow(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.atomX.Reserve(s.atomX.Len() + n)
+	s.atomX.Grow(n)
 }
 
 // Lookup returns the ID of an already-interned ground atom, if present.

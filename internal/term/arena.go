@@ -150,14 +150,15 @@ func (x *Index) Intern(mu *sync.Mutex, h uint32, eq func(id int32) bool, add fun
 		return id
 	}
 	id := add()
-	x.Reserve(x.n + 1)
+	x.Grow(1)
 	put(*x.tab.Load(), uint64(h)<<32|uint64(uint32(id+1)))
 	x.n++
 	return id
 }
 
-// Reserve makes room for n entries in all. Callers hold the store mutex.
-func (x *Index) Reserve(n int) {
+// Grow makes room for more entries. Callers hold the store mutex.
+func (x *Index) Grow(more int) {
+	n := x.n + more
 	tab := x.tab.Load()
 	if tab != nil && 4*n <= 3*len(*tab) {
 		return
@@ -176,9 +177,6 @@ func (x *Index) Reserve(n int) {
 	}
 	x.tab.Store(&nt)
 }
-
-// Len reports the number of entries. Callers hold the store mutex.
-func (x *Index) Len() int { return x.n }
 
 func put(t []atomic.Uint64, s uint64) {
 	mask := uint32(len(t) - 1)
