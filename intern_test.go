@@ -86,8 +86,8 @@ func TestReadsNeverIntern(t *testing.T) {
 			}
 		}
 	}
-	// The error texts are those of the overlay-interning read path this
-	// one replaced.
+	// Arity clashes report the store's arity error, known predicate or
+	// not.
 	for src, want := range map[string]string{
 		"? win(a,b).": "line 1: atom: predicate win used with arity 2, previously 1: ? win(a, b).",
 		"? ghost(X), ghost(X,Y).": "line 1: atom: predicate ghost used with arity 2, previously 1: " +

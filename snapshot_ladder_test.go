@@ -14,7 +14,7 @@ import (
 // example4Src is the paper's Example 4 program: its chase never
 // saturates (the R-chain grows a fresh Skolem term at every depth), so
 // answering walks several rungs of the adaptive-deepening ladder — the
-// chained-overlay resumable chase path.
+// chained-rung resumable chase path.
 const example4Src = `
 r(0,0,1).
 p(0,0).
@@ -66,7 +66,7 @@ func TestSnapshotLadderAnswersNonSaturating(t *testing.T) {
 }
 
 // TestSnapshotRungsMatchFromScratch cross-checks the snapshot's
-// chained-overlay rungs against independent from-scratch evaluation: at
+// chained rungs against independent from-scratch evaluation: at
 // every scheduled depth, the rung's rendered true/undefined fact sets
 // must coincide with those of a fresh engine chased to the same depth.
 func TestSnapshotRungsMatchFromScratch(t *testing.T) {

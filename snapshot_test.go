@@ -128,8 +128,8 @@ func TestSnapshotUnknownNames(t *testing.T) {
 	}
 	snap, _ := sys.Snapshot()
 
-	// Unknown predicate: certainly false, interned only into a per-call
-	// overlay — the frozen snapshot store must not grow.
+	// Unknown predicate: certainly false, resolved by lookup only
+	// (TestReadsNeverIntern checks that the store does not grow).
 	q, err := Prepare("? neverSeen(a).")
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +154,8 @@ func TestSnapshotUnknownNames(t *testing.T) {
 	if tv, _, err := snap.WCheck("ghost(x)"); err != nil || tv != False {
 		t.Errorf("WCheck(ghost) = %v (%v)", tv, err)
 	}
-	// Repeating the unknown-name query gives the same answer: per-call
-	// overlays leave no residue.
+	// Repeating the unknown-name query gives the same answer: a read
+	// leaves no residue.
 	if tv, _ := snap.Answer(q); tv != False {
 		t.Error("second unknown-name answer differs")
 	}
