@@ -49,16 +49,17 @@ func main() {
 
 	if *instances {
 		fmt.Println("ground instances:")
-		for i := range res.Instances {
-			in := &res.Instances[i]
+		for _, rec := range res.Instances {
+			in := res.Ground[rec]
 			var parts []string
-			for _, a := range in.Pos {
-				parts = append(parts, st.String(a))
+			for k := in.Off; k < in.End; k++ {
+				lit := st.String(res.Universe[res.Body[k]])
+				if k >= in.Neg {
+					lit = "not " + lit
+				}
+				parts = append(parts, lit)
 			}
-			for _, a := range in.Neg {
-				parts = append(parts, "not "+st.String(a))
-			}
-			fmt.Printf("  %s -> %s\n", strings.Join(parts, ", "), st.String(in.Head))
+			fmt.Printf("  %s -> %s\n", strings.Join(parts, ", "), st.String(res.Head(rec)))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/atom"
 	"repro/internal/cancel"
+	"repro/internal/ground"
 	"repro/internal/program"
 	"repro/internal/term"
 	"repro/internal/trace"
@@ -223,20 +224,42 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	endValidate := ap.Phase("validate")
 	defer endValidate() // idempotent; covers the validation error returns
 	// Validate retractions first: pure lookups, nothing interned. The
-	// database membership set is built once for the batch, so validating
-	// R retractions costs O(n + R), not O(n·R).
-	removed := make([]atom.AtomID, 0, len(retracts))
+	// targets resolve in order up to the first that does not; then one
+	// scan of the database, a compare and a bit test per fact, finds where
+	// they sit. Errors report the first bad target in batch order.
+	var gone []int // positions in s.db of the retracted facts
 	if len(retracts) > 0 {
-		dbSet := make(map[atom.AtomID]struct{}, len(s.db))
-		for _, a := range s.db {
-			dbSet[a] = struct{}{}
-		}
+		var resolveErr error
+		removed := make([]atom.AtomID, 0, len(retracts))
 		for _, f := range retracts {
-			a, err := s.lookupFactLocked(f, dbSet)
+			a, err := s.lookupFactLocked(f)
 			if err != nil {
-				return err
+				resolveErr = err
+				break
 			}
 			removed = append(removed, a)
+		}
+		top := int32(-1)
+		for _, a := range removed {
+			top = max(top, int32(a))
+		}
+		want, found := ground.NewBits(int(top)+1), ground.NewBits(int(top)+1)
+		for _, a := range removed {
+			want.Set(int32(a))
+		}
+		for i, a := range s.db {
+			if int32(a) <= top && want.Get(int32(a)) {
+				found.Set(int32(a))
+				gone = append(gone, i)
+			}
+		}
+		for j, a := range removed {
+			if !found.Get(int32(a)) {
+				return fmt.Errorf("wfs: retract %s: not a database fact", retracts[j])
+			}
+		}
+		if resolveErr != nil {
+			return resolveErr
 		}
 	}
 	// Reject add/retract conflicts at the spec level, before anything
@@ -301,17 +324,14 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	}
 	// Commit.
 	newDB := s.db
-	if len(removed) > 0 {
-		rm := make(map[atom.AtomID]struct{}, len(removed))
-		for _, a := range removed {
-			rm[a] = struct{}{}
+	if len(gone) > 0 {
+		newDB = make(program.Database, 0, len(s.db)-len(gone))
+		from := 0
+		for _, i := range gone {
+			newDB = append(newDB, s.db[from:i]...)
+			from = i + 1
 		}
-		newDB = make(program.Database, 0, len(s.db))
-		for _, a := range s.db {
-			if _, dead := rm[a]; !dead {
-				newDB = append(newDB, a)
-			}
-		}
+		newDB = append(newDB, s.db[from:]...)
 	}
 	// Clip before appending so no earlier snapshot's view can alias the
 	// new entries, then clip the result so later appends cannot either.
@@ -323,10 +343,10 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 }
 
 // lookupFactLocked resolves a retraction target against the current
-// store and database: the predicate, its arity, every constant, the
-// interned atom, and membership in dbSet (the caller's one-shot
-// membership view of s.db) must all exist. Callers must hold mu.
-func (s *System) lookupFactLocked(f factSpec, dbSet map[atom.AtomID]struct{}) (atom.AtomID, error) {
+// store: the predicate, its arity, every constant and the interned atom
+// must all exist (membership in the database is the caller's check).
+// Callers must hold mu.
+func (s *System) lookupFactLocked(f factSpec) (atom.AtomID, error) {
 	p, ok := s.store.LookupPred(f.pred)
 	if !ok {
 		return atom.NoAtom, fmt.Errorf("wfs: retract %s: unknown predicate %s", f, f.pred)
@@ -344,9 +364,6 @@ func (s *System) lookupFactLocked(f factSpec, dbSet map[atom.AtomID]struct{}) (a
 	}
 	a, ok := s.store.Lookup(p, ts)
 	if !ok {
-		return atom.NoAtom, fmt.Errorf("wfs: retract %s: not a database fact", f)
-	}
-	if _, inDB := dbSet[a]; !inDB {
 		return atom.NoAtom, fmt.Errorf("wfs: retract %s: not a database fact", f)
 	}
 	return a, nil

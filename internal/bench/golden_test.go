@@ -212,5 +212,5 @@ func TestGroundProgramDigestGolden(t *testing.T) {
 }
 
 func ruleBody(gp *ground.Program, ri int) (pos, neg []int32) {
-	return gp.Rules[ri].Pos, gp.Rules[ri].Neg
+	return gp.Pos(&gp.Rules[ri]), gp.Neg(&gp.Rules[ri])
 }

@@ -14,7 +14,11 @@
 //     with minimal forest depth and derivation level per atom, plus the
 //     deduplicated set of ground rule instances (the edge labels of F+(P)),
 //     which is exactly the finite ground normal program handed to the WFS
-//     engines; and
+//     engines. The chase writes each instance once, as a fixed-size
+//     record in an append-only, pointer-free arena with atoms numbered
+//     densely at first sight; ground.Program is a view of that arena, and
+//     a continuation appends to it in place while it holds the arena's
+//     tail claim (see arena); and
 //   - an explicit node-level forest (Forest), materialized on demand for
 //     inspection and for the wfschase tool, where — as in the paper — the
 //     same atom may label many nodes.
@@ -26,6 +30,7 @@ package chase
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/atom"
 	"repro/internal/cancel"
@@ -67,31 +72,31 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("chase: atom budget exceeded: %d atoms derived, limit %d", e.Atoms, e.Limit)
 }
 
-// DefaultOptions are suitable for the examples and tests.
-func DefaultOptions() Options { return Options{MaxDepth: 8, MaxAtoms: 2_000_000} }
-
-// Instance is one ground rule instance r ∈ ground(P): an edge label of
-// F+(P) together with its negative body (§3, F+(P) relabeling).
+// Instance is one record of the ground program the chase writes: a fired
+// rule instance r ∈ ground(P) — an edge label of F+(P) together with its
+// negative body (§3, F+(P) relabeling) — or a fact record (Rule < 0)
+// written when an atom first reaches depth 0. Records are fixed-size and
+// pointer-free; atoms are dense chase indexes (Result.Universe) and the
+// bodies live in the shared Result.Body array: Body[Off:Neg] is the
+// positive body, guard first, and Body[Neg:End] the negative body.
 type Instance struct {
-	Rule *program.Rule
-	Head atom.AtomID
-	Pos  []atom.AtomID // guard first
-	Neg  []atom.AtomID
+	Head int32
+	Rule int32 // index into Prog.Rules; -1 for a fact record
+	Off  int32
+	Neg  int32
+	End  int32
 }
 
-// Guard returns the ground guard atom of the instance.
-func (in *Instance) Guard() atom.AtomID { return in.Pos[0] }
-
-// Result is the bounded atom-level chase.
+// Result is the bounded atom-level chase. Its ground program lives in an
+// append-only arena that continuations share (see arena); everything
+// else is its own.
 type Result struct {
+	arena
+
 	Prog *program.Program
 	DB   program.Database
 	Opts Options
 
-	// Atoms lists the derived universe in first-derivation order.
-	Atoms []atom.AtomID
-	// Instances lists deduplicated ground rule instances.
-	Instances []Instance
 	// Truncated reports that MaxAtoms stopped the chase early.
 	Truncated bool
 	// Interrupted reports that the cancellation token stopped the chase
@@ -99,32 +104,126 @@ type Result struct {
 	// incomplete prefix, so the result must not be used for answering.
 	Interrupted bool
 
-	depth []int32 // per AtomID: minimal forest depth, -1 = not derived
-	level []int32 // per AtomID: derivation level (upper bound), -1 = not derived
-
-	// The guarded-instance index is an intrusive linked list over two
-	// flat int32 slices (rather than a map of slices) so that Extend can
-	// clone the whole structure with two memcpys: firstInst[a] heads
-	// atom a's list, nextInst[i] links instance i to the previous
-	// instance with the same guard, -1 ends a list.
-	firstInst []int32 // per AtomID
-	nextInst  []int32 // per instance index
-
-	waiters  map[atom.AtomID][]waiter
-	queue    []atom.AtomID // atoms pending guard expansion
-	queued   []bool        // per AtomID: currently in the expansion queue
-	expanded []bool        // per AtomID: guard expansion already ran
+	perAtom
+	waiters map[atom.AtomID][]waiter
+	queue   []int32 // atoms pending guard expansion
 
 	// replay, when non-nil, switches run/derive from rule matching to
 	// re-firing a prior chase's instances (Retract's DRed-style replay).
 	replay *replayState
 
-	stats *Stats // cached summary; populated when the run finishes
+	// Exact summary statistics, kept as atoms are derived: the number of
+	// derived atoms per forest depth, and the deepest term of any of them.
+	depthHist    []int32
+	maxTermDepth int
+
+	// claim guards the tail of the arena; gen is this result's place in
+	// the chain of in-place continuations under it. base and baseGen
+	// name the claim and generation the arena was copied from, when a
+	// continuation lost the claim (see Extends).
+	claim   *tailClaim
+	gen     uint64
+	base    *tailClaim
+	baseGen uint64
 }
+
+// arena is the ground program of a chase: append-only arrays that a
+// continuation (Extend, ExtendDB) extends in place instead of copying
+// them — but only while it holds the tail claim. The first continuation
+// of a result takes the claim; every later one, a sibling of the first,
+// copies the arena. So a continuation never writes memory that an
+// already-published result, or a sibling, can read: a result reads only
+// the prefix its own slice headers cover, and only the claim holder
+// writes past it.
+type arena struct {
+	// Atoms lists the derived universe in first-derivation order.
+	Atoms []atom.AtomID
+	// Universe numbers every atom the ground program mentions densely,
+	// at first sight: Universe[d] is the global ID of chase atom d. It
+	// holds the derived atoms and the negative body atoms of fired
+	// instances, which need not be derived.
+	Universe []atom.AtomID
+	// Ground is the ground program: one record per fired rule instance
+	// and one fact record per atom that reached depth 0, in the order
+	// they were written.
+	Ground []Instance
+	// Body holds every record's body atoms, as Universe indexes.
+	Body []int32
+	// Instances lists the positions in Ground of the fired rule
+	// instances, in firing order.
+	Instances []int32
+
+	index *atomIndex // global atom → Universe index
+
+	// Occurrence lists, newest first: headNext[i] links record i to the
+	// previous record with its head, occNext[k] body slot k to the
+	// previous slot with its atom, and occRec[k] is slot k's record.
+	// perAtom.firstHead and perAtom.firstOcc head the lists.
+	headNext, occNext, occRec []int32
+}
+
+// copy returns a private copy of a, with room to grow.
+func (a *arena) copy() arena {
+	c := arena{
+		Atoms: cloneSlack(a.Atoms), Universe: cloneSlack(a.Universe),
+		Ground: cloneSlack(a.Ground), Body: cloneSlack(a.Body), Instances: cloneSlack(a.Instances),
+		headNext: cloneSlack(a.headNext), occNext: cloneSlack(a.occNext), occRec: cloneSlack(a.occRec),
+		index: &atomIndex{},
+	}
+	for d, g := range c.Universe {
+		c.index = c.index.put(g, int32(d))
+	}
+	return c
+}
+
+// perAtom is the bookkeeping per Universe index, rewritten in place by a
+// continuation and therefore cloned for each one (a memcpy of
+// pointer-free arrays).
+type perAtom struct {
+	depth     []int32 // minimal forest depth, -1 = not derived
+	level     []int32 // derivation level (upper bound), -1 = not derived
+	firstHead []int32 // newest record with the atom as head
+	firstOcc  []int32 // newest body slot holding the atom
+	flags     []uint8 // flagQueued, flagExpanded
+}
+
+func (p *perAtom) clone() perAtom {
+	return perAtom{cloneSlack(p.depth), cloneSlack(p.level), cloneSlack(p.firstHead), cloneSlack(p.firstOcc), cloneSlack(p.flags)}
+}
+
+const (
+	flagQueued uint8 = 1 << iota
+	flagExpanded
+)
+
+// tailClaim is the right to append to an arena in place: it holds the
+// generation of the result that may hand the tail to its next
+// continuation.
+type tailClaim struct{ owner atomic.Uint64 }
 
 type waiter struct {
 	rule  *program.Rule
-	guard atom.AtomID
+	guard int32
+}
+
+// newResult returns an empty chase of db under prog, its arrays sized for
+// about n atoms, m records and a body arena of b.
+func newResult(prog *program.Program, db program.Database, opts Options, n, m, b int) *Result {
+	n32 := func() []int32 { return make([]int32, 0, n) }
+	return &Result{
+		arena: arena{
+			Atoms: make([]atom.AtomID, 0, n), Universe: make([]atom.AtomID, 0, n),
+			Ground: make([]Instance, 0, m), Body: make([]int32, 0, b), Instances: make([]int32, 0, m),
+			headNext: make([]int32, 0, m), occNext: make([]int32, 0, b), occRec: make([]int32, 0, b),
+			index: &atomIndex{},
+		},
+		perAtom: perAtom{n32(), n32(), n32(), n32(), make([]uint8, 0, n)},
+		Prog:    prog,
+		DB:      db,
+		Opts:    opts,
+		waiters: make(map[atom.AtomID][]waiter),
+		claim:   &tailClaim{},
+	}
 }
 
 // Run chases db under prog up to the option bounds.
@@ -132,35 +231,32 @@ func Run(prog *program.Program, db program.Database, opts Options) *Result {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 1
 	}
-	r := &Result{
-		Prog:    prog,
-		DB:      db,
-		Opts:    opts,
-		waiters: make(map[atom.AtomID][]waiter),
-	}
+	r := newResult(prog, db, opts, len(db), len(db), 0)
+	r.seed(db)
+	r.run()
+	return r
+}
+
+// seed derives the database atoms and the program facts (rules with empty
+// bodies) at depth 0.
+func (r *Result) seed(db program.Database) {
 	for _, a := range db {
-		r.derive(a, 0, 0)
+		r.derive(r.intern(a), 0, 0)
 	}
-	// Program facts (rules with empty bodies) are database atoms too.
-	for _, rule := range prog.Rules {
+	for _, rule := range r.Prog.Rules {
 		if rule.IsFact() && len(rule.Exist) == 0 {
 			sub := atom.NewSubst(rule.NumVars)
-			a := prog.Store.Instantiate(rule.Head, sub)
-			r.derive(a, 0, 0)
+			r.derive(r.intern(r.Prog.Store.Instantiate(rule.Head, sub)), 0, 0)
 		}
 	}
-	r.run()
-	r.finish()
-	return r
 }
 
 // Extend returns a new Result that continues this chase to the deeper
 // depth bound newDepth instead of re-chasing from the database: the
-// derived universe, fired instances, dedup keys, parked waiters, and the
-// unexpanded depth-capped frontier all carry over, and only atoms at
-// depth ≥ the old bound are (newly) expanded. r itself is not mutated —
-// the mutable bookkeeping is cloned first — so models already built over
-// r keep serving concurrent readers unchanged.
+// derived universe, fired instances, parked waiters, and the unexpanded
+// depth-capped frontier all carry over, and only atoms at depth ≥ the old
+// bound are (newly) expanded. r itself is not mutated, so models already
+// built over r keep serving concurrent readers unchanged.
 //
 // prog must be the program r was chased under, or one sharing its
 // compiled rules and its store; usually it is r.Prog. If newDepth does not exceed the current
@@ -191,44 +287,57 @@ func (r *Result) ExtendCancel(prog *program.Program, newDepth int, tok *cancel.T
 	if len(r.queue) == 0 && r.ComputeStats().MaxDepth < oldDepth {
 		return r, nil
 	}
-	nr := r.cloneForContinuation(prog, Options{MaxDepth: newDepth, MaxAtoms: r.Opts.MaxAtoms, Cancel: tok})
+	nr := r.continuation(prog, Options{MaxDepth: newDepth, MaxAtoms: r.Opts.MaxAtoms, Cancel: tok})
 	// The frontier: atoms derived at the old cap were never enqueued for
 	// guard expansion. Under the raised cap they are expandable again.
-	for _, a := range nr.Atoms {
-		if d := int(nr.depth[a]); d >= oldDepth && d < newDepth {
-			nr.enqueue(a)
+	for a, d := range nr.depth {
+		if int(d) >= oldDepth && int(d) < newDepth {
+			nr.enqueue(int32(a))
 		}
 	}
 	nr.run()
-	nr.finish()
 	return nr, nil
 }
 
-// cloneForContinuation copies r's mutable bookkeeping into a fresh Result
-// so a continuation (deeper bound, grown database) can run without
-// mutating the receiver: slices are cloned with slack capacity, the
-// parked-waiter map is deep-copied, and the stats cache is dropped.
-func (r *Result) cloneForContinuation(prog *program.Program, opts Options) *Result {
+// continuation returns a Result that continues r under opts without
+// mutating it. The per-atom bookkeeping and the parked waiters are
+// cloned; the arena is shared when r's tail claim can be taken, and
+// copied otherwise.
+func (r *Result) continuation(prog *program.Program, opts Options) *Result {
 	waiters := make(map[atom.AtomID][]waiter, len(r.waiters))
 	for a, ws := range r.waiters {
 		waiters[a] = append([]waiter(nil), ws...)
 	}
-	return &Result{
-		Prog:      prog,
-		DB:        r.DB,
-		Opts:      opts,
-		Atoms:     cloneSlack(r.Atoms),
-		Instances: cloneSlack(r.Instances),
-		Truncated: r.Truncated,
-		depth:     cloneSlack(r.depth),
-		level:     cloneSlack(r.level),
-		firstInst: cloneSlack(r.firstInst),
-		nextInst:  cloneSlack(r.nextInst),
-		waiters:   waiters,
-		queue:     cloneSlack(r.queue),
-		queued:    cloneSlack(r.queued),
-		expanded:  cloneSlack(r.expanded),
+	nr := &Result{
+		arena:        r.arena,
+		Prog:         prog,
+		DB:           r.DB,
+		Opts:         opts,
+		Truncated:    r.Truncated,
+		perAtom:      r.perAtom.clone(),
+		waiters:      waiters,
+		queue:        cloneSlack(r.queue),
+		depthHist:    cloneSlack(r.depthHist),
+		maxTermDepth: r.maxTermDepth,
+		claim:        r.claim,
+		gen:          r.gen + 1,
+		base:         r.base,
+		baseGen:      r.baseGen,
 	}
+	if !r.claim.owner.CompareAndSwap(r.gen, r.gen+1) {
+		nr.arena = r.arena.copy()
+		nr.claim, nr.gen, nr.base, nr.baseGen = &tailClaim{}, 0, r.claim, r.gen
+	}
+	return nr
+}
+
+// Extends reports whether r's ground program starts with all of prev's
+// records, atoms numbered alike: r is prev, an in-place continuation of
+// it, or a copy of one.
+func (r *Result) Extends(prev *Result) bool {
+	return r == prev ||
+		(r.claim == prev.claim && r.gen >= prev.gen) ||
+		(r.base == prev.claim && r.baseGen >= prev.gen)
 }
 
 // cloneSlack copies xs into a fresh slice with ~25% spare capacity, so a
@@ -240,109 +349,154 @@ func cloneSlack[T any](xs []T) []T {
 	return out
 }
 
-func (r *Result) ensure(a atom.AtomID) {
-	for int(a) >= len(r.depth) {
-		r.depth = append(r.depth, -1)
-		r.level = append(r.level, -1)
-		r.queued = append(r.queued, false)
-		r.expanded = append(r.expanded, false)
-		r.firstInst = append(r.firstInst, -1)
+// intern returns the Universe index of global atom g, numbering it on
+// first sight.
+func (r *Result) intern(g atom.AtomID) int32 {
+	if d := r.Local(g); d >= 0 {
+		return d
 	}
+	d := int32(len(r.Universe))
+	r.Universe = append(r.Universe, g)
+	r.index = r.index.put(g, d)
+	r.depth = append(r.depth, -1)
+	r.level = append(r.level, -1)
+	r.firstHead = append(r.firstHead, -1)
+	r.firstOcc = append(r.firstOcc, -1)
+	r.flags = append(r.flags, 0)
+	return d
 }
 
+// Local returns the Universe index of global atom a, or -1 if the chase
+// never saw it.
+func (r *Result) Local(a atom.AtomID) int32 { return r.index.get(a, len(r.Universe)) }
+
 // Derived reports whether a is in the derived universe A.
-func (r *Result) Derived(a atom.AtomID) bool {
-	return int(a) < len(r.depth) && r.depth[a] >= 0
-}
+func (r *Result) Derived(a atom.AtomID) bool { return r.Depth(a) >= 0 }
 
 // Depth returns the minimal forest depth of a, or -1 if underived.
 func (r *Result) Depth(a atom.AtomID) int {
-	if int(a) >= len(r.depth) {
-		return -1
+	if d := r.Local(a); d >= 0 {
+		return int(r.depth[d])
 	}
-	return int(r.depth[a])
+	return -1
 }
 
-// Level returns the derivation level (an upper bound on levelP, exact for
-// first derivations) of a, or -1 if underived.
-func (r *Result) Level(a atom.AtomID) int {
-	if int(a) >= len(r.level) {
-		return -1
-	}
-	return int(r.level[a])
-}
+// Head returns the global head atom of the record at position rec of
+// Ground.
+func (r *Result) Head(rec int32) atom.AtomID { return r.Universe[r.Ground[rec].Head] }
 
-// InstancesByGuard returns the indexes into Instances guarded by atom a,
-// in firing order. The list is materialized from the intrusive index on
-// each call; inspection paths (forest building, explanations) that need
-// it repeatedly should hold on to the result.
-func (r *Result) InstancesByGuard(a atom.AtomID) []int32 {
-	if int(a) >= len(r.firstInst) {
-		return nil
-	}
-	var out []int32
-	for ii := r.firstInst[a]; ii >= 0; ii = r.nextInst[ii] {
-		out = append(out, ii)
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// derive records atom a at the given depth and level, enqueueing it for
-// guard expansion when it is new or its depth decreased below the cap.
-func (r *Result) derive(a atom.AtomID, depth, level int32) {
-	r.ensure(a)
-	if r.depth[a] < 0 {
-		r.depth[a] = depth
-		r.level[a] = level
-		r.Atoms = append(r.Atoms, a)
-		if int(depth) < r.Opts.MaxDepth {
-			r.enqueue(a)
+// RecordsSince appends to dst the positions of the records at index ≥ from
+// that have Universe atom d as their head (body false) or in their body
+// (body true, once per occurrence), newest first.
+func (r *Result) RecordsSince(d int32, from int, body bool, dst []int32) []int32 {
+	if body {
+		for k := r.firstOcc[d]; k >= 0 && int(r.occRec[k]) >= from; k = r.occNext[k] {
+			dst = append(dst, r.occRec[k])
 		}
-		// Wake instances waiting on a as a side atom.
-		if ws := r.waiters[a]; len(ws) > 0 {
-			delete(r.waiters, a)
+		return dst
+	}
+	for rec := r.firstHead[d]; rec >= 0 && int(rec) >= from; rec = r.headNext[rec] {
+		dst = append(dst, rec)
+	}
+	return dst
+}
+
+// record appends a record whose body was just written to Body[off:], with
+// the negative part starting at neg, and links it into the occurrence
+// lists.
+func (r *Result) record(head, rule int32, off, neg int) {
+	rec := int32(len(r.Ground))
+	r.Ground = append(r.Ground, Instance{Head: head, Rule: rule, Off: int32(off), Neg: int32(neg), End: int32(len(r.Body))})
+	r.headNext = append(r.headNext, r.firstHead[head])
+	r.firstHead[head] = rec
+	for k := off; k < len(r.Body); k++ {
+		b := r.Body[k]
+		r.occNext = append(r.occNext, r.firstOcc[b])
+		r.occRec = append(r.occRec, rec)
+		r.firstOcc[b] = int32(k)
+	}
+	if rule >= 0 {
+		r.Instances = append(r.Instances, rec)
+	}
+}
+
+// derive records atom d at the given depth and level, enqueueing it for
+// guard expansion when it is new or its depth decreased below the cap. An
+// atom that reaches depth 0 gets its fact record.
+func (r *Result) derive(d int32, depth, level int32) {
+	if old := r.depth[d]; old < 0 {
+		r.depth[d] = depth
+		r.level[d] = level
+		g := r.Universe[d]
+		r.Atoms = append(r.Atoms, g)
+		r.countDepth(depth, 1)
+		// A replay re-derives a subset of its source's atoms, so the
+		// source's deepest term bounds the scan.
+		if rep := r.replay; rep == nil || r.maxTermDepth < rep.src.maxTermDepth {
+			r.maxTermDepth = max(r.maxTermDepth, r.Prog.Store.TermDepth(g))
+		}
+		if depth == 0 {
+			r.record(d, -1, len(r.Body), len(r.Body))
+		}
+		if int(depth) < r.Opts.MaxDepth {
+			r.enqueue(d)
+		}
+		// Wake instances waiting on d as a side atom.
+		if ws := r.waiters[g]; len(ws) > 0 {
+			delete(r.waiters, g)
 			for _, w := range ws {
 				r.tryApply(w.rule, w.guard)
 			}
 		}
 		if rep := r.replay; rep != nil {
-			if cs := rep.parked[a]; len(cs) > 0 {
-				delete(rep.parked, a)
+			if cs := rep.parked[g]; len(cs) > 0 {
+				delete(rep.parked, g)
 				for _, ci := range cs {
 					r.tryReplay(ci)
 				}
 			}
 		}
 		return
-	}
-	if depth < r.depth[a] {
-		wasExpandable := int(r.depth[a]) < r.Opts.MaxDepth
-		r.depth[a] = depth
-		if !wasExpandable && int(depth) < r.Opts.MaxDepth {
-			r.enqueue(a)
+	} else if depth < old {
+		r.countDepth(old, -1)
+		r.countDepth(depth, 1)
+		r.depth[d] = depth
+		if depth == 0 {
+			r.record(d, -1, len(r.Body), len(r.Body))
 		}
-		// Cascade the decrease to heads derived through a as guard.
-		for ii := r.firstInst[a]; ii >= 0; ii = r.nextInst[ii] {
-			in := &r.Instances[ii]
+		if int(old) >= r.Opts.MaxDepth && int(depth) < r.Opts.MaxDepth {
+			r.enqueue(d)
+		}
+		// Cascade the decrease to heads derived through d as guard.
+		for k := r.firstOcc[d]; k >= 0; k = r.occNext[k] {
+			in := r.Ground[r.occRec[k]]
+			if in.Off != k {
+				continue
+			}
 			if nd := depth + 1; nd < r.depth[in.Head] {
 				r.derive(in.Head, nd, r.level[in.Head])
 			}
 		}
 	}
-	if level < r.level[a] {
-		r.level[a] = level
+	if level < r.level[d] {
+		r.level[d] = level
 	}
 }
 
-func (r *Result) enqueue(a atom.AtomID) {
-	if r.queued[a] {
+// countDepth adjusts the per-depth census of derived atoms.
+func (r *Result) countDepth(depth int32, delta int32) {
+	for int(depth) >= len(r.depthHist) {
+		r.depthHist = append(r.depthHist, 0)
+	}
+	r.depthHist[depth] += delta
+}
+
+func (r *Result) enqueue(d int32) {
+	if r.flags[d]&flagQueued != 0 {
 		return
 	}
-	r.queued[a] = true
-	r.queue = append(r.queue, a)
+	r.flags[d] |= flagQueued
+	r.queue = append(r.queue, d)
 }
 
 func (r *Result) run() {
@@ -362,24 +516,27 @@ func (r *Result) run() {
 		}
 		a := r.queue[len(r.queue)-1]
 		r.queue = r.queue[:len(r.queue)-1]
-		r.queued[a] = false
-		if r.expanded[a] {
+		r.flags[a] &^= flagQueued
+		if r.flags[a]&flagExpanded != 0 {
 			continue // defensive: each atom's guard expansion runs once
 		}
-		r.expanded[a] = true
+		r.flags[a] |= flagExpanded
 		if rep := r.replay; rep != nil {
 			// Replay mode: re-fire the source chase's instances guarded
-			// by a instead of matching rules against the store, walking
-			// the intrusive per-guard list in place (order within one
-			// guard is immaterial — the fired set is what matters).
-			if int(a) < len(rep.src.firstInst) {
-				for ci := rep.src.firstInst[a]; ci >= 0; ci = rep.src.nextInst[ci] {
-					r.tryReplay(ci)
+			// by a instead of matching rules against the store (order
+			// within one guard is immaterial — the fired set is what
+			// matters).
+			src := rep.src
+			if sd := src.Local(r.Universe[a]); sd >= 0 {
+				for k := src.firstOcc[sd]; k >= 0; k = src.occNext[k] {
+					if rec := src.occRec[k]; src.Ground[rec].Off == k {
+						r.tryReplay(rec)
+					}
 				}
 			}
 			continue
 		}
-		for _, rule := range r.Prog.RulesGuardedBy(r.Prog.Store.PredOf(a)) {
+		for _, rule := range r.Prog.RulesGuardedBy(r.Prog.Store.PredOf(r.Universe[a])) {
 			r.tryApply(rule, a)
 		}
 	}
@@ -396,45 +553,42 @@ func (r *Result) run() {
 // retrying — so for a given pair there is never more than one pending
 // path to firing. The instance-dedup test and the Extend-vs-Run
 // cross-checks enforce this invariant.
-func (r *Result) tryApply(rule *program.Rule, g atom.AtomID) {
+func (r *Result) tryApply(rule *program.Rule, g int32) {
 	st := r.Prog.Store
 	sub := atom.NewSubst(rule.NumVars)
 	var trail []int32
-	if !st.Match(rule.GuardAtom(), g, sub, &trail) {
+	if !st.Match(rule.GuardAtom(), r.Universe[g], sub, &trail) {
 		return
 	}
-	// All side atoms are ground now; intern and check membership.
-	pos := make([]atom.AtomID, 0, len(rule.PosBody))
-	pos = append(pos, g)
+	// All side atoms are ground now; check membership, then write the
+	// body straight into the arena.
+	off := len(r.Body)
+	r.Body = append(r.Body, g)
 	maxLevel := r.level[g]
 	for i, p := range rule.PosBody {
 		if i == rule.Guard {
 			continue
 		}
 		sa := st.Instantiate(p, sub)
-		r.ensure(sa)
-		pos = append(pos, sa)
-		if r.depth[sa] < 0 {
+		d := r.Local(sa)
+		if d < 0 || r.depth[d] < 0 {
 			// Park: retry when sa is derived.
+			r.Body = r.Body[:off]
 			r.waiters[sa] = append(r.waiters[sa], waiter{rule: rule, guard: g})
 			return
 		}
-		if r.level[sa] > maxLevel {
-			maxLevel = r.level[sa]
+		r.Body = append(r.Body, d)
+		if r.level[d] > maxLevel {
+			maxLevel = r.level[d]
 		}
 	}
-	neg := make([]atom.AtomID, 0, len(rule.NegBody))
+	neg := len(r.Body)
 	for _, p := range rule.NegBody {
-		na := st.Instantiate(p, sub)
-		r.ensure(na)
-		neg = append(neg, na)
+		na := r.intern(st.Instantiate(p, sub))
+		r.Body = append(r.Body, na)
 	}
-	head := r.Prog.InstantiateHead(rule, sub, &trail)
-	r.ensure(head)
-	ii := int32(len(r.Instances))
-	r.Instances = append(r.Instances, Instance{Rule: rule, Head: head, Pos: pos, Neg: neg})
-	r.nextInst = append(r.nextInst, r.firstInst[g])
-	r.firstInst[g] = ii
+	head := r.intern(r.Prog.InstantiateHead(rule, sub, &trail))
+	r.record(head, int32(rule.Idx), off, neg)
 	r.derive(head, r.depth[g]+1, maxLevel+1)
 }
 
@@ -452,19 +606,14 @@ func (r *Result) ParkedWaiters() int {
 
 // DepthProfile returns the number of derived atoms at each forest depth
 // (index = depth, up to the deepest derived atom): the frontier shape of
-// the chase, for instrumentation. O(atoms); call it on finished chases
-// only when tracing asks for detail.
+// the chase, for instrumentation.
 func (r *Result) DepthProfile() []int {
-	var prof []int
-	for _, a := range r.Atoms {
-		d := int(r.depth[a])
-		if d < 0 {
-			continue
-		}
-		for len(prof) <= d {
-			prof = append(prof, 0)
-		}
-		prof[d]++
+	if len(r.Atoms) == 0 {
+		return nil
+	}
+	prof := make([]int, r.ComputeStats().MaxDepth+1)
+	for d := range prof {
+		prof[d] = int(r.depthHist[d])
 	}
 	return prof
 }
@@ -478,29 +627,20 @@ type Stats struct {
 	Truncated    bool
 }
 
-// ComputeStats returns the summary statistics of the finished chase. The
-// O(atoms) scan runs once — Run and Extend populate the cache when they
-// finish, so the engine's per-depth evaluation and every later
-// Model.Stats call share one computation.
+// ComputeStats returns the summary statistics of the chase. They are
+// kept exact as atoms are derived, so this costs no scan.
 func (r *Result) ComputeStats() Stats {
-	if r.stats == nil {
-		r.finish()
+	maxDepth := len(r.depthHist) - 1
+	for maxDepth > 0 && r.depthHist[maxDepth] == 0 {
+		maxDepth--
 	}
-	return *r.stats
-}
-
-// finish computes and caches the summary statistics of a completed run.
-func (r *Result) finish() {
-	s := Stats{Atoms: len(r.Atoms), Instances: len(r.Instances), Truncated: r.Truncated}
-	for _, a := range r.Atoms {
-		if d := r.Depth(a); d > s.MaxDepth {
-			s.MaxDepth = d
-		}
-		if td := r.Prog.Store.TermDepth(a); td > s.MaxTermDepth {
-			s.MaxTermDepth = td
-		}
+	return Stats{
+		Atoms:        len(r.Atoms),
+		Instances:    len(r.Instances),
+		MaxDepth:     max(maxDepth, 0),
+		MaxTermDepth: r.maxTermDepth,
+		Truncated:    r.Truncated,
 	}
-	r.stats = &s
 }
 
 func (s Stats) String() string {

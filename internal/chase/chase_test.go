@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,10 +94,10 @@ func TestInstanceExtraction(t *testing.T) {
 
 	// Each instance must be guarded by its first positive atom and be
 	// fully ground.
-	for i := range res.Instances {
-		in := &res.Instances[i]
-		if in.Guard() != in.Pos[0] {
-			t.Fatalf("instance guard mismatch")
+	for _, rec := range res.Instances {
+		in := res.Record(rec)
+		if g := in.Rule.GuardAtom(); len(in.Pos) == 0 || st.PredOf(in.Pos[0]) != g.Pred {
+			t.Fatalf("instance of rule %d not guarded by its first positive atom", in.Rule.Idx)
 		}
 		if len(in.Pos) != len(in.Rule.PosBody) || len(in.Neg) != len(in.Rule.NegBody) {
 			t.Errorf("instance body sizes do not match rule %d", in.Rule.Idx)
@@ -110,8 +111,8 @@ func TestInstanceExtraction(t *testing.T) {
 	s0, _ := st.Lookup(sp, []term.ID{c0})
 	t0, _ := st.Lookup(tp, []term.ID{c0})
 	found := false
-	for i := range res.Instances {
-		in := &res.Instances[i]
+	for _, rec := range res.Instances {
+		in := res.Record(rec)
 		if in.Head == t0 && len(in.Neg) == 1 && in.Neg[0] == s0 {
 			found = true
 		}
@@ -127,11 +128,11 @@ func TestInstanceDeduplication(t *testing.T) {
 	prog, db, _ := compile(t, example4)
 	res := Run(prog, db, Options{MaxDepth: 6, MaxAtoms: 10_000})
 	seen := map[[2]int32]bool{}
-	for i := range res.Instances {
-		in := &res.Instances[i]
-		key := [2]int32{int32(in.Rule.Idx), int32(in.Guard())}
+	for _, rec := range res.Instances {
+		in := res.Record(rec)
+		key := [2]int32{int32(in.Rule.Idx), int32(in.Pos[0])}
 		if seen[key] {
-			t.Fatalf("duplicate instance for rule %d guard %d", in.Rule.Idx, in.Guard())
+			t.Fatalf("duplicate instance for rule %d guard %d", in.Rule.Idx, in.Pos[0])
 		}
 		seen[key] = true
 	}
@@ -282,15 +283,15 @@ func extendEqualsRun(t *testing.T, st *atom.Store, res, scratch *Result) {
 		t.Fatalf("instances: extended %d, scratch %d", len(res.Instances), len(scratch.Instances))
 	}
 	want := map[[2]int32]bool{}
-	for i := range scratch.Instances {
-		in := &scratch.Instances[i]
-		want[[2]int32{int32(in.Rule.Idx), int32(in.Guard())}] = true
+	for _, rec := range scratch.Instances {
+		in := scratch.Record(rec)
+		want[[2]int32{int32(in.Rule.Idx), int32(in.Pos[0])}] = true
 	}
-	for i := range res.Instances {
-		in := &res.Instances[i]
-		if !want[[2]int32{int32(in.Rule.Idx), int32(in.Guard())}] {
+	for _, rec := range res.Instances {
+		in := res.Record(rec)
+		if !want[[2]int32{int32(in.Rule.Idx), int32(in.Pos[0])}] {
 			t.Errorf("extended chase has extra instance rule=%d guard=%s",
-				in.Rule.Idx, st.String(in.Guard()))
+				in.Rule.Idx, st.String(in.Pos[0]))
 		}
 	}
 }
@@ -397,23 +398,44 @@ reach(X), edge(X,Y) -> reach(Y).
 	}
 }
 
-func TestComputeStatsCached(t *testing.T) {
-	prog, db, _ := compile(t, example4)
-	res := Run(prog, db, Options{MaxDepth: 4, MaxAtoms: 10_000})
-	if res.stats == nil {
-		t.Fatal("Run did not populate the stats cache")
+// TestComputeStatsExact: the statistics are kept as atoms are derived,
+// so every continuation — deeper, grown, shrunk — must report exactly
+// what a from-scratch chase of the same database and bound reports.
+// Exactness and the saturation check of ExtendCancel read MaxDepth, so an
+// over-estimate would be a correctness bug, not a cosmetic one.
+func TestComputeStatsExact(t *testing.T) {
+	prog, db, st := compile(t, example4+`
+		e(a). e(b). e(c).
+		e(X) -> f(X).
+		f(X), not e(X) -> g(X).`)
+	check := func(what string, got *Result) {
+		t.Helper()
+		want := Run(prog, got.DB, Options{MaxDepth: got.Opts.MaxDepth, MaxAtoms: 10_000})
+		if g, w := got.ComputeStats(), want.ComputeStats(); g != w {
+			t.Errorf("%s: stats %+v, from scratch %+v", what, g, w)
+		}
+		if g, w := fmt.Sprint(got.DepthProfile()), fmt.Sprint(want.DepthProfile()); g != w {
+			t.Errorf("%s: depth profile %s, from scratch %s", what, g, w)
+		}
 	}
-	s1, s2 := res.ComputeStats(), res.ComputeStats()
-	if s1 != s2 {
-		t.Errorf("cached stats differ: %+v vs %+v", s1, s2)
+	res := Run(prog, db, Options{MaxDepth: 3, MaxAtoms: 10_000})
+	check("run", res)
+	check("extend", res.Extend(prog, 6))
+	qa := mkfact(t, st, "e", "a")
+	var smaller program.Database
+	for _, a := range db {
+		if a != qa {
+			smaller = append(smaller, a)
+		}
 	}
-	ext := res.Extend(prog, 6)
-	if ext.stats == nil {
-		t.Fatal("Extend did not populate the stats cache")
-	}
-	if ext.ComputeStats().Atoms <= s1.Atoms {
-		t.Errorf("extended stats not recomputed: %+v", ext.ComputeStats())
-	}
+	shrunk, _ := res.Retract(prog, smaller)
+	check("retract", shrunk)
+	check("retract+extend", shrunk.Extend(prog, 5))
+	grown := shrunk.ExtendDB(prog, db, []atom.AtomID{qa})
+	check("extend-db", grown)
+	// An IDB atom asserted as a fact drops to depth 0.
+	ra := mkfact(t, st, "f", "a")
+	check("assert-idb", grown.ExtendDB(prog, append(db[:len(db):len(db)], ra), []atom.AtomID{ra}))
 }
 
 func TestStatsString(t *testing.T) {
@@ -453,4 +475,49 @@ a(X), d3(X) -> e(X).
 	if l := res.Level(ex); l != 4 {
 		t.Errorf("level(e(x)) = %d, want 4", l)
 	}
+}
+
+// NodesLabeled returns the node ids labeled by atom a.
+func (f *Forest) NodesLabeled(a atom.AtomID) []int32 {
+	var out []int32
+	for i := range f.Nodes {
+		if f.Nodes[i].Atom == a {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// Level returns the derivation level (an upper bound on levelP, exact for
+// first derivations) of a, or -1 if underived.
+func (r *Result) Level(a atom.AtomID) int {
+	if d := r.Local(a); d >= 0 {
+		return int(r.level[d])
+	}
+	return -1
+}
+
+// Record is a ground program record in global atom IDs, materialized for
+// inspection: Rule is nil for a fact record, and Pos starts with the
+// guard.
+type Record struct {
+	Rule     *program.Rule
+	Head     atom.AtomID
+	Pos, Neg []atom.AtomID
+}
+
+// Record materializes the record at position rec of Ground.
+func (r *Result) Record(rec int32) Record {
+	in := r.Ground[rec]
+	out := Record{Head: r.Universe[in.Head]}
+	if in.Rule >= 0 {
+		out.Rule = r.Prog.Rules[in.Rule]
+	}
+	for _, b := range r.Body[in.Off:in.Neg] {
+		out.Pos = append(out.Pos, r.Universe[b])
+	}
+	for _, b := range r.Body[in.Neg:in.End] {
+		out.Neg = append(out.Neg, r.Universe[b])
+	}
+	return out
 }

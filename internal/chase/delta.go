@@ -14,9 +14,10 @@ package chase
 //     database: instances are re-fired (or not) by the ordinary
 //     derive/expand/park machinery, but against the recorded ground
 //     instances instead of matching rules against the store — no
-//     substitution matching, no interning, pure integer work. Instances
-//     that fail to re-fire are exactly the DRed overdeletion that
-//     rederivation could not rescue.
+//     substitution matching, no interning, only integer work and
+//     page-map lookups that renumber the atoms into the replay's fresh
+//     arena. Instances that fail to re-fire are exactly the DRed
+//     overdeletion that rederivation could not rescue.
 //
 // Both operations leave the receiver untouched, like Extend, so models
 // already built over it keep serving concurrent readers.
@@ -51,18 +52,17 @@ func (r *Result) ExtendDBCancel(prog *program.Program, newDB program.Database, a
 	}
 	opts := r.Opts
 	opts.Cancel = tok
-	nr := r.cloneForContinuation(prog, opts)
+	nr := r.continuation(prog, opts)
 	nr.DB = newDB
 	for _, a := range added {
-		nr.derive(a, 0, 0)
+		nr.derive(nr.intern(a), 0, 0)
 	}
 	nr.run()
-	nr.finish()
 	return nr
 }
 
 // replayState drives Retract's re-derivation: src supplies the candidate
-// instances (indexed by guard through src's own intrusive lists), fired
+// records (indexed by guard through src's own occurrence lists), fired
 // records which candidates re-fired, and parked holds candidates waiting
 // on a not-yet-rederived side atom (the replay analogue of waiters; a
 // candidate is parked on at most one atom at a time).
@@ -72,7 +72,7 @@ type replayState struct {
 	parked map[atom.AtomID][]int32
 }
 
-// tryReplay re-fires candidate instance ci of the replay source if all its
+// tryReplay re-fires candidate record ci of the replay source if all its
 // positive side atoms are rederived, parking it on the first missing one
 // otherwise — the replay counterpart of tryApply, sharing its at-most-one-
 // pending-path invariant via the fired flags.
@@ -81,37 +81,41 @@ func (r *Result) tryReplay(ci int32) {
 	if rep.fired[ci] {
 		return
 	}
-	in := &rep.src.Instances[ci]
-	g := in.Pos[0]
+	src := rep.src
+	in := src.Ground[ci]
+	g := r.Local(src.Universe[src.Body[in.Off]])
+	off := len(r.Body)
+	r.Body = append(r.Body, g)
 	maxLevel := r.level[g]
-	for _, sa := range in.Pos[1:] {
-		r.ensure(sa)
-		if r.depth[sa] < 0 {
+	for _, sd := range src.Body[in.Off+1 : in.Neg] {
+		d := r.Local(src.Universe[sd])
+		if d < 0 || r.depth[d] < 0 {
+			r.Body = r.Body[:off]
+			sa := src.Universe[sd]
 			rep.parked[sa] = append(rep.parked[sa], ci)
 			return
 		}
-		if r.level[sa] > maxLevel {
-			maxLevel = r.level[sa]
+		r.Body = append(r.Body, d)
+		if r.level[d] > maxLevel {
+			maxLevel = r.level[d]
 		}
 	}
-	for _, na := range in.Neg {
-		r.ensure(na)
+	neg := len(r.Body)
+	for _, sd := range src.Body[in.Neg:in.End] {
+		r.Body = append(r.Body, r.intern(src.Universe[sd]))
 	}
-	r.ensure(in.Head)
+	head := r.intern(src.Universe[in.Head])
 	rep.fired[ci] = true
-	ii := int32(len(r.Instances))
-	// Pos/Neg slices are shared with the (immutable) source instance.
-	r.Instances = append(r.Instances, Instance{Rule: in.Rule, Head: in.Head, Pos: in.Pos, Neg: in.Neg})
-	r.nextInst = append(r.nextInst, r.firstInst[g])
-	r.firstInst[g] = ii
-	r.derive(in.Head, r.depth[g]+1, maxLevel+1)
+	r.record(head, in.Rule, off, neg)
+	r.derive(head, r.depth[g]+1, maxLevel+1)
 }
 
 // Retract returns a new Result chasing the shrunken database newDB (a
 // subset of r.DB at the set level) by replaying r's own instances — see
-// the file comment — together with the indexes (into r.Instances) of the
-// instances that did not survive, for warm-starting the WFS fixpoint
-// downstream. Returns (nil, nil) when r is truncated, in which case the
+// the file comment — together with the positions in r.Ground of the
+// rule instances that did not survive, for warm-starting the WFS fixpoint
+// downstream. The replay writes a fresh arena with its own atom
+// numbering. Returns (nil, nil) when r is truncated, in which case the
 // instance set is incomplete and the caller must re-chase from scratch.
 //
 // Soundness: by monotonicity every instance of chase(newDB) is an
@@ -131,40 +135,17 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, to
 	}
 	opts := r.Opts
 	opts.Cancel = tok
-	// Preallocate the bookkeeping at the source's sizes: the survivors
-	// are a subset, so nothing here regrows mid-replay.
-	nr := &Result{
-		Prog:      prog,
-		DB:        newDB,
-		Opts:      opts,
-		Atoms:     make([]atom.AtomID, 0, len(r.Atoms)),
-		Instances: make([]Instance, 0, len(r.Instances)),
-		depth:     make([]int32, 0, len(r.depth)),
-		level:     make([]int32, 0, len(r.level)),
-		firstInst: make([]int32, 0, len(r.firstInst)),
-		nextInst:  make([]int32, 0, len(r.nextInst)),
-		queue:     make([]atom.AtomID, 0, 64),
-		queued:    make([]bool, 0, len(r.queued)),
-		expanded:  make([]bool, 0, len(r.expanded)),
-		waiters:   make(map[atom.AtomID][]waiter),
-		replay: &replayState{
-			src:    r,
-			fired:  make([]bool, len(r.Instances)),
-			parked: make(map[atom.AtomID][]int32),
-		},
+	// The replay writes a fresh arena, its largest arrays sized like the
+	// source's: the survivors are a subset, so they do not regrow.
+	nr := newResult(prog, newDB, opts, len(r.Universe), len(r.Ground), len(r.Body))
+	nr.replay = &replayState{
+		src:    r,
+		fired:  make([]bool, len(r.Ground)),
+		parked: make(map[atom.AtomID][]int32),
 	}
-	for _, a := range newDB {
-		nr.derive(a, 0, 0)
-	}
-	for _, rule := range prog.Rules {
-		if rule.IsFact() && len(rule.Exist) == 0 {
-			sub := atom.NewSubst(rule.NumVars)
-			nr.derive(prog.Store.Instantiate(rule.Head, sub), 0, 0)
-		}
-	}
+	nr.seed(newDB)
 	nr.run()
 	rep := nr.replay
-	nr.replay = nil
 	// Carry parked work forward so later continuations (ExtendDB, Extend)
 	// can resume it:
 	//  - candidates still parked on a missing side atom become ordinary
@@ -178,22 +159,22 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, to
 	//    which re-parks or fires the pair.
 	for sa, cis := range rep.parked {
 		for _, ci := range cis {
-			in := &r.Instances[ci]
-			nr.waiters[sa] = append(nr.waiters[sa], waiter{rule: in.Rule, guard: in.Pos[0]})
+			in := &r.Ground[ci]
+			nr.waiters[sa] = append(nr.waiters[sa], waiter{rule: prog.Rules[in.Rule], guard: nr.Local(r.Universe[r.Body[in.Off]])})
 		}
 	}
 	for sa, ws := range r.waiters {
 		for _, w := range ws {
-			if nr.Derived(w.guard) && nr.expanded[w.guard] {
-				nr.waiters[sa] = append(nr.waiters[sa], w)
+			if g := nr.Local(r.Universe[w.guard]); g >= 0 && nr.flags[g]&flagExpanded != 0 {
+				nr.waiters[sa] = append(nr.waiters[sa], waiter{rule: w.rule, guard: g})
 			}
 		}
 	}
-	nr.finish()
+	nr.replay = nil
 	var dead []int32
-	for ci, ok := range rep.fired {
-		if !ok {
-			dead = append(dead, int32(ci))
+	for _, ci := range r.Instances {
+		if !rep.fired[ci] {
+			dead = append(dead, ci)
 		}
 	}
 	return nr, dead

@@ -24,7 +24,7 @@ func mkfact(t *testing.T, st *atom.Store, pred string, args ...string) atom.Atom
 
 // instKey identifies an instance by its (rule, guard) pair, which
 // determines it uniquely (the expansion-once invariant).
-func instKey(in *Instance) int64 { return int64(in.Rule.Idx)<<32 | int64(in.Guard()) }
+func instKey(in Record) int64 { return int64(in.Rule.Idx)<<32 | int64(in.Pos[0]) }
 
 // checkSameChase asserts got and want have the same derived universe with
 // the same minimal depths and the same instance set (same heads per
@@ -46,18 +46,19 @@ func checkSameChase(t *testing.T, st *atom.Store, got, want *Result) {
 		t.Fatalf("instances: %d, want %d", len(got.Instances), len(want.Instances))
 	}
 	heads := make(map[int64]atom.AtomID, len(want.Instances))
-	for i := range want.Instances {
-		heads[instKey(&want.Instances[i])] = want.Instances[i].Head
+	for _, rec := range want.Instances {
+		in := want.Record(rec)
+		heads[instKey(in)] = in.Head
 	}
-	for i := range got.Instances {
-		in := &got.Instances[i]
+	for _, rec := range got.Instances {
+		in := got.Record(rec)
 		h, ok := heads[instKey(in)]
 		if !ok {
-			t.Fatalf("extra instance rule %d guard %s", in.Rule.Idx, st.String(in.Guard()))
+			t.Fatalf("extra instance rule %d guard %s", in.Rule.Idx, st.String(in.Pos[0]))
 		}
 		if h != in.Head {
 			t.Errorf("instance rule %d guard %s: head %s, want %s",
-				in.Rule.Idx, st.String(in.Guard()), st.String(in.Head), st.String(h))
+				in.Rule.Idx, st.String(in.Pos[0]), st.String(in.Head), st.String(h))
 		}
 	}
 }
@@ -176,7 +177,7 @@ move(X,Y), not win(Y) -> win(X).
 					// Every dead index must reference a real instance of
 					// the predecessor.
 					for _, ci := range dead {
-						if int(ci) >= len(cur.Instances) {
+						if int(ci) >= len(cur.Ground) || cur.Ground[ci].Rule < 0 {
 							t.Fatalf("op %d: dead index %d out of range", i, ci)
 						}
 					}

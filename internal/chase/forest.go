@@ -15,7 +15,7 @@ type ForestNode struct {
 	Atom     atom.AtomID
 	Parent   int32 // -1 for roots
 	Depth    int32
-	Inst     int32 // index into Result.Instances; -1 for roots
+	Inst     int32 // position of the deriving instance in Result.Ground; -1 for roots
 	Children []int32
 }
 
@@ -46,15 +46,11 @@ func (r *Result) BuildForest(maxDepth, maxNodes int) *Forest {
 		queue = append(queue, id)
 	}
 	// The same atom labels many forest nodes (Example 6: unboundedly
-	// many), so materialize each atom's guarded-instance list once.
-	byGuard := make(map[atom.AtomID][]int32)
-	instancesOf := func(a atom.AtomID) []int32 {
-		if ii, ok := byGuard[a]; ok {
-			return ii
-		}
-		ii := r.InstancesByGuard(a)
-		byGuard[a] = ii
-		return ii
+	// many), so group the instances by guard once.
+	byGuard := make(map[int32][]int32)
+	for _, rec := range r.Instances {
+		g := r.Body[r.Ground[rec].Off]
+		byGuard[g] = append(byGuard[g], rec)
 	}
 	for len(queue) > 0 {
 		id := queue[0]
@@ -63,14 +59,14 @@ func (r *Result) BuildForest(maxDepth, maxNodes int) *Forest {
 		if int(n.Depth) >= maxDepth {
 			continue
 		}
-		for _, ii := range instancesOf(n.Atom) {
+		for _, ii := range byGuard[r.Local(n.Atom)] {
 			if len(f.Nodes) >= maxNodes {
 				f.Truncated = true
 				return f
 			}
 			child := int32(len(f.Nodes))
 			f.Nodes = append(f.Nodes, ForestNode{
-				Atom:   r.Instances[ii].Head,
+				Atom:   r.Universe[r.Ground[ii].Head],
 				Parent: id,
 				Depth:  n.Depth + 1,
 				Inst:   ii,
@@ -80,17 +76,6 @@ func (r *Result) BuildForest(maxDepth, maxNodes int) *Forest {
 		}
 	}
 	return f
-}
-
-// NodesLabeled returns the node ids labeled by atom a.
-func (f *Forest) NodesLabeled(a atom.AtomID) []int32 {
-	var out []int32
-	for i := range f.Nodes {
-		if f.Nodes[i].Atom == a {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 // Dump renders the forest as an indented tree, children ordered by label
@@ -103,7 +88,7 @@ func (f *Forest) Dump() string {
 		n := &f.Nodes[id]
 		fmt.Fprintf(&b, "%s%s", strings.Repeat("  ", indent), st.String(n.Atom))
 		if n.Inst >= 0 {
-			fmt.Fprintf(&b, "   [rule %d]", f.Res.Instances[n.Inst].Rule.Idx)
+			fmt.Fprintf(&b, "   [rule %d]", f.Res.Ground[n.Inst].Rule)
 		}
 		b.WriteByte('\n')
 		kids := append([]int32(nil), n.Children...)

@@ -53,15 +53,3 @@ func QueryDepthBound(q *program.Query, st *atom.Store) *big.Int {
 	n := int64(len(q.Pos) + len(q.Neg))
 	return new(big.Int).Mul(big.NewInt(n), DeltaForSchema(st))
 }
-
-// GuaranteedDepth reports whether the Proposition 12 bound for q is small
-// enough to materialize directly (at most maxDepth), and if so its value.
-// When true, evaluating at that depth answers q with the paper's full
-// guarantee rather than via stabilization.
-func GuaranteedDepth(q *program.Query, st *atom.Store, maxDepth int) (int, bool) {
-	b := QueryDepthBound(q, st)
-	if b.IsInt64() && b.Int64() <= int64(maxDepth) {
-		return int(b.Int64()), true
-	}
-	return 0, false
-}

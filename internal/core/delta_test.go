@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"sync"
 	"testing"
 
 	"repro/internal/atom"
@@ -215,4 +217,94 @@ func TestApplyDeltaThenDeepen(t *testing.T) {
 	rebased := RebaseModel(m4, prog, e.Opts, 4, db2)
 	checkSameModel(t, st, ExtendModel(rebased, prog, e.Opts, 7), want)
 	checkSameModel(t, st, RebaseModel(m4, prog, e.Opts, 7, db2), want)
+}
+
+// TestSiblingContinuationsDoNotAlias: two different deltas and a deeper
+// rung, all continued from one parent model at once, share its instance
+// arena; only the first to take the tail may append to it in place, and
+// nothing may write what the parent or a sibling reads. Each must equal
+// its from-scratch evaluation while the parent keeps answering, and the
+// parent's answers must not move.
+func TestSiblingContinuationsDoNotAlias(t *testing.T) {
+	const src = `
+move(a,b). move(b,c). move(c,d). move(d,e). move(e,a). move(b,f).
+move(X,Y), not win(Y) -> win(X).
+move(X,Y) -> reach(X,Z).
+reach(X,Z) -> reach(Z,W).
+reach(X,Z), not win(X) -> lost(X).
+`
+	st := atom.NewStore(term.NewStore())
+	prog, db, _, err := program.CompileText(src, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{GuardBand: 0}.withDefaults()
+	const depth = 3
+	parent := NewEngine(prog, db, opts).EvaluateAtDepth(depth)
+	truths := func(m *Model) map[atom.AtomID]string {
+		out := make(map[atom.AtomID]string)
+		for i, g := range m.GP.Atoms {
+			out[g] = m.GM.Truth[i].String()
+		}
+		return out
+	}
+	before := truths(parent)
+	q, err := program.ParseQuery("? win(X), not lost(X).", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAnswer := parent.Answer(q)
+
+	dbAdd := applyDBOp(t, st, db, opAdd("move", "f", "g"))
+	dbAdd2 := applyDBOp(t, st, db, opAdd("move", "d", "b"))
+	dbDel := applyDBOp(t, st, applyDBOp(t, st, db, opDel("move", "e", "a")), opAdd("move", "c", "a"))
+	type job struct {
+		name  string
+		run   func() *Model
+		db    program.Database
+		depth int
+	}
+	jobs := []job{
+		{"add", func() *Model { return RebaseModel(parent, prog, opts, depth, dbAdd) }, dbAdd, depth},
+		{"add-other", func() *Model { return RebaseModel(parent, prog, opts, depth, dbAdd2) }, dbAdd2, depth},
+		{"retract-add", func() *Model { return RebaseModel(parent, prog, opts, depth, dbDel) }, dbDel, depth},
+		{"deeper", func() *Model { return ExtendModel(parent, prog, opts, depth+3) }, db, depth + 3},
+	}
+	for round := 0; round < 3; round++ {
+		got := make([]*Model, len(jobs))
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		readerDone := make(chan struct{})
+		go func() {
+			defer close(readerDone)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if a := parent.Answer(q); a != wantAnswer {
+					t.Errorf("parent answer moved to %v, want %v", a, wantAnswer)
+					return
+				}
+			}
+		}()
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = j.run()
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		<-readerDone
+		for i, j := range jobs {
+			want := NewEngine(prog, j.db, opts).EvaluateAtDepth(j.depth)
+			t.Run(j.name, func(t *testing.T) { checkSameModel(t, st, got[i], want) })
+		}
+		if after := truths(parent); !maps.Equal(after, before) {
+			t.Fatalf("round %d: the parent's model changed under its continuations", round)
+		}
+	}
 }

@@ -332,9 +332,9 @@ func chaseCounters(tr *trace.Span, res *chase.Result) {
 // depth and evaluates the model there: the resumable-chase counterpart of
 // EvaluateAtDepth for layers that manage models themselves (the snapshot
 // ladder's chained rungs). prog must share prev's compiled rules and its
-// store. prev is not mutated: the extended chase and
-// grounding are appended copies, so prev keeps serving concurrent
-// readers.
+// store. prev is not mutated: the extended chase writes only past the
+// arena prefix prev's chase and grounding read (or into a copy), so prev
+// keeps serving concurrent readers.
 func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int) *Model {
 	return ExtendModelCancelTraced(prev, prog, opts, depth, nil, nil)
 }
@@ -432,14 +432,14 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 				return interruptedModel(prev)
 			}
 			if ext != res {
-				firstNew := len(res.Instances)
+				firstNew := len(res.Ground)
 				res = ext
 				endRg := tr.Phase("reground")
 				gp = ground.ExtendFromChase(gp, res)
 				endRg()
-				seeds := make([]atom.AtomID, 0, len(res.Instances)-firstNew)
-				for i := firstNew; i < len(res.Instances); i++ {
-					seeds = append(seeds, res.Instances[i].Head)
+				seeds := make([]atom.AtomID, 0, len(res.Ground)-firstNew)
+				for rec := firstNew; rec < len(res.Ground); rec++ {
+					seeds = append(seeds, res.Head(int32(rec)))
 				}
 				ws2 := tr.Child("warm-solve")
 				gm = ground.IncrementalModelCancelTraced(gp, gm, seeds, solverCancelForTraced(opts, tok, nil), tok, ws2)
@@ -643,12 +643,12 @@ type ModelStats struct {
 	UndefinedAtoms int // atoms undefined in the model
 	FalseAtoms     int // derived atoms that are false
 
-	// Modular-evaluation shape, populated by both the from-scratch
-	// modular solve and the incremental warm-start (which reports the
-	// full program's condensation): dependency-graph SCC count, the
-	// largest component's size, how many components had a negation cycle
-	// and needed the full WFS fixpoint, and the peak worker goroutines
-	// the solve used.
+	// Modular-evaluation shape of the last full solve: dependency-graph
+	// SCC count, the largest component's size, how many components had a
+	// negation cycle and needed the full WFS fixpoint, and the peak worker
+	// goroutines the solve used. The incremental warm start does not
+	// condense the whole program; it carries the previous model's shape
+	// forward.
 	SCCs         int
 	LargestSCC   int
 	HardSCCs     int
@@ -808,10 +808,4 @@ func (e *Engine) Answer(q *program.Query) (ground.Truth, *AnswerStats, error) {
 	return AdaptiveAnswer(e.Opts,
 		func(d int) (*Model, error) { return e.EvaluateAtDepth(d), nil },
 		func(*Model) (*program.Query, error) { return q, nil })
-}
-
-// Holds reports whether the NBCQ is certainly satisfied (three-valued
-// answer True) at the engine's configured depth.
-func (e *Engine) Holds(q *program.Query) bool {
-	return e.Evaluate().Answer(q) == ground.True
 }

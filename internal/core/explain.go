@@ -50,8 +50,7 @@ func (m *Model) Explain(a atom.AtomID) (*ForwardProof, bool) {
 		return nil, false
 	}
 	_, support := m.proofRanks()
-	local := m.GP.Local(a)
-
+	gp := m.GP
 	nodes := make(map[int32]*ProofNode)
 	negSet := make(map[atom.AtomID]bool)
 	var build func(l int32) *ProofNode
@@ -59,20 +58,21 @@ func (m *Model) Explain(a atom.AtomID) (*ForwardProof, bool) {
 		if n, ok := nodes[l]; ok {
 			return n
 		}
-		n := &ProofNode{Atom: m.GP.Atoms[l], Inst: support[l]}
+		n := &ProofNode{Atom: gp.Atoms[l], Inst: support[l]}
 		nodes[l] = n
 		if n.Inst < 0 {
 			return n // database fact
 		}
-		in := &m.Chase.Instances[n.Inst]
-		for _, b := range in.Neg {
-			negSet[b] = true
+		in := &gp.Rules[m.Chase.Instances[n.Inst]]
+		for _, b := range gp.Neg(in) {
+			negSet[gp.Atoms[b]] = true
 		}
-		for _, b := range in.Pos {
-			n.Children = append(n.Children, build(m.GP.Local(b)))
+		for _, b := range gp.Pos(in) {
+			n.Children = append(n.Children, build(b))
 		}
 		return n
 	}
+	local := gp.Local(a)
 	goal := build(local)
 
 	neg := make([]atom.AtomID, 0, len(negSet))
@@ -92,38 +92,39 @@ func (m *Model) proofRanks() (ranks []int32, support []int32) {
 	if m.ranks != nil {
 		return m.ranks, m.support
 	}
-	n := m.GP.NumAtoms()
+	gp := m.GP
+	n := gp.NumAtoms()
 	ranks = make([]int32, n)
 	support = make([]int32, n)
 	for i := range ranks {
 		ranks[i] = -1
 		support[i] = -2 // unsupported
 	}
-	// Facts (depth-0 atoms).
-	for i, g := range m.GP.Atoms {
-		if m.Chase.Depth(g) == 0 {
-			ranks[i] = 0
-			support[i] = -1
-		}
-	}
 	// Usable instances: negative bodies all false in the model, heads
-	// true (we only explain true atoms).
+	// true (we only explain true atoms). Fact records rank 0.
 	type inst struct {
-		idx  int32
+		idx  int32 // into Chase.Instances
 		head int32
-		pos  []int32
 		need int
 	}
 	var usable []inst
 	occ := make(map[int32][]int32) // atom → usable-instance indexes
-	for ii := range m.Chase.Instances {
-		in := &m.Chase.Instances[ii]
-		if m.Truth(in.Head) != ground.True {
+	truth := m.GM.Truth
+	for ri := range gp.Rules {
+		in := &gp.Rules[ri]
+		if in.Rule < 0 {
+			ranks[in.Head] = 0
+			support[in.Head] = -1
+		}
+	}
+	for ii, ri := range m.Chase.Instances {
+		in := &gp.Rules[ri]
+		if truth[in.Head] != ground.True {
 			continue
 		}
 		ok := true
-		for _, b := range in.Neg {
-			if m.Truth(b) != ground.False {
+		for _, b := range gp.Neg(in) {
+			if truth[b] != ground.False {
 				ok = false
 				break
 			}
@@ -131,20 +132,11 @@ func (m *Model) proofRanks() (ranks []int32, support []int32) {
 		if !ok {
 			continue
 		}
-		e := inst{idx: int32(ii), head: m.GP.Local(in.Head)}
-		for _, b := range in.Pos {
-			e.pos = append(e.pos, m.GP.Local(b))
-		}
-		e.need = len(e.pos)
+		pos := gp.Pos(in)
 		ui := int32(len(usable))
-		usable = append(usable, e)
-		for _, b := range e.pos {
+		usable = append(usable, inst{idx: int32(ii), head: in.Head, need: len(pos)})
+		for _, b := range pos {
 			occ[b] = append(occ[b], ui)
-		}
-		if e.need == 0 {
-			// Instances with empty positive bodies cannot occur (guards
-			// are positive), but keep the general shape.
-			usable[ui].need = 0
 		}
 	}
 	// Seed queue with already-ranked atoms, then propagate in rounds.
@@ -230,27 +222,28 @@ type BlockedInstance struct {
 // instance deriving it is blocked. The second return distinguishes the
 // two cases: false means "not in the universe".
 func (m *Model) ExplainFalse(a atom.AtomID) ([]BlockedInstance, bool) {
-	l := m.GP.Local(a)
+	gp := m.GP
+	l := gp.Local(a)
 	if l < 0 {
 		return nil, false
 	}
 	var out []BlockedInstance
-	for ii := range m.Chase.Instances {
-		in := &m.Chase.Instances[ii]
-		if in.Head != a {
+	for ii, ri := range m.Chase.Instances {
+		in := &gp.Rules[ri]
+		if in.Head != l {
 			continue
 		}
 		bi := BlockedInstance{Inst: int32(ii), Blocker: atom.NoAtom}
-		for _, b := range in.Neg {
-			if m.Truth(b) == ground.True {
-				bi.Blocker, bi.Negative, bi.BlockerTruth = b, true, ground.True
+		for _, b := range gp.Neg(in) {
+			if m.GM.Truth[b] == ground.True {
+				bi.Blocker, bi.Negative, bi.BlockerTruth = gp.Atoms[b], true, ground.True
 				break
 			}
 		}
 		if bi.Blocker == atom.NoAtom {
-			for _, b := range in.Pos {
-				if t := m.Truth(b); t != ground.True {
-					bi.Blocker, bi.Negative, bi.BlockerTruth = b, false, t
+			for _, b := range gp.Pos(in) {
+				if t := m.GM.Truth[b]; t != ground.True {
+					bi.Blocker, bi.Negative, bi.BlockerTruth = gp.Atoms[b], false, t
 					break
 				}
 			}

@@ -92,11 +92,11 @@ func TestExplainStructureIsWellFounded(t *testing.T) {
 				}
 				return
 			}
-			in := &m.Chase.Instances[n.Inst]
-			if in.Head != n.Atom {
+			in := &m.GP.Rules[m.Chase.Instances[n.Inst]]
+			if m.GP.Atoms[in.Head] != n.Atom {
 				t.Errorf("instance head mismatch at %s", st.String(n.Atom))
 			}
-			if len(n.Children) != len(in.Pos) {
+			if len(n.Children) != len(m.GP.Pos(in)) {
 				t.Errorf("children/positive-body mismatch at %s", st.String(n.Atom))
 			}
 			for _, c := range n.Children {

@@ -173,23 +173,23 @@ func TestGroundProgramWellFormed(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := NewEngine(prog, db, Options{Depth: 5}).Evaluate()
-		for _, in := range m.Chase.Instances {
-			if !m.Chase.Derived(in.Head) {
+		gp := m.GP
+		for _, rec := range m.Chase.Instances {
+			in := &gp.Rules[rec]
+			if !m.Chase.Derived(gp.Atoms[in.Head]) {
 				t.Fatalf("instance head not derived")
 			}
-			for _, b := range in.Pos {
-				if !m.Chase.Derived(b) {
+			for _, b := range gp.Pos(in) {
+				if !m.Chase.Derived(gp.Atoms[b]) {
 					t.Fatalf("instance positive body atom not derived")
 				}
 			}
-			if m.GP.Local(in.Head) < 0 {
-				t.Fatalf("instance head missing from ground program")
-			}
-			for _, b := range in.Neg {
-				if m.GP.Local(b) < 0 {
+			for _, b := range gp.Neg(in) {
+				if gp.Local(gp.Atoms[b]) != b {
 					t.Fatalf("negative body atom missing from ground universe")
 				}
 			}
 		}
+
 	}
 }

@@ -44,9 +44,9 @@ func (m *Model) WCheck(goal atom.AtomID) (ground.Truth, *WCheckStats) {
 	for i := 0; i < len(order); i++ {
 		a := order[i]
 		for _, ri := range gp.RulesFor(a) {
-			r := gp.Rules[ri]
+			r := &gp.Rules[ri]
 			nr := ground.Rule{Head: reach[a]}
-			for _, b := range r.Pos {
+			for _, b := range gp.Pos(r) {
 				nb, ok := reach[b]
 				if !ok {
 					nb = int32(len(order))
@@ -55,7 +55,7 @@ func (m *Model) WCheck(goal atom.AtomID) (ground.Truth, *WCheckStats) {
 				}
 				nr.Pos = append(nr.Pos, nb)
 			}
-			for _, b := range r.Neg {
+			for _, b := range gp.Neg(r) {
 				nb, ok := reach[b]
 				if !ok {
 					nb = int32(len(order))
@@ -73,14 +73,4 @@ func (m *Model) WCheck(goal atom.AtomID) (ground.Truth, *WCheckStats) {
 	sub := ground.New(len(order), rules)
 	sm := ground.AlternatingFixpoint(sub)
 	return sm.Truth[0], stats
-}
-
-// CheckLiteral decides membership of a literal: positive literals check
-// the atom itself; negative literals hold iff the atom is false.
-func (m *Model) CheckLiteral(a atom.AtomID, negated bool) (bool, *WCheckStats) {
-	t, stats := m.WCheck(a)
-	if negated {
-		return t == ground.False, stats
-	}
-	return t == ground.True, stats
 }

@@ -7,7 +7,8 @@
 //
 //	diff ──▶ retract (DRed replay over the forest)
 //	     ──▶ extend  (data-dimension chase continuation)
-//	     ──▶ reground (suffix append, or rebuild after a retraction)
+//	     ──▶ reground (a view of the extended arena, or of the replay's
+//	                   fresh arena with rebuilt occurrence lists)
 //	     ──▶ seeds   (atoms whose ground rule set changed)
 //
 // with the warm-started WFS fixpoint (ground.IncrementalModel) consuming
@@ -26,26 +27,34 @@ import (
 )
 
 // Diff computes the set-level difference between two database instances:
-// atoms present in newDB but not oldDB (added) and present in oldDB but
-// not newDB (removed). Duplicate entries within either database are
-// ignored — a fact that merely changed multiplicity is no chase-level
-// change at all.
+// atoms present in newDB but not oldDB (added, in newDB order) and present
+// in oldDB but not newDB (removed, in oldDB order). Duplicate entries
+// within either database are ignored — a fact that merely changed
+// multiplicity is no chase-level change at all. Membership is two
+// bitsets over the atom IDs: a mutation diffs two whole databases, and a
+// bit test per fact keeps that to a few scans.
 func Diff(oldDB, newDB program.Database) (added, removed []atom.AtomID) {
-	oldSet := make(map[atom.AtomID]struct{}, len(oldDB))
-	for _, a := range oldDB {
-		oldSet[a] = struct{}{}
-	}
-	newSet := make(map[atom.AtomID]struct{}, len(newDB))
-	for _, a := range newDB {
-		newSet[a] = struct{}{}
-	}
-	for a := range newSet {
-		if _, ok := oldSet[a]; !ok {
-			added = append(added, a)
+	n := 0
+	for _, db := range []program.Database{oldDB, newDB} {
+		for _, a := range db {
+			n = max(n, int(a)+1)
 		}
 	}
-	for a := range oldSet {
-		if _, ok := newSet[a]; !ok {
+	inOld, inNew := ground.NewBits(n), ground.NewBits(n)
+	for _, a := range oldDB {
+		inOld.Set(int32(a))
+	}
+	for _, a := range newDB {
+		if !inNew.Get(int32(a)) {
+			inNew.Set(int32(a))
+			if !inOld.Get(int32(a)) {
+				added = append(added, a)
+			}
+		}
+	}
+	for _, a := range oldDB {
+		if !inNew.Get(int32(a)) {
+			inNew.Set(int32(a)) // report a duplicate once
 			removed = append(removed, a)
 		}
 	}
@@ -69,8 +78,9 @@ type Result struct {
 // is (added, removed), both already interned in res's store (prog must
 // be bound to that store). Retractions
 // replay the derivation forest (chase.Result.Retract), additions extend
-// it (chase.Result.ExtendDB), and the grounding is appended in place for
-// pure additions or rebuilt over the surviving chase after a retraction.
+// it (chase.Result.ExtendDB), and the grounding is a view of the
+// resulting arena: extended for pure additions, with its occurrence lists
+// rebuilt after a retraction.
 //
 // ok is false when the state cannot be rebased — a truncated chase, whose
 // instance set is incomplete — and the caller must re-evaluate from
@@ -121,38 +131,31 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 		}
 		tr.SetCount("dead_instances", int64(len(dead)))
 		for _, ci := range dead {
-			seeds = append(seeds, cur.Instances[ci].Head)
+			seeds = append(seeds, cur.Head(ci))
 		}
 		seeds = append(seeds, removed...)
-		cur, curGP = next, nil // instance order changed: reground below
+		cur, curGP = next, nil // a fresh arena: reground below
 	}
-	var rederived []atom.AtomID // added atoms the chase had already derived through rules
 	if len(added) > 0 {
-		for _, a := range added {
-			if cur.Depth(a) > 0 {
-				rederived = append(rederived, a)
-			}
-		}
-		firstNew := len(cur.Instances)
+		firstInst, firstRec := len(cur.Instances), len(cur.Ground)
 		endExtend := tr.Phase("extend-db")
 		next := cur.ExtendDBCancel(prog, newDB, added, tok)
 		endExtend()
 		if next == nil || next.Interrupted {
 			return Result{}, false
 		}
-		tr.SetCount("new_instances", int64(len(next.Instances)-firstNew))
-		for i := firstNew; i < len(next.Instances); i++ {
-			seeds = append(seeds, next.Instances[i].Head)
+		tr.SetCount("new_instances", int64(len(next.Instances)-firstInst))
+		// The new records: fired instances, and a fact record for every
+		// added atom, including one the chase had derived through rules.
+		for rec := firstRec; rec < len(next.Ground); rec++ {
+			seeds = append(seeds, next.Head(int32(rec)))
 		}
-		seeds = append(seeds, added...)
 		cur = next
 	}
 	endReground := tr.Phase("reground")
 	if curGP != nil {
-		// Pure addition: the grounding extends by the appended suffix;
-		// IDB atoms re-asserted as facts sit before the cursor and need
-		// their fact rules injected explicitly.
-		curGP = ground.ExtendFromChase(curGP, cur).AppendFacts(rederived)
+		// Pure addition: the grounding is a view of the extended arena.
+		curGP = ground.ExtendFromChase(curGP, cur)
 	} else {
 		curGP = ground.FromChase(cur)
 	}

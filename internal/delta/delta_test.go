@@ -121,7 +121,7 @@ probe(b).
 	hasFact := false
 	for _, ri := range reb.GP.RulesFor(li) {
 		r := &reb.GP.Rules[ri]
-		if len(r.Pos) == 0 && len(r.Neg) == 0 {
+		if len(reb.GP.Pos(r)) == 0 && len(reb.GP.Neg(r)) == 0 {
 			hasFact = true
 		}
 	}

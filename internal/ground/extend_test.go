@@ -1,6 +1,9 @@
 package ground
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/atom"
@@ -72,34 +75,47 @@ func TestExtendFromChaseKeepsLocalIDsStable(t *testing.T) {
 	}
 }
 
-// TestExtendFromChaseDoesNotAliasPrevIndexes: appending rules for an
-// atom that already had rules must not write into the previous program's
-// index backing arrays.
+// programShape renders p's rules and per-atom rule lists, to check that
+// a program stayed untouched.
+func programShape(p *Program) string {
+	var b strings.Builder
+	for ri := range p.Rules {
+		r := &p.Rules[ri]
+		fmt.Fprintln(&b, r.Head, p.Pos(r), p.Neg(r))
+	}
+	for a := int32(0); int(a) < p.NumAtoms(); a++ {
+		fmt.Fprintln(&b, a, slices.Sorted(slices.Values(p.RulesFor(a))))
+	}
+	return b.String()
+}
+
+// TestExtendFromChaseDoesNotAliasPrevIndexes: extending a grounding —
+// twice from the same one, deeper and by a database addition, as a
+// ladder and a writer do — must not write into the records, bodies or
+// occurrence lists the previous program reads, and each extension must
+// equal the grounding built from scratch.
 func TestExtendFromChaseDoesNotAliasPrevIndexes(t *testing.T) {
-	prog, db, _ := compileChase(t, example4Src)
+	prog, db, st := compileChase(t, example4Src)
 	res := chase.Run(prog, db, chase.Options{MaxDepth: 2, MaxAtoms: 10_000})
 	gp := FromChase(res)
-	before := make([]int, len(gp.Atoms))
-	for i := range gp.rulesByHead {
-		before[i] = len(gp.rulesByHead[i])
-	}
-	posBefore := make([]int, len(gp.Atoms))
-	for i := range gp.posOcc {
-		posBefore[i] = len(gp.posOcc[i])
-	}
+	before := programShape(gp)
 
-	ext := ExtendFromChase(gp, res.Extend(prog, 6))
-	if len(ext.Rules) <= len(gp.Rules) {
+	deeper := ExtendFromChase(gp, res.Extend(prog, 6))
+	if len(deeper.Rules) <= len(gp.Rules) {
 		t.Fatal("extension added no rules; test is vacuous")
 	}
-	for i := range gp.rulesByHead {
-		if len(gp.rulesByHead[i]) != before[i] {
-			t.Fatalf("prev rulesByHead[%d] grew", i)
-		}
+	r1 := internFact(t, st, "r", "0", "1", "1")
+	grown := ExtendFromChase(gp, res.ExtendDB(prog, append(db, r1), []atom.AtomID{r1}))
+	if len(grown.Rules) <= len(gp.Rules) {
+		t.Fatal("database extension added no rules; test is vacuous")
 	}
-	for i := range gp.posOcc {
-		if len(gp.posOcc[i]) != posBefore[i] {
-			t.Fatalf("prev posOcc[%d] grew", i)
+	if programShape(gp) != before {
+		t.Fatal("an extension wrote into the previous program")
+	}
+	for _, ext := range []*Program{deeper, grown} {
+		scratch := FromChase(ext.res)
+		if got, want := programShape(ext), programShape(scratch); got != want {
+			t.Errorf("extension differs from its from-scratch grounding:\n%s\nwant\n%s", got, want)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package ground
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -351,4 +353,25 @@ func TestRemainderByHand(t *testing.T) {
 			t.Errorf("a%d = %v, want %v", i, m.Truth[i], w)
 		}
 	}
+}
+
+// CountTrue returns the number of true atoms.
+func (m *Model) CountTrue() int { return m.count(True) }
+
+// String renders the model as {a, b, ¬c, u?} style sets for debugging.
+func (m *Model) String() string {
+	var tr, fa, un []string
+	for i, t := range m.Truth {
+		name := fmt.Sprintf("a%d", i)
+		switch t {
+		case True:
+			tr = append(tr, name)
+		case False:
+			fa = append(fa, name)
+		default:
+			un = append(un, name)
+		}
+	}
+	return fmt.Sprintf("true=%s false=%s undef=%s",
+		strings.Join(tr, ","), strings.Join(fa, ","), strings.Join(un, ","))
 }

@@ -21,27 +21,25 @@
 // cross-check suite verifies this against from-scratch evaluation under
 // all four algorithms.
 //
-// The forward closure runs on the dependency-graph condensation
-// (Program.Condensation) rather than atom-by-atom: seeds mark their
-// components, marks propagate along the condensation's dependent edges,
-// and the affected set is the union of the marked components' atoms.
-// The two closures are the same set — an SCC is mutually reachable, so
-// forward-reachability from a seed reaches either all of a component or
-// none of it — but the component-level walk traverses each dependency
-// edge once instead of once per atom occurrence, and the condensation is
-// shared with the modular solver that evaluates the subprogram.
+// The forward closure walks the program's occurrence lists atom by atom:
+// from each affected atom to the heads of the rules with it in the body.
+// Nothing is condensed for it: the walk costs time in the cone, and what
+// stays proportional to the program is two flat arrays, the affected
+// flags and the merged truths. Only the cone subprogram — and the
+// fallback that solves everything when the cone covers most of the
+// program — goes through the modular solver's condensation.
 package ground
 
 import (
+	"slices"
+
 	"repro/internal/atom"
 	"repro/internal/cancel"
 	"repro/internal/trace"
 )
 
 // cancelPollEvery is how many closure-stack pops run between token
-// polls during the cone walk — the walk touches each condensation edge
-// once, so component granularity would poll too rarely on star-shaped
-// graphs and per-pop would poll too often on chains.
+// polls during the cone walk.
 const cancelPollEvery = 256
 
 // IncrementalModel computes the well-founded model of gp by warm-starting
@@ -71,9 +69,9 @@ func IncrementalModelTraced(gp *Program, prev *Model, seeds []atom.AtomID, solve
 
 // IncrementalModelCancelTraced is IncrementalModelTraced under a
 // cancellation token (nil = never cancelled): the cone closure polls the
-// token per popped component, and an interrupted cone solve (the solve
-// closure is expected to carry the same token) propagates Interrupted to
-// the merged model.
+// token every cancelPollEvery atoms, and an interrupted cone solve (the
+// solve closure is expected to carry the same token) propagates
+// Interrupted to the merged model.
 func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID, solve func(*Program) *Model, tok *cancel.Token, tr *trace.Span) *Model {
 	tr.SetCount("seeds", int64(len(seeds)))
 	if prev == nil || prev.Prog == nil || gp.Atoms == nil || prev.Prog.Atoms == nil {
@@ -83,65 +81,55 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 	}
 	n := gp.NumAtoms()
 	endClosure := tr.Phase("cone-closure")
-	cond := gp.closureCondensation()
-	affComp := make([]bool, cond.NumComps())
-	var stack []int32
-	nAff := 0
-	mark := func(ci int32) {
-		if !affComp[ci] {
-			affComp[ci] = true
-			nAff += cond.CompSize(ci)
-			stack = append(stack, ci)
-		}
-	}
+	seedIdx := make([]int32, 0, len(seeds))
 	for _, g := range seeds {
 		if i := gp.Local(g); i >= 0 {
-			mark(cond.Comp[i])
+			seedIdx = append(seedIdx, i)
 		}
 	}
-	budget := cancelPollEvery
-	for len(stack) > 0 {
-		if budget--; budget <= 0 {
-			budget = cancelPollEvery
-			if tok.Cancelled() {
-				endClosure()
-				return &Model{Prog: gp, Truth: make([]Truth, n), Interrupted: true}
-			}
-		}
-		ci := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range cond.DependentsOf(ci) {
-			mark(d)
-		}
+	affected, cone := forwardCone(gp, seedIdx, tok)
+	if affected == nil {
+		endClosure()
+		return &Model{Prog: gp, Truth: make([]Truth, n), Interrupted: true}
 	}
 	endClosure()
+	nAff := len(cone)
 	tr.SetCount("affected_atoms", int64(nAff))
 	tr.SetCount("universe_atoms", int64(n))
-	affected := func(i int32) bool { return affComp[cond.Comp[i]] }
+	// Atoms keep their indexes when gp extends prev's program; after a
+	// retraction the chase renumbered them, and prev is read by global ID.
 	prevTruth := func(i int32) Truth { return prev.TruthOfGlobal(gp.Atoms[i]) }
-	// Merged models report the full program's condensation shape, so the
-	// observability stats survive delta applies (the steady-state path of
-	// a mutating session) instead of zeroing after the first mutation.
-	wrap := func(out []Truth, rounds, workers int) *Model {
-		if workers < 1 {
-			workers = 1
+	if gp.extends(prev.Prog) {
+		prevTruth = func(i int32) Truth {
+			if int(i) < len(prev.Truth) {
+				return prev.Truth[i]
+			}
+			return False // new to the universe and unaffected: no rules
 		}
+	}
+	// Merged models carry the shape of the last full solve forward, so
+	// the observability stats survive delta applies (the steady-state
+	// path of a mutating session) without condensing the whole program.
+	wrap := func(out []Truth, rounds, workers int) *Model {
 		return &Model{
 			Prog:       gp,
 			Truth:      out,
 			Rounds:     rounds,
-			SCCs:       cond.NumComps(),
-			LargestSCC: cond.LargestComp,
-			HardSCCs:   cond.NumHard,
-			Workers:    workers,
+			SCCs:       prev.SCCs,
+			LargestSCC: prev.LargestSCC,
+			HardSCCs:   prev.HardSCCs,
+			Workers:    max(workers, 1),
 		}
 	}
-	if nAff == 0 {
+	merged := func() []Truth {
 		out := make([]Truth, n)
 		for i := range out {
 			out[i] = prevTruth(int32(i))
 		}
-		return wrap(out, 0, 1)
+		return out
+	}
+	if nAff == 0 {
+		return wrap(merged(), 0, 1)
 	}
 	if nAff*4 > n {
 		end := tr.Phase("cold-solve")
@@ -149,11 +137,16 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 		return solve(gp)
 	}
 
-	// Build the affected subprogram over a dense sub-index. Unaffected
-	// body atoms either resolve away (true/false) or enter as boundary
-	// atoms pinned undefined.
+	// Build the affected subprogram over a dense sub-index: the cone
+	// first, in increasing atom order, then the undefined boundary atoms
+	// as they are met. Unaffected body atoms either resolve away
+	// (true/false) or enter as boundary atoms pinned undefined.
+	slices.Sort(cone)
 	subIdx := make(map[int32]int32, nAff)
-	var subAtoms []int32 // sub index → gp-local index
+	subAtoms := cone // sub index → gp-local index
+	for si, a := range cone {
+		subIdx[a] = int32(si)
+	}
 	subOf := func(i int32) int32 {
 		if si, ok := subIdx[i]; ok {
 			return si
@@ -164,17 +157,13 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 		return si
 	}
 	var subRules []Rule
-	for a := int32(0); int(a) < n; a++ {
-		if !affected(a) {
-			continue
-		}
-		sa := subOf(a)
-		for _, ri := range gp.rulesByHead[a] {
+	for si := 0; si < nAff; si++ {
+		for _, ri := range gp.RulesFor(subAtoms[si]) {
 			r := &gp.Rules[ri]
-			nr := Rule{Head: sa}
+			nr := Rule{Head: int32(si)}
 			keep := true
-			for _, b := range r.Pos {
-				if affected(b) {
+			for _, b := range gp.Pos(r) {
+				if affected[b] {
 					nr.Pos = append(nr.Pos, subOf(b))
 					continue
 				}
@@ -190,8 +179,8 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 				}
 			}
 			if keep {
-				for _, b := range r.Neg {
-					if affected(b) {
+				for _, b := range gp.Neg(r) {
+					if affected[b] {
 						nr.Neg = append(nr.Neg, subOf(b))
 						continue
 					}
@@ -214,11 +203,9 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 	}
 	// Pin every unaffected boundary atom to its previous (undefined)
 	// truth with u ← not u. True/false boundary atoms never reached
-	// subOf, so everything here beyond the affected prefix is undefined.
-	for si := int32(0); int(si) < len(subAtoms); si++ {
-		if !affected(subAtoms[si]) {
-			subRules = append(subRules, Rule{Head: si, Neg: []int32{si}})
-		}
+	// subOf, so everything here beyond the cone is undefined.
+	for si := int32(nAff); int(si) < len(subAtoms); si++ {
+		subRules = append(subRules, Rule{Head: si, Neg: []int32{si}})
 	}
 	tr.SetCount("sub_rules", int64(len(subRules)))
 	endSolve := tr.Phase("cone-solve")
@@ -227,14 +214,51 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 	if sm.Interrupted {
 		return &Model{Prog: gp, Truth: make([]Truth, n), Interrupted: true}
 	}
-
-	out := make([]Truth, n)
-	for i := int32(0); int(i) < n; i++ {
-		if affected(i) {
-			out[i] = sm.Truth[subIdx[i]]
-		} else {
-			out[i] = prevTruth(i)
-		}
+	out := merged()
+	for si, a := range subAtoms[:nAff] {
+		out[a] = sm.Truth[si]
 	}
 	return wrap(out, sm.Rounds, sm.Workers)
+}
+
+// forwardCone closes seeds forward over gp's occurrence lists — from
+// each atom to the heads of the rules with it in the body, positively or
+// negatively — and returns the membership flags and the atoms of the
+// cone. The rules past the view's lists are reached through the chase's
+// links. A cancelled walk returns nil flags.
+func forwardCone(gp *Program, seeds []int32, tok *cancel.Token) (affected []bool, cone []int32) {
+	affected = make([]bool, gp.NumAtoms())
+	var stack, more []int32
+	mark := func(a int32) {
+		if !affected[a] {
+			affected[a] = true
+			cone = append(cone, a)
+			stack = append(stack, a)
+		}
+	}
+	for _, a := range seeds {
+		mark(a)
+	}
+	occ := gp.occ
+	budget := cancelPollEvery
+	for len(stack) > 0 {
+		if budget--; budget <= 0 {
+			budget = cancelPollEvery
+			if tok.Cancelled() {
+				return nil, nil
+			}
+		}
+		a := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		more = more[:0]
+		if occ.rules < len(gp.Rules) {
+			more = gp.res.RecordsSince(a, occ.rules, true, more)
+		}
+		for _, rules := range [3][]int32{occ.pos(a), occ.neg(a), more} {
+			for _, ri := range rules {
+				mark(gp.Rules[ri].Head)
+			}
+		}
+	}
+	return affected, cone
 }

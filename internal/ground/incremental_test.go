@@ -1,6 +1,10 @@
 package ground
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/atom"
@@ -65,8 +69,8 @@ move(X,Y), not win(Y) -> win(X).
 			gp2 := ExtendFromChase(gp, res2)
 
 			seeds := []atom.AtomID{added}
-			for i := len(res.Instances); i < len(res2.Instances); i++ {
-				seeds = append(seeds, res2.Instances[i].Head)
+			for rec := len(res.Ground); rec < len(res2.Ground); rec++ {
+				seeds = append(seeds, res2.Head(int32(rec)))
 			}
 			got := IncrementalModel(gp2, prev, seeds, solve)
 			want := solve(gp2)
@@ -103,7 +107,7 @@ p(X), not q(X) -> q2(X).
 
 			seeds := []atom.AtomID{removed}
 			for _, ci := range dead {
-				seeds = append(seeds, res.Instances[ci].Head)
+				seeds = append(seeds, res.Head(ci))
 			}
 			got := IncrementalModel(gp2, prev, seeds, solve)
 			want := solve(gp2)
@@ -145,8 +149,8 @@ base(X), extra(X), not win(a) -> c(X).
 			res2 := res.ExtendDB(prog, db2, []atom.AtomID{added})
 			gp2 := ExtendFromChase(gp, res2)
 			seeds := []atom.AtomID{added}
-			for i := len(res.Instances); i < len(res2.Instances); i++ {
-				seeds = append(seeds, res2.Instances[i].Head)
+			for rec := len(res.Ground); rec < len(res2.Ground); rec++ {
+				seeds = append(seeds, res2.Head(int32(rec)))
 			}
 			got := IncrementalModel(gp2, prev, seeds, solve)
 			want := solve(gp2)
@@ -159,9 +163,11 @@ base(X), extra(X), not win(a) -> c(X).
 	}
 }
 
-// TestAppendFacts: asserting an already-derived IDB atom as a fact makes
-// it a fact rule without disturbing the previous program.
-func TestAppendFacts(t *testing.T) {
+// TestAssertedIDBAtomGetsFactRecord: asserting an already-derived IDB
+// atom as a fact writes a fact record for it, which the extended
+// grounding sees among the atom's rules, without disturbing the previous
+// program.
+func TestAssertedIDBAtomGetsFactRecord(t *testing.T) {
 	prog, db, st := compileChase(t, `
 e(a,b). s(a).
 s(X) -> r(X).
@@ -170,28 +176,90 @@ r(X), e(X,Y) -> r(Y).
 	res := chase.Run(prog, db, chase.Options{MaxDepth: 8, MaxAtoms: 10_000})
 	gp := FromChase(res)
 	rb := internFact(t, st, "r", "b")
-	if gp.Local(rb) < 0 {
+	lb := gp.Local(rb)
+	if lb < 0 {
 		t.Fatal("r(b) not derived")
 	}
-	prevRules := len(gp.Rules)
-	gp2 := gp.AppendFacts([]atom.AtomID{rb})
-	if len(gp.Rules) != prevRules {
-		t.Fatal("AppendFacts mutated the receiver")
+	prevRules, prevFor := len(gp.Rules), len(gp.RulesFor(lb))
+	gp2 := ExtendFromChase(gp, res.ExtendDB(prog, append(db, rb), []atom.AtomID{rb}))
+	if len(gp.Rules) != prevRules || len(gp.RulesFor(lb)) != prevFor {
+		t.Fatal("the extension changed the previous program")
 	}
 	if len(gp2.Rules) != prevRules+1 {
 		t.Fatalf("rules = %d, want %d", len(gp2.Rules), prevRules+1)
 	}
-	nr := gp2.Rules[prevRules]
-	if nr.Head != gp2.Local(rb) || len(nr.Pos) != 0 || len(nr.Neg) != 0 {
-		t.Fatalf("appended rule = %+v, want bodyless fact for r(b)", nr)
+	nr := &gp2.Rules[prevRules]
+	if nr.Head != gp2.Local(rb) || len(gp2.Pos(nr)) != 0 || len(gp2.Neg(nr)) != 0 {
+		t.Fatalf("new rule = %+v, want bodyless fact for r(b)", nr)
 	}
-	found := false
-	for _, ri := range gp2.RulesFor(gp2.Local(rb)) {
-		if int(ri) == prevRules {
-			found = true
+	if !slices.Contains(gp2.RulesFor(lb), int32(prevRules)) {
+		t.Error("the fact record is missing from the head index")
+	}
+}
+
+// TestForwardConeMatchesReachability: the cone walked over the
+// occurrence lists — including the records past a view's lists, reached
+// through the chase's links — equals forward reachability in the
+// dependency graph built directly from the rules, on random programs.
+func TestForwardConeMatchesReachability(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	linked := 0
+	for trial := 0; trial < 40; trial++ {
+		const nodes = 12
+		var src strings.Builder
+		src.WriteString(`s(X) -> p(X).
+e(X,Y), p(X) -> p(Y).
+e(X,Y), not q(Y) -> q(X).
+e(X,Y), p(Y), not p(X) -> r(X).
+`)
+		edge := func() string { return fmt.Sprintf("e(n%d,n%d).\n", rng.Intn(nodes), rng.Intn(nodes)) }
+		for i := 0; i < 2*nodes; i++ {
+			src.WriteString(edge())
+		}
+		fmt.Fprintf(&src, "s(n%d).\n", rng.Intn(nodes))
+		prog, db, st := compileChase(t, src.String())
+		res := chase.Run(prog, db, chase.Options{MaxDepth: 6, MaxAtoms: 10_000})
+		gp := FromChase(res)
+		u, v := rng.Intn(nodes), rng.Intn(nodes)
+		added := internFact(t, st, "e", fmt.Sprintf("n%d", u), fmt.Sprintf("n%d", v))
+		gp2 := ExtendFromChase(gp, res.ExtendDB(prog, append(db, added), []atom.AtomID{added}))
+		for _, p := range []*Program{gp, gp2} {
+			succ := make([][]int32, p.NumAtoms())
+			for ri := range p.Rules {
+				r := &p.Rules[ri]
+				for _, b := range p.body[r.Off:r.End] {
+					succ[b] = append(succ[b], r.Head)
+				}
+			}
+			seeds := []int32{int32(rng.Intn(p.NumAtoms())), int32(rng.Intn(p.NumAtoms()))}
+			want := make([]bool, p.NumAtoms())
+			queue := append([]int32(nil), seeds...)
+			for _, a := range seeds {
+				want[a] = true
+			}
+			for len(queue) > 0 {
+				a := queue[0]
+				queue = queue[1:]
+				for _, h := range succ[a] {
+					if !want[h] {
+						want[h] = true
+						queue = append(queue, h)
+					}
+				}
+			}
+			got, cone := forwardCone(p, seeds, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: cone %v, reachability %v", trial, got, want)
+			}
+			if n := len(cone); n != len(slices.DeleteFunc(slices.Clone(want), func(b bool) bool { return !b })) {
+				t.Fatalf("trial %d: cone lists %d atoms", trial, n)
+			}
+		}
+		if gp2.occ.rules < len(gp2.Rules) {
+			linked++
 		}
 	}
-	if !found {
-		t.Error("appended fact rule missing from the head index")
+	if linked < 10 {
+		t.Fatalf("only %d extensions kept their parent's lists; the links go untested", linked)
 	}
 }

@@ -11,6 +11,7 @@ package ground
 func (p *Program) leastModel(blocked []bool, out Bits, counts []int32, queue []int32) Bits {
 	out.Reset()
 	queue = queue[:0]
+	ix := p.index()
 	derive := func(a int32) {
 		if !out.Get(a) {
 			out.Set(a)
@@ -22,7 +23,7 @@ func (p *Program) leastModel(blocked []bool, out Bits, counts []int32, queue []i
 			counts[ri] = -1
 			continue
 		}
-		n := int32(len(p.Rules[ri].Pos))
+		n := p.Rules[ri].Neg - p.Rules[ri].Off
 		counts[ri] = n
 		if n == 0 {
 			derive(p.Rules[ri].Head)
@@ -31,7 +32,7 @@ func (p *Program) leastModel(blocked []bool, out Bits, counts []int32, queue []i
 	for len(queue) > 0 {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ri := range p.posOcc[a] {
+		for _, ri := range ix.pos(a) {
 			if counts[ri] < 0 {
 				continue
 			}
@@ -50,7 +51,7 @@ func (p *Program) leastModel(blocked []bool, out Bits, counts []int32, queue []i
 func (p *Program) blockIfNegIn(s Bits, blocked []bool) {
 	for ri := range p.Rules {
 		blocked[ri] = false
-		for _, b := range p.Rules[ri].Neg {
+		for _, b := range p.Neg(&p.Rules[ri]) {
 			if s.Get(b) {
 				blocked[ri] = true
 				break
@@ -65,7 +66,7 @@ func (p *Program) blockIfNegIn(s Bits, blocked []bool) {
 func (p *Program) blockIfNegNotIn(n Bits, blocked []bool) {
 	for ri := range p.Rules {
 		blocked[ri] = false
-		for _, b := range p.Rules[ri].Neg {
+		for _, b := range p.Neg(&p.Rules[ri]) {
 			if !n.Get(b) {
 				blocked[ri] = true
 				break

@@ -15,7 +15,7 @@ import (
 // Modular WFS evaluation (the splitting-theorem architecture).
 //
 // SolveModular condenses the atom dependency graph into strongly
-// connected components (Condense), orders them bottom-up, and solves one
+// connected components (Condensation), orders them bottom-up, and solves one
 // component at a time with the truths of lower components substituted
 // in. By the splitting theorem for the well-founded semantics — the same
 // argument IncrementalModel's merge rests on — the concatenation of the
@@ -334,7 +334,7 @@ func solveSingleton(p *Program, cond *Condensation, ci int32, truth []Truth) int
 	for _, ri := range cond.RulesOf(ci) {
 		r := &p.Rules[ri]
 		definite, ok := true, true
-		for _, b := range r.Pos {
+		for _, b := range p.Pos(r) {
 			if b == a {
 				ok = false // self-positive: unfirable in the least fixpoint
 				break
@@ -351,7 +351,7 @@ func solveSingleton(p *Program, cond *Condensation, ci int32, truth []Truth) int
 			}
 		}
 		if ok {
-			for _, b := range r.Neg {
+			for _, b := range p.Neg(r) {
 				switch truth[b] {
 				case False:
 				case Undefined:
@@ -387,6 +387,7 @@ func solveSingleton(p *Program, cond *Condensation, ci int32, truth []Truth) int
 func solveCheap(p *Program, cond *Condensation, ci int32,
 	truth []Truth, counts []int32, sc *modScratch) int {
 	rules := cond.RulesOf(ci)
+	ix := p.index()
 	queue := sc.queue[:0]
 	derive := func(a int32) {
 		if truth[a] != True {
@@ -402,7 +403,7 @@ func solveCheap(p *Program, cond *Condensation, ci int32,
 		r := &p.Rules[ri]
 		cnt := int32(0)
 		definite, possible := true, true
-		for _, b := range r.Pos {
+		for _, b := range p.Pos(r) {
 			if cond.Comp[b] == ci {
 				cnt++
 				continue
@@ -416,7 +417,7 @@ func solveCheap(p *Program, cond *Condensation, ci int32,
 			}
 		}
 		if possible {
-			for _, b := range r.Neg {
+			for _, b := range p.Neg(r) {
 				switch truth[b] {
 				case False:
 				case Undefined:
@@ -441,7 +442,7 @@ func solveCheap(p *Program, cond *Condensation, ci int32,
 	for len(queue) > 0 {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ri := range p.posOcc[a] {
+		for _, ri := range ix.pos(a) {
 			if cond.Comp[p.Rules[ri].Head] != ci || counts[ri] < 0 {
 				continue
 			}
@@ -472,7 +473,7 @@ func solveCheap(p *Program, cond *Condensation, ci int32,
 		r := &p.Rules[ri]
 		cnt := int32(0)
 		possible := true
-		for _, b := range r.Pos {
+		for _, b := range p.Pos(r) {
 			if cond.Comp[b] == ci {
 				cnt++
 			} else if truth[b] == False {
@@ -481,7 +482,7 @@ func solveCheap(p *Program, cond *Condensation, ci int32,
 			}
 		}
 		if possible {
-			for _, b := range r.Neg {
+			for _, b := range p.Neg(r) {
 				if truth[b] == True {
 					possible = false
 					break
@@ -510,7 +511,7 @@ func solveCheap(p *Program, cond *Condensation, ci int32,
 	for len(queue) > 0 {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ri := range p.posOcc[a] {
+		for _, ri := range ix.pos(a) {
 			if cond.Comp[p.Rules[ri].Head] != ci || counts[ri] < 0 {
 				continue
 			}
@@ -556,7 +557,7 @@ func solveHard(p *Program, cond *Condensation, ci int32,
 		nr := Rule{Head: cond.PosInComp[r.Head]}
 		keep := true
 		posMark := len(sc.posArena)
-		for _, b := range r.Pos {
+		for _, b := range p.Pos(r) {
 			if cond.Comp[b] == ci {
 				sc.posArena = append(sc.posArena, cond.PosInComp[b])
 				continue
@@ -574,7 +575,7 @@ func solveHard(p *Program, cond *Condensation, ci int32,
 		}
 		negMark := len(sc.negArena)
 		if keep {
-			for _, b := range r.Neg {
+			for _, b := range p.Neg(r) {
 				if cond.Comp[b] == ci {
 					sc.negArena = append(sc.negArena, cond.PosInComp[b])
 					continue

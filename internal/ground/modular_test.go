@@ -1,11 +1,15 @@
 package ground
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/atom"
+	"repro/internal/chase"
 )
 
 // fourAlgorithms names the independent global WFS implementations the
@@ -76,20 +80,6 @@ func TestCondenseCycleIsOneHardComponent(t *testing.T) {
 	}
 	if m.HardSCCs != 1 || m.SCCs != 4 {
 		t.Errorf("model stats SCCs=%d Hard=%d, want 4 and 1", m.SCCs, m.HardSCCs)
-	}
-}
-
-func TestCondenseDependentsDeduplicated(t *testing.T) {
-	// Two rules of the same head both depending on atom 0: atom 0's
-	// component must list the head's component once.
-	p := mk(2,
-		Rule{Head: 0},
-		Rule{Head: 1, Pos: []int32{0}},
-		Rule{Head: 1, Pos: []int32{0}, Neg: []int32{0}},
-	)
-	c := p.Condensation()
-	if got := len(c.DependentsOf(c.Comp[0])); got != 1 {
-		t.Errorf("dependents of atom 0's component = %d, want 1", got)
 	}
 }
 
@@ -254,49 +244,38 @@ func TestModularRoundsGrowWithChainLength(t *testing.T) {
 	}
 }
 
-// TestIncrementalUsesCondensation: the incremental warm-start's affected
-// cone (now computed on the condensation) must still match from-scratch
-// evaluation after a simulated revision. The revision adds a fact for a
-// mid-chain atom; only its dependents may change.
-func TestIncrementalUsesCondensation(t *testing.T) {
-	// Shared global ID space: atoms 0..n-1 chained win-move style, long
-	// enough that the seed's cone stays under the everything-affected
-	// fallback and the subprogram merge path runs.
+// TestIncrementalConeMatchesScratch: the incremental warm start's
+// affected cone, walked over the occurrence lists, must match
+// from-scratch evaluation after a revision that adds a fact near the end
+// of a negation chain: only its dependents may change.
+func TestIncrementalConeMatchesScratch(t *testing.T) {
+	// w(i) ← s(i-1,i), not w(i-1) alternates along the chain, long enough
+	// that the seed's cone stays under the everything-affected fallback
+	// and the subprogram merge path runs.
 	const n, seed = 40, 35
-	mkChain := func(extraFact bool) *Program {
-		rules := []Rule{{Head: 0}}
-		for i := 1; i < n; i++ {
-			rules = append(rules, Rule{Head: int32(i), Neg: []int32{int32(i - 1)}})
-		}
-		if extraFact {
-			rules = append(rules, Rule{Head: seed})
-		}
-		p := New(n, rules)
-		p.Atoms = make([]atom.AtomID, n)
-		for i := range p.Atoms {
-			p.Atoms[i] = atom.AtomID(i)
-		}
-		p.localIdx = make([]int32, n)
-		for i := range p.localIdx {
-			p.localIdx[i] = int32(i)
-		}
-		return p
+	var src strings.Builder
+	src.WriteString("z(0).\nz(X) -> w(X).\ns(X,Y), not w(X) -> w(Y).\n")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&src, "s(%d,%d).\n", i-1, i)
 	}
-	prev := AlternatingFixpoint(mkChain(false))
-	prevM := &Model{Prog: mkChain(false), Truth: prev.Truth}
-	gp := mkChain(true)
-	got := IncrementalModel(gp, prevM, []atom.AtomID{seed}, AlternatingFixpoint)
-	want := AlternatingFixpoint(gp)
-	for i := range want.Truth {
-		if got.Truth[i] != want.Truth[i] {
-			t.Errorf("atom %d = %v, want %v", i, got.Truth[i], want.Truth[i])
-		}
+	prog, db, st := compileChase(t, src.String())
+	res := chase.Run(prog, db, chase.Options{MaxDepth: 2 * n, MaxAtoms: 10_000})
+	gp := FromChase(res)
+	prev := SolveModular(gp, AlternatingFixpoint, 1)
+	zs := internFact(t, st, "z", strconv.Itoa(seed))
+	gp2 := ExtendFromChase(gp, res.ExtendDB(prog, append(db, zs), []atom.AtomID{zs}))
+	got := IncrementalModel(gp2, prev, []atom.AtomID{zs, internFact(t, st, "w", strconv.Itoa(seed))}, AlternatingFixpoint)
+	want := AlternatingFixpoint(gp2)
+	checkSameTruth(t, st, got, want)
+	ws := internFact(t, st, "w", strconv.Itoa(seed))
+	if got.TruthOfGlobal(ws) != True {
+		t.Errorf("w(%d) = %v, want true", seed, got.TruthOfGlobal(ws))
 	}
-	// The merged model must report the full program's condensation shape
-	// (a mutating session's stats would otherwise zero after the first
-	// delta).
-	if got.SCCs != n || got.LargestSCC != 1 || got.HardSCCs != 0 || got.Workers < 1 {
-		t.Errorf("merged model stats SCCs=%d Largest=%d Hard=%d Workers=%d, want %d/1/0/≥1",
-			got.SCCs, got.LargestSCC, got.HardSCCs, got.Workers, n)
+	// The merged model carries the last full solve's shape forward (a
+	// mutating session's stats would otherwise change meaning after the
+	// first delta).
+	if got.SCCs != prev.SCCs || got.LargestSCC != prev.LargestSCC || got.HardSCCs != prev.HardSCCs || got.Workers < 1 {
+		t.Errorf("merged model stats SCCs=%d Largest=%d Hard=%d Workers=%d, want %d/%d/%d/≥1",
+			got.SCCs, got.LargestSCC, got.HardSCCs, got.Workers, prev.SCCs, prev.LargestSCC, prev.HardSCCs)
 	}
 }

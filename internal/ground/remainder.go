@@ -30,11 +30,12 @@ func Remainder(p *Program) *Model {
 	}
 	rules := make([]mrule, len(p.Rules))
 	ruleCount := make([]int32, n) // live rules per head atom
-	for ri, r := range p.Rules {
+	for ri := range p.Rules {
+		r := &p.Rules[ri]
 		rules[ri] = mrule{
 			head: r.Head,
-			pos:  append([]int32(nil), r.Pos...),
-			neg:  append([]int32(nil), r.Neg...),
+			pos:  append([]int32(nil), p.Pos(r)...),
+			neg:  append([]int32(nil), p.Neg(r)...),
 		}
 		ruleCount[r.Head]++
 	}

@@ -20,13 +20,11 @@ import "sync"
 // with an internal negative edge ("hard" components) need a genuine WFS
 // fixpoint.
 //
-// All grouped data (a component's atoms and rules, a component's
-// dependents, a level's components) is stored in CSR form — one flat
-// pointer-free int32 array plus offsets, read through the *Of accessors —
-// rather than as slices of slices: a condensation is rebuilt per
-// regrounding (every delta), and tens of thousands of slice headers are
-// exactly the allocation and GC-scan load the arena-backed grounding
-// paths were built to avoid.
+// All grouped data (a component's atoms and rules, a level's components)
+// is stored in CSR form — one flat pointer-free int32 array plus offsets,
+// read through the *Of accessors — rather than as slices of slices: tens
+// of thousands of slice headers are exactly the allocation and GC-scan
+// load the arena-backed grounding was built to avoid.
 type Condensation struct {
 	// Comp maps each atom to its component; components are numbered in
 	// topological order, dependencies first.
@@ -49,7 +47,6 @@ type Condensation struct {
 
 	atomOff, atomList []int32 // AtomsOf: component → its atoms
 	ruleOff, ruleList []int32 // RulesOf: component → rules headed in it
-	depOff, depList   []int32 // DependentsOf: component → distinct dependents
 	lvlOff, lvlList   []int32 // CompsAtLevel: level → its components
 }
 
@@ -74,15 +71,6 @@ func (c *Condensation) RulesOf(ci int32) []int32 {
 	return c.ruleList[c.ruleOff[ci]:c.ruleOff[ci+1]]
 }
 
-// DependentsOf lists the components depending on ci — the forward edges
-// IncrementalModel closes affected seeds through. In a full condensation
-// the list is deduplicated and sorted; in a closure-only one
-// (Program.closureCondensation) it may repeat a dependent once per
-// dependency edge, which the marking BFS consumer absorbs for free.
-func (c *Condensation) DependentsOf(ci int32) []int32 {
-	return c.depList[c.depOff[ci]:c.depOff[ci+1]]
-}
-
 // CompsAtLevel lists the components of one topological level.
 func (c *Condensation) CompsAtLevel(l int) []int32 {
 	return c.lvlList[c.lvlOff[l]:c.lvlOff[l+1]]
@@ -91,8 +79,8 @@ func (c *Condensation) CompsAtLevel(l int) []int32 {
 // prefixCSR turns per-key counts (in place) into CSR start offsets: on
 // return counts[k] is the start offset of key k (usable as the fill
 // cursor) and off[k]/off[k+1] bound key k's range. off must have
-// len(counts)+1 entries.
-func prefixCSR(counts, off []int32) {
+// len(counts)+1 entries. It returns the total count.
+func prefixCSR(counts, off []int32) int {
 	sum := int32(0)
 	for k, c := range counts {
 		off[k] = sum
@@ -100,12 +88,12 @@ func prefixCSR(counts, off []int32) {
 		sum += c
 	}
 	off[len(counts)] = sum
+	return int(sum)
 }
 
-// condScratch is the transient working memory of one Condense call —
-// adjacency, Tarjan state, and the dependent-edge buffer — recycled
-// through a pool so per-regrounding condensations allocate (and zero)
-// only what they retain.
+// condScratch is the transient working memory of one condensation —
+// adjacency and Tarjan state — recycled through a pool so a condensation
+// allocates (and zeroes) only what it retains.
 type condScratch struct {
 	buf     []int32
 	onstack Bits
@@ -113,48 +101,35 @@ type condScratch struct {
 
 var condScratchPool = sync.Pool{New: func() any { return &condScratch{} }}
 
-// Condense builds the full condensation of p's atom dependency graph. It
-// is a pure function of the program; Program.Condensation caches it.
-func Condense(p *Program) *Condensation { return condense(p, true) }
-
-// condense builds a condensation. full selects everything the modular
-// solver consumes; !full builds only what the incremental closure needs —
-// Comp, component sizes, and (possibly duplicated) dependent edges —
-// skipping the atom/rule grouping scatters, negation-cycle detection, and
-// the level schedule, which roughly halves the per-delta cost.
+// condense builds the condensation of p's atom dependency graph; it is a
+// pure function of the program, and Program.Condensation caches it.
 //
-// A condensation is rebuilt for every regrounding — each applied delta —
-// so construction is allocation-lean: all transient working memory comes
-// from a pooled arena, the retained arrays are carved out of one exactly
-// bounded arena, and the dependent edges recorded during the counting
-// sweep are scattered from a buffer instead of re-scanning the rules.
-func condense(p *Program, full bool) *Condensation {
+// Construction is allocation-lean: all transient working memory comes
+// from a pooled arena, and the retained arrays are carved out of one
+// exactly bounded arena.
+func condense(p *Program) *Condensation {
 	n := p.NumAtoms()
 	if n == 0 {
 		z := []int32{0}
-		return &Condensation{atomOff: z, ruleOff: z, depOff: z, lvlOff: []int32{0, 0}}
+		return &Condensation{atomOff: z, ruleOff: z, lvlOff: []int32{0, 0}}
 	}
 	nr := len(p.Rules)
 	ne := 0
 	for ri := range p.Rules {
-		ne += len(p.Rules[ri].Pos) + len(p.Rules[ri].Neg)
+		ne += int(p.Rules[ri].End - p.Rules[ri].Off)
 	}
-	// Retained arena (worst-case bounds: ncomp ≤ n, maxLevel+1 ≤ ncomp,
-	// dependent edges ≤ ne).
-	arenaSize := 9*n + nr + ne + 6
-	if !full {
-		arenaSize = 3*n + ne + 3 // Comp, atomOff, depOff, depList
-	}
+	// Retained arena (worst-case bounds: ncomp ≤ n, maxLevel+1 ≤ ncomp).
+	arenaSize := 8*n + nr + 4
 	arena := make([]int32, arenaSize)
 	take := func(k int) []int32 {
 		s := arena[:k:k]
 		arena = arena[k:]
 		return s
 	}
-	// Pooled scratch: deg, adj, Tarjan state, dependent-edge buffers.
+	// Pooled scratch: deg, adj, Tarjan state.
 	sc := condScratchPool.Get().(*condScratch)
 	defer condScratchPool.Put(sc)
-	if need := 7*n + 1 + 3*ne; cap(sc.buf) < need {
+	if need := 7*n + 1 + ne; cap(sc.buf) < need {
 		sc.buf = make([]int32, need)
 	}
 	stake := func(k int) []int32 {
@@ -165,10 +140,7 @@ func condense(p *Program, full bool) *Condensation {
 	bufAll := sc.buf
 	defer func() { sc.buf = bufAll }()
 
-	c := &Condensation{Comp: take(n)}
-	if full {
-		c.PosInComp = take(n)
-	}
+	c := &Condensation{Comp: take(n), PosInComp: take(n)}
 	deg := stake(n + 1) // CSR adjacency offsets, head → body; deg[a] = start of a
 	adj := stake(ne)
 	cnt0 := stake(n)
@@ -179,17 +151,13 @@ func condense(p *Program, full bool) *Condensation {
 		}
 		for ri := range p.Rules {
 			r := &p.Rules[ri]
-			cnt[r.Head] += int32(len(r.Pos) + len(r.Neg))
+			cnt[r.Head] += r.End - r.Off
 		}
 		prefixCSR(cnt, deg)
 		for ri := range p.Rules {
 			r := &p.Rules[ri]
 			h := r.Head
-			for _, b := range r.Pos {
-				adj[cnt[h]] = b
-				cnt[h]++
-			}
-			for _, b := range r.Neg {
+			for _, b := range p.body[r.Off:r.End] {
 				adj[cnt[h]] = b
 				cnt[h]++
 			}
@@ -265,10 +233,8 @@ func condense(p *Program, full bool) *Condensation {
 		}
 	}
 
-	// Group atoms by component (CSR). Both modes need the component sizes
-	// (the incremental closure sizes its affected set by them); only the
-	// full build scatters the atom list and positions. low is dead after
-	// Tarjan; reuse it as the counts-then-cursor scratch.
+	// Group atoms by component (CSR). low is dead after Tarjan; reuse it
+	// as the counts-then-cursor scratch.
 	cnt := low[:ncomp]
 	for i := range cnt {
 		cnt[i] = 0
@@ -277,66 +243,18 @@ func condense(p *Program, full bool) *Condensation {
 		cnt[c.Comp[a]]++
 	}
 	c.atomOff = take(int(ncomp) + 1)
-	if full {
-		c.atomList = take(n)
-		prefixCSR(cnt, c.atomOff)
-		for a := int32(0); int(a) < n; a++ {
-			ci := c.Comp[a]
-			c.PosInComp[a] = cnt[ci] - c.atomOff[ci]
-			c.atomList[cnt[ci]] = a
-			cnt[ci]++
-		}
-	} else {
-		prefixCSR(cnt, c.atomOff)
+	c.atomList = take(n)
+	prefixCSR(cnt, c.atomOff)
+	for a := int32(0); int(a) < n; a++ {
+		ci := c.Comp[a]
+		c.PosInComp[a] = cnt[ci] - c.atomOff[ci]
+		c.atomList[cnt[ci]] = a
+		cnt[ci]++
 	}
 	for ci := int32(0); ci < ncomp; ci++ {
 		if sz := c.CompSize(ci); sz > c.LargestComp {
 			c.LargestComp = sz
 		}
-	}
-
-	if !full {
-		// Closure-only build: dependent edges in natural rule order,
-		// duplicates allowed (the marking BFS dedups for free) — no rule
-		// grouping, no level schedule. Negation cycles are still
-		// detected (the sweep walks every body atom anyway), so merged
-		// incremental models can report the condensation shape.
-		c.NegCycle = make([]bool, ncomp)
-		depCnt := cnt
-		for i := range depCnt {
-			depCnt[i] = 0
-		}
-		depSrc := stake(ne)[:0]
-		depDst := stake(ne)[:0]
-		for ri := range p.Rules {
-			r := &p.Rules[ri]
-			ci := c.Comp[r.Head]
-			for _, b := range r.Pos {
-				if d := c.Comp[b]; d != ci {
-					depCnt[d]++
-					depSrc = append(depSrc, d)
-					depDst = append(depDst, ci)
-				}
-			}
-			for _, b := range r.Neg {
-				if d := c.Comp[b]; d != ci {
-					depCnt[d]++
-					depSrc = append(depSrc, d)
-					depDst = append(depDst, ci)
-				} else if !c.NegCycle[ci] {
-					c.NegCycle[ci] = true
-					c.NumHard++
-				}
-			}
-		}
-		c.depOff = take(int(ncomp) + 1)
-		c.depList = take(len(depSrc))
-		prefixCSR(depCnt, c.depOff)
-		for k, d := range depSrc {
-			c.depList[depCnt[d]] = depDst[k]
-			depCnt[d]++
-		}
-		return c
 	}
 
 	// Group rules by head component.
@@ -355,74 +273,33 @@ func condense(p *Program, full bool) *Condensation {
 		cnt[ci]++
 	}
 
-	// Negative cycles, topological levels, and deduplicated dependent
-	// edges in one sweep over the rules grouped by head component.
-	// Components are visited in increasing (topological) order, so Level
-	// of every dependency is final when read, and lastDep-based dedup is
-	// exact: lastDep[d] can only equal ci while ci's own rules scan. The
-	// discovered (dependency, dependent) edges are buffered and scattered
-	// afterwards instead of re-scanning the rules.
+	// Negative cycles and topological levels in one sweep over the rules
+	// grouped by head component. Components are visited in increasing
+	// (topological) order, so Level of every dependency is final when
+	// read.
 	c.NegCycle = make([]bool, ncomp)
 	c.Level = take(int(ncomp))
-	depCnt := cnt // dead again; reuse
-	for i := range depCnt {
-		depCnt[i] = 0
-	}
-	lastDep := index[:ncomp] // dead after Tarjan; reuse
-	for i := range lastDep {
-		lastDep[i] = -1
-	}
-	depSrc := stake(ne)[:0]
-	depDst := stake(ne)[:0]
 	maxLevel := int32(0)
 	for ci := int32(0); ci < ncomp; ci++ {
 		lvl := int32(0)
-		dep := func(d int32) {
-			if l := c.Level[d] + 1; l > lvl {
-				lvl = l
-			}
-			if lastDep[d] != ci {
-				lastDep[d] = ci
-				depCnt[d]++
-				depSrc = append(depSrc, d)
-				depDst = append(depDst, ci)
-			}
-		}
 		for _, ri := range c.RulesOf(ci) {
 			r := &p.Rules[ri]
-			for _, b := range r.Pos {
-				if d := c.Comp[b]; d != ci {
-					dep(d)
-				}
-			}
-			for _, b := range r.Neg {
-				if d := c.Comp[b]; d != ci {
-					dep(d)
-				} else {
+			for k := r.Off; k < r.End; k++ {
+				if d := c.Comp[p.body[k]]; d != ci {
+					lvl = max(lvl, c.Level[d]+1)
+				} else if k >= r.Neg {
 					c.NegCycle[ci] = true
 				}
 			}
 		}
 		c.Level[ci] = lvl
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
+		maxLevel = max(maxLevel, lvl)
 		if c.NegCycle[ci] {
 			c.NumHard++
 		}
 	}
-	// Scatter the buffered (dependency, dependent) edges: edges were
-	// discovered with the dependent ci increasing, so each component's
-	// DependentsOf list comes out sorted.
-	c.depOff = take(int(ncomp) + 1)
-	c.depList = take(len(depSrc))
-	prefixCSR(depCnt, c.depOff)
-	for k, d := range depSrc {
-		c.depList[depCnt[d]] = depDst[k]
-		depCnt[d]++
-	}
 
-	lvlCnt := lastDep[:maxLevel+1] // dead again; reuse
+	lvlCnt := index[:maxLevel+1] // dead after Tarjan; reuse
 	for i := range lvlCnt {
 		lvlCnt[i] = 0
 	}

@@ -20,14 +20,14 @@ func GreatestUnfoundedSet(p *Program, i Interp) Bits {
 	blocked := make([]bool, len(p.Rules))
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
-		for _, b := range r.Neg {
+		for _, b := range p.Neg(r) {
 			if i.Pos.Get(b) {
 				blocked[ri] = true
 				break
 			}
 		}
 		if !blocked[ri] {
-			for _, b := range r.Pos {
+			for _, b := range p.Pos(r) {
 				if i.Neg.Get(b) {
 					blocked[ri] = true
 					break
@@ -54,14 +54,14 @@ func ImmediateConsequence(p *Program, i Interp) Bits {
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
 		ok := true
-		for _, b := range r.Pos {
+		for _, b := range p.Pos(r) {
 			if !i.Pos.Get(b) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			for _, b := range r.Neg {
+			for _, b := range p.Neg(r) {
 				if !i.Neg.Get(b) {
 					ok = false
 					break

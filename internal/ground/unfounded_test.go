@@ -65,14 +65,14 @@ func TestUnfoundedSetIsUnfounded(t *testing.T) {
 			for _, ri := range p.RulesFor(a) {
 				r := &p.Rules[ri]
 				ok := false
-				for _, b := range r.Pos {
+				for _, b := range p.Pos(r) {
 					if i.Neg.Get(b) || u.Get(b) { // (i)
 						ok = true
 						break
 					}
 				}
 				if !ok {
-					for _, b := range r.Neg {
+					for _, b := range p.Neg(r) {
 						if i.Pos.Get(b) { // (ii)
 							ok = true
 							break
@@ -106,14 +106,14 @@ func TestGreatestUnfoundedSetIsGreatest(t *testing.T) {
 			for _, ri := range p.RulesFor(a) {
 				r := &p.Rules[ri]
 				ok := false
-				for _, b := range r.Pos {
+				for _, b := range p.Pos(r) {
 					if i.Neg.Get(b) || set.Get(b) {
 						ok = true
 						break
 					}
 				}
 				if !ok {
-					for _, b := range r.Neg {
+					for _, b := range p.Neg(r) {
 						if i.Pos.Get(b) {
 							ok = true
 							break

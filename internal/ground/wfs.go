@@ -83,14 +83,14 @@ func UnfoundedIteration(p *Program) *Model {
 		for ri := range p.Rules {
 			r := &p.Rules[ri]
 			ok := true
-			for _, b := range r.Pos {
+			for _, b := range p.Pos(r) {
 				if !pos.Get(b) {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				for _, b := range r.Neg {
+				for _, b := range p.Neg(r) {
 					if !neg.Get(b) {
 						ok = false
 						break
@@ -108,14 +108,14 @@ func UnfoundedIteration(p *Program) *Model {
 		for ri := range p.Rules {
 			r := &p.Rules[ri]
 			blocked[ri] = false
-			for _, b := range r.Neg {
+			for _, b := range p.Neg(r) {
 				if pos.Get(b) {
 					blocked[ri] = true
 					break
 				}
 			}
 			if !blocked[ri] {
-				for _, b := range r.Pos {
+				for _, b := range p.Pos(r) {
 					if neg.Get(b) {
 						blocked[ri] = true
 						break

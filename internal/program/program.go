@@ -152,9 +152,6 @@ func (p *Program) IsLinear() bool {
 	return true
 }
 
-// NumRules returns the number of compiled rules.
-func (p *Program) NumRules() int { return len(p.Rules) }
-
 // String lists the compiled rules in source-like form.
 func (p *Program) String() string {
 	var b strings.Builder

@@ -249,9 +249,11 @@ type ModelStats struct {
 	UndefinedAtoms  int  `json:"undefined_atoms"`
 	FalseAtoms      int  `json:"false_atoms"`
 
-	// Modular-evaluation shape: dependency-graph SCC count, largest
-	// component size, components that needed the full WFS fixpoint
-	// (internal negation cycle), and peak solver workers.
+	// Modular-evaluation shape of the last full solve: dependency-graph
+	// SCC count, largest component size, components that needed the full
+	// WFS fixpoint (internal negation cycle), and peak solver workers. A
+	// mutation's warm start condenses only its affected cone, so after a
+	// mutation these carry the last full solve's shape forward.
 	SCCCount     int `json:"scc_count"`
 	LargestSCC   int `json:"largest_scc"`
 	HardSCCs     int `json:"hard_sccs"`

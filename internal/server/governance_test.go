@@ -155,10 +155,10 @@ func TestPartialDegradedAnswer(t *testing.T) {
 func TestSelectDeadline504(t *testing.T) {
 	c := newTestClient(t, Config{QueryTimeout: 100 * time.Millisecond})
 	opts := endlessOptions()
-	// The selected model sits ~800 one-level rungs up the ladder, whose
+	// The selected model sits ~1600 one-level rungs up the ladder, whose
 	// build cost grows quadratically with depth: far past the deadline,
 	// yet small enough in memory to finish should cancellation break.
-	opts.Depth = 800
+	opts.Depth = 1600
 	code := c.do("POST", "/v1/sessions",
 		CreateSessionRequest{Name: "e", Program: endlessChain, Options: opts}, nil)
 	if code != http.StatusCreated {

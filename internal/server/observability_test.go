@@ -456,6 +456,43 @@ func TestSessionStatsEngineCounters(t *testing.T) {
 	}
 }
 
+// TestSessionStatsSCCShapeSurvivesMutation: a mutation's warm start does
+// not condense the whole program, so the model it publishes carries the
+// SCC shape of the last full solve forward. The counts must stay non-zero
+// across mutations instead of silently changing meaning.
+func TestSessionStatsSCCShapeSurvivesMutation(t *testing.T) {
+	c := newTestClient(t, Config{})
+	c.mustCreate("w", winMove)
+	shape := func(when string) ModelStats {
+		t.Helper()
+		var qr QueryResponse
+		if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "win(b)"}, &qr); code != 200 {
+			t.Fatalf("%s: query status %d", when, code)
+		}
+		var st SessionStatsResponse
+		if code := c.do("GET", "/v1/sessions/w/stats", nil, &st); code != 200 {
+			t.Fatalf("%s: session stats status %d", when, code)
+		}
+		// win(a) and win(b) block each other: one negation-cyclic SCC.
+		if st.Model.SCCCount == 0 || st.Model.HardSCCs == 0 || st.Model.LargestSCC == 0 {
+			t.Errorf("%s: scc_count=%d hard_sccs=%d largest_scc=%d, want all non-zero",
+				when, st.Model.SCCCount, st.Model.HardSCCs, st.Model.LargestSCC)
+		}
+		return st.Model
+	}
+	before := shape("after create")
+	for i, f := range []string{"d", "e"} {
+		if code := c.do("POST", "/v1/sessions/w/facts", AddFactsRequest{
+			Facts: []Fact{{Pred: "move", Args: []string{"c", f}}},
+		}, nil); code != 200 {
+			t.Fatalf("mutation %d: status %d", i, code)
+		}
+		if after := shape(fmt.Sprintf("after mutation %d", i)); after.HardSCCs != before.HardSCCs {
+			t.Errorf("mutation %d: hard_sccs %d, want %d", i, after.HardSCCs, before.HardSCCs)
+		}
+	}
+}
+
 // TestMetricsInventoryMatchesREADME keeps the README's metric inventory
 // honest: a scrape of a server with every optional surface on (a
 // WAL-backed session, the flight recorder) must emit exactly the

@@ -104,14 +104,6 @@ func NewRecorder(capacity int, slowThreshold time.Duration) *Recorder {
 	return r
 }
 
-// Threshold returns the slow-query duration bound the recorder applies.
-func (r *Recorder) Threshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.threshold
-}
-
 // Capacity returns the total entry bound (0 on a nil recorder).
 func (r *Recorder) Capacity() int {
 	if r == nil {
