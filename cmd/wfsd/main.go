@@ -44,6 +44,11 @@
 // and ?trace=1 requests are always kept), browsable at GET /v1/traces
 // and GET /v1/traces/{id}.
 //
+// Scheduling: wfsd runs with at least two Go Ps (GOMAXPROCS 2) even on
+// one CPU, so that a reader's socket is polled while a CPU-bound
+// mutation runs; a GOMAXPROCS set in the environment is left as it is.
+// The solver's worker pool stays sized to the CPUs, not to the Ps.
+//
 // Endpoints are listed in the package documentation of internal/server
 // and in README.md. SIGINT/SIGTERM trigger a graceful drain.
 package main
@@ -58,6 +63,8 @@ import (
 	_ "net/http/pprof" // registers on DefaultServeMux, served only via -pprof-addr
 	"os"
 	"os/signal"
+	"runtime"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -66,7 +73,26 @@ import (
 	"repro/internal/wal"
 )
 
+// minProcs is the number of Ps wfsd keeps by default. With one P, a
+// CPU-bound writer holds it until the scheduler preempts it (~10 ms), and
+// a reader's request waits that long to be noticed; a second P parks its
+// thread in the network poller and picks the reader up at once.
+const minProcs = 2
+
+// serverProcs returns the GOMAXPROCS wfsd runs with, given the
+// environment's GOMAXPROCS value and the runtime's current setting. A
+// value the runtime honours wins; otherwise the runtime's choice is
+// raised to minProcs. The runtime honours what it parses as it does
+// here: decimal digits without a sign, positive, within an int32.
+func serverProcs(env string, current int) int {
+	if n, err := strconv.ParseUint(env, 10, 31); err == nil && n > 0 {
+		return current
+	}
+	return max(current, minProcs)
+}
+
 func main() {
+	runtime.GOMAXPROCS(serverProcs(os.Getenv("GOMAXPROCS"), runtime.GOMAXPROCS(0)))
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		maxSessions   = flag.Int("max-sessions", server.DefaultMaxSessions, "max live sessions (-1 = unlimited)")

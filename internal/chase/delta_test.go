@@ -108,14 +108,14 @@ c(X) -> d(X).
 `,
 			depth: 8,
 			ops: []deltaOp{
-				add("b", "1"),      // wakes the parked (rule, a(1)) waiter
-				add("b", "2"),      // and the other one
-				del("b", "1"),      // c(1), d(1) die
-				add("b", "1"),      // and come back
-				del("a", "1"),      // kills the whole 1-chain
-				add("c", "7"),      // IDB predicate asserted directly as EDB
-				del("c", "7"),      // and gone again
-				add("d", "9"),      // leaf-only atom
+				add("b", "1"),                // wakes the parked (rule, a(1)) waiter
+				add("b", "2"),                // and the other one
+				del("b", "1"),                // c(1), d(1) die
+				add("b", "1"),                // and come back
+				del("a", "1"),                // kills the whole 1-chain
+				add("c", "7"),                // IDB predicate asserted directly as EDB
+				del("c", "7"),                // and gone again
+				add("d", "9"),                // leaf-only atom
 				del("a", "2"), del("b", "2"), // empty everything but d(9)
 			},
 		},

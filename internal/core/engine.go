@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -71,10 +70,10 @@ type Options struct {
 	// Parallelism bounds the worker pool of the modular (SCC-wise)
 	// solver: independent dependency components on one topological level
 	// are solved concurrently by up to this many goroutines. 0 (the
-	// default) selects GOMAXPROCS; 1 solves strictly sequentially.
-	// Values beyond the solver's hard cap (256) are clamped — the field
-	// is reachable from untrusted session options, and worker scratch is
-	// sized by it.
+	// default) selects min(GOMAXPROCS, NumCPU); 1 solves strictly
+	// sequentially. Values beyond the solver's hard cap (256) are clamped
+	// — the field is reachable from untrusted session options, and worker
+	// scratch is sized by it. ground.PoolSize resolves both.
 	Parallelism int
 
 	// Adaptive deepening (used by Answer): start depth, additive step,
@@ -142,12 +141,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxAtoms <= 0 {
 		o.MaxAtoms = 4_000_000
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism > 256 {
-		o.Parallelism = 256 // mirror ground.SolveModular's hard cap
-	}
+	o.Parallelism = ground.PoolSize(o.Parallelism)
 	if o.GuardBand <= 0 {
 		o.GuardBand = 2
 	}

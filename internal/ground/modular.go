@@ -55,6 +55,19 @@ import (
 // the size of the request.
 const maxParallelism = 256
 
+// PoolSize resolves a requested worker-pool size, the one place the
+// solver's default and cap are defined. A positive request is kept, up to
+// maxParallelism; zero or less selects one worker per CPU the process can
+// run on at once: min(GOMAXPROCS, NumCPU). Ps beyond the CPUs do not run
+// components side by side, so a server that keeps a spare P for its
+// readers on one CPU still solves sequentially.
+func PoolSize(requested int) int {
+	if requested <= 0 {
+		requested = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	return min(requested, maxParallelism)
+}
+
 // SolveModular is the modular solve with solve run inside each
 // negation-cyclic component and up to parallelism components solved
 // concurrently (see SolveModularCancelTraced).
@@ -128,12 +141,7 @@ func timedSolveComp(p *Program, cond *Condensation, ci int32,
 // returns with Interrupted set and a partial truth assignment that
 // callers must discard.
 func SolveModularCancelTraced(p *Program, solve func(*Program) *Model, parallelism int, tok *cancel.Token, tr *trace.Span) *Model {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > maxParallelism {
-		parallelism = maxParallelism
-	}
+	parallelism = PoolSize(parallelism)
 	n := p.NumAtoms()
 	endCondense := tr.Phase("condense")
 	cond := p.Condensation()

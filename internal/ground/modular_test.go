@@ -3,6 +3,7 @@ package ground
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,6 +190,30 @@ func TestModularManyComponentsParallel(t *testing.T) {
 	// allocated: the solve must succeed with a bounded pool.
 	if got := SolveModular(p, AlternatingFixpoint, 1<<30); !got.Equal(want) || got.Workers > maxParallelism {
 		t.Errorf("clamped solve diverged or overspawned: workers = %d", got.Workers)
+	}
+}
+
+// TestPoolSizeFollowsCPUs: an explicit request is kept up to the cap, and
+// the default is one worker per CPU — a GOMAXPROCS above the CPU count
+// (wfsd keeps a spare P on a one-CPU host) does not grow the pool.
+func TestPoolSizeFollowsCPUs(t *testing.T) {
+	for _, tc := range []struct{ req, want int }{
+		{1, 1}, {7, 7}, {maxParallelism, maxParallelism}, {1 << 30, maxParallelism},
+	} {
+		if got := PoolSize(tc.req); got != tc.want {
+			t.Errorf("PoolSize(%d) = %d, want %d", tc.req, got, tc.want)
+		}
+	}
+	cpus := runtime.NumCPU()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus + 1))
+	for _, req := range []int{0, -1} {
+		if got := PoolSize(req); got != min(cpus, maxParallelism) {
+			t.Errorf("PoolSize(%d) at GOMAXPROCS %d = %d, want NumCPU %d", req, cpus+1, got, cpus)
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	if got := PoolSize(0); got != 1 {
+		t.Errorf("PoolSize(0) at GOMAXPROCS 1 = %d, want 1", got)
 	}
 }
 

@@ -247,8 +247,11 @@ func TestBackgroundCheckpoint(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Quiesce, then crash-restart: the checkpoint must have shortened the
-	// replay tail below the full mutation count, without losing state.
+	// Quiesce — join every checkpointer the first server started, so none
+	// is still writing into the directory — then crash-restart: the
+	// checkpoint must have shortened the replay tail below the full
+	// mutation count, without losing state.
+	srv.reg.ckptWG.Wait()
 	_, _, st := newDurableClient(t, dir, wal.Options{})
 	if st.Sessions != 1 {
 		t.Fatalf("recovered %d sessions, want 1", st.Sessions)

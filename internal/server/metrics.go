@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"runtime/metrics"
 	"sort"
 	"strconv"
@@ -268,6 +269,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.sample("wfsd_query_cancels_total", "", float64(s.queryCancels.Load()))
 	p.family("wfsd_uptime_seconds", "Seconds since server start.", "gauge")
 	p.sample("wfsd_uptime_seconds", "", time.Since(s.started).Seconds())
+	p.family("wfsd_build_info", "Constant 1, labeled with the Go version, GOMAXPROCS and the CPUs the process may run on.", "gauge")
+	p.sample("wfsd_build_info", promLabel("go_version", runtime.Version())+","+
+		promLabel("gomaxprocs", strconv.Itoa(runtime.GOMAXPROCS(0)))+","+
+		promLabel("num_cpu", strconv.Itoa(runtime.NumCPU())), 1)
 
 	s.writeTraceMetrics(p)
 	s.writeWALMetrics(p)
@@ -302,40 +307,64 @@ func (s *Server) writeTraceMetrics(p *promWriter) {
 }
 
 // writeRuntimeMetrics emits Go process health from runtime/metrics:
-// goroutine count, heap gauges, and the GC pause histogram. The
-// histogram sum is approximated from bucket midpoints (runtime/metrics
-// exposes counts and boundaries, not an exact sum), which is the usual
-// convention for re-exported runtime histograms.
+// goroutine count, heap gauges, the P count, GC CPU time, and the GC
+// pause and scheduling-latency histograms.
 func writeRuntimeMetrics(p *promWriter) {
 	samples := []metrics.Sample{
 		{Name: "/sched/goroutines:goroutines"},
 		{Name: "/memory/classes/heap/objects:bytes"},
 		{Name: "/gc/heap/goal:bytes"},
 		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/sched/gomaxprocs:threads"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
 		{Name: "/gc/pauses:seconds"},
+		{Name: "/sched/latencies:seconds"},
 	}
 	metrics.Read(samples)
 
-	emitGauge := func(i int, name, help, typ string) {
-		if samples[i].Value.Kind() != metrics.KindUint64 {
+	emit := func(i int, name, help, typ string) {
+		var v float64
+		switch samples[i].Value.Kind() {
+		case metrics.KindUint64:
+			v = float64(samples[i].Value.Uint64())
+		case metrics.KindFloat64:
+			v = samples[i].Value.Float64()
+		default:
 			return
 		}
 		p.family(name, help, typ)
-		p.sample(name, "", float64(samples[i].Value.Uint64()))
+		p.sample(name, "", v)
 	}
-	emitGauge(0, "go_goroutines", "Goroutines that currently exist.", "gauge")
-	emitGauge(1, "go_heap_live_bytes", "Bytes occupied by live heap objects.", "gauge")
-	emitGauge(2, "go_heap_goal_bytes", "Heap size target of the next GC cycle.", "gauge")
-	emitGauge(3, "go_alloc_bytes_total", "Cumulative bytes allocated on the heap.", "counter")
+	emit(0, "go_goroutines", "Goroutines that currently exist.", "gauge")
+	emit(1, "go_heap_live_bytes", "Bytes occupied by live heap objects.", "gauge")
+	emit(2, "go_heap_goal_bytes", "Heap size target of the next GC cycle.", "gauge")
+	emit(3, "go_alloc_bytes_total", "Cumulative bytes allocated on the heap.", "counter")
+	emit(4, "go_gomaxprocs", "Ps (GOMAXPROCS): goroutines that can run at once.", "gauge")
+	// The runtime estimates CPU time from the time its Ps spend in each
+	// state, so with more Ps than CPUs (wfsd on one CPU) GC time is
+	// overstated; compare it with itself, not with the process's CPU time.
+	emit(5, "go_gc_cpu_seconds_total", "Estimated CPU time spent in the garbage collector, pauses and background marking included.", "counter")
+	emitHistogram(p, samples[6], "go_gc_pause_seconds", "Stop-the-world GC pause latency.",
+		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1})
+	// Scheduling latency is the time a runnable goroutine waited for a
+	// P. It does not cover a goroutine blocked in the network poller
+	// that no P has polled yet: a reader whose request sits unnoticed
+	// behind a busy P shows only once it is runnable.
+	emitHistogram(p, samples[7], "go_sched_latency_seconds", "Time goroutines spent runnable before they ran.",
+		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 1})
+}
 
-	if samples[4].Value.Kind() != metrics.KindFloat64Histogram {
+// emitHistogram folds a runtime/metrics histogram, which has hundreds of
+// fine-grained buckets, into a Prometheus histogram with the given upper
+// bounds. The sum is approximated from bucket midpoints (runtime/metrics
+// exposes counts and boundaries, not an exact sum), the usual convention
+// for re-exported runtime histograms.
+func emitHistogram(p *promWriter, s metrics.Sample, name, help string, bounds []float64) {
+	if s.Value.Kind() != metrics.KindFloat64Histogram {
 		return
 	}
-	// The runtime histogram has hundreds of fine-grained buckets; fold it
-	// into a handful of scrape-friendly bounds.
-	bounds := []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
+	h := s.Value.Float64Histogram()
 	folded := make([]uint64, len(bounds))
-	h := samples[4].Value.Float64Histogram()
 	var count uint64
 	var sum float64
 	for i, c := range h.Counts {
@@ -358,15 +387,15 @@ func writeRuntimeMetrics(p *promWriter) {
 			}
 		}
 	}
-	p.family("go_gc_pause_seconds", "Stop-the-world GC pause latency.", "histogram")
+	p.family(name, help, "histogram")
 	var cum uint64
 	for j, ub := range bounds {
 		cum += folded[j]
-		p.sample("go_gc_pause_seconds_bucket", promLabel("le", formatFloat(ub)), float64(cum))
+		p.sample(name+"_bucket", promLabel("le", formatFloat(ub)), float64(cum))
 	}
-	p.sample("go_gc_pause_seconds_bucket", promLabel("le", "+Inf"), float64(count))
-	p.sample("go_gc_pause_seconds_sum", "", sum)
-	p.sample("go_gc_pause_seconds_count", "", float64(count))
+	p.sample(name+"_bucket", promLabel("le", "+Inf"), float64(count))
+	p.sample(name+"_sum", "", sum)
+	p.sample(name+"_count", "", float64(count))
 }
 
 // writeWALMetrics emits the durability families. All counters are

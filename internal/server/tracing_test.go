@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -477,11 +478,25 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	for _, want := range []string{
 		"wfsd_http_requests_total", "go_goroutines", "go_gc_pause_seconds",
+		"go_sched_latency_seconds", "go_gc_cpu_seconds_total", "go_gomaxprocs",
+		"wfsd_build_info",
 		"wfsd_trace_entries", "wfsd_trace_recorded_total",
 		"wfsd_wal_appended_records_total", "wfsd_session_facts",
 	} {
 		if _, ok := typed[want]; !ok {
 			t.Errorf("metrics output missing family %q", want)
+		}
+	}
+	// The scheduling policy is readable off the scrape: the P count and
+	// the CPU count, recorded apart.
+	procs := strconv.Itoa(runtime.GOMAXPROCS(0))
+	for _, want := range []string{
+		`wfsd_build_info{go_version="` + runtime.Version() + `",gomaxprocs="` + procs +
+			`",num_cpu="` + strconv.Itoa(runtime.NumCPU()) + `"} 1`,
+		"go_gomaxprocs " + procs,
+	} {
+		if !strings.Contains(body.String(), "\n"+want+"\n") {
+			t.Errorf("metrics output has no line %q", want)
 		}
 	}
 }
