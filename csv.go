@@ -57,5 +57,5 @@ func (s *System) LoadCSV(pred string, r io.Reader) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	return n, s.applyLocked(specs, nil, nil)
+	return n, s.applyLocked(&Delta{adds: specs})
 }

@@ -188,7 +188,22 @@ func (s *System) ApplyCtxTraced(ctx context.Context, d *Delta, tr *trace.Span) e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyCancelLocked(d.adds, d.retracts, tok, tr)
+	_, err := s.applyCancelLocked([]*Delta{d}, tok, tr)
+	return err
+}
+
+// ApplyAll applies ds in order with the effect of one Apply per delta:
+// each is validated against the state the deltas before it left, passes
+// the commit hook at its own epoch, and bumps the epoch by one (an empty
+// or nil delta is a no-op). It stops at the first delta that fails and
+// returns how many it applied; those stay committed. The database is
+// rebuilt, and a warm snapshot rebased, once for the whole run rather
+// than once per delta, so a write-ahead-log tail of n records replays
+// in O(database + n) instead of O(n · database).
+func (s *System) ApplyAll(ds []*Delta) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.applyCancelLocked(ds, nil, nil)
 }
 
 // RetractFact removes every database occurrence of the ground fact
@@ -197,81 +212,95 @@ func (s *System) ApplyCtxTraced(ctx context.Context, d *Delta, tr *trace.Span) e
 func (s *System) RetractFact(pred string, args ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked(nil, []factSpec{{pred: pred, args: args}}, nil)
+	return s.applyLocked(&Delta{retracts: []factSpec{{pred: pred, args: args}}})
 }
 
-// applyLocked is the single mutation path: every database write —
-// AddFact, RetractFact, LoadCSV, Apply — funnels through it. Callers
-// must hold mu. tr, when non-nil, receives the mutation's phase tree
-// under an "apply" child span.
-func (s *System) applyLocked(adds, retracts []factSpec, tr *trace.Span) error {
-	return s.applyCancelLocked(adds, retracts, nil, tr)
+// applyLocked applies one untraced, uncancellable batch (AddFact,
+// RetractFact, LoadCSV). Callers must hold mu.
+func (s *System) applyLocked(d *Delta) error {
+	_, err := s.applyCancelLocked([]*Delta{d}, nil, nil)
+	return err
 }
 
-// applyCancelLocked is applyLocked under a cancellation token (nil =
-// never cancelled), polled once immediately before the commit hook: a
-// batch whose client vanished during validation is rejected before it
+// applyCancelLocked is the single mutation path: every database write —
+// AddFact, RetractFact, LoadCSV, Apply, ApplyAll — funnels through it.
+// It stages the batches in order (see stageLocked), stops at the first
+// that fails, and then commits what was staged at once: one database
+// rebuild, one epoch bump per staged batch, one snapshot replacement.
+// It returns how many batches were applied, empty ones included. tok
+// (nil = never cancelled) is polled immediately before each commit hook:
+// a batch whose client vanished during validation is rejected before it
 // costs a durable WAL append, but a batch the hook has acknowledged
-// always commits.
-func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token, tr *trace.Span) error {
-	if len(adds) == 0 && len(retracts) == 0 {
-		return nil
+// always commits. tr, when non-nil, receives the phase tree under an
+// "apply" child span. Callers must hold mu.
+func (s *System) applyCancelLocked(batches []*Delta, tok *cancel.Token, tr *trace.Span) (int, error) {
+	var adds, retracts int
+	for _, d := range batches {
+		if d != nil {
+			adds += len(d.adds)
+			retracts += len(d.retracts)
+		}
+	}
+	if adds+retracts == 0 {
+		return len(batches), nil
 	}
 	ap := tr.Child("apply")
 	defer ap.End()
-	ap.SetCount("adds", int64(len(adds)))
-	ap.SetCount("retracts", int64(len(retracts)))
-	endValidate := ap.Phase("validate")
-	defer endValidate() // idempotent; covers the validation error returns
-	// Validate retractions first: pure lookups, nothing interned. The
-	// targets resolve in order up to the first that does not; then one
-	// scan of the database, a compare and a bit test per fact, finds where
-	// they sit. Errors report the first bad target in batch order.
-	var gone []int // positions in s.db of the retracted facts
-	if len(retracts) > 0 {
-		var resolveErr error
-		removed := make([]atom.AtomID, 0, len(retracts))
-		for _, f := range retracts {
-			a, err := s.lookupFactLocked(f)
-			if err != nil {
-				resolveErr = err
+	ap.SetCount("adds", int64(adds))
+	ap.SetCount("retracts", int64(retracts))
+	w := s.newDBEdit(batches)
+	applied, staged := 0, uint64(0)
+	var err error
+	for i, d := range batches {
+		if d != nil && !d.Empty() {
+			if err = s.stageLocked(w, d, s.epoch+staged+1, i+1 < len(batches), tok, ap); err != nil {
 				break
 			}
-			removed = append(removed, a)
+			staged++
 		}
-		top := int32(-1)
-		for _, a := range removed {
-			top = max(top, int32(a))
+		applied++
+	}
+	if staged > 0 {
+		endCommit := ap.Phase("commit")
+		s.db = w.rebuild()
+		s.epoch += staged
+		endCommit()
+		s.invalidateLocked(ap)
+	}
+	return applied, err
+}
+
+// stageLocked validates one batch against the state w holds, passes it
+// through the commit hook at epoch, and stages it into w. Validation
+// runs retractions first (pure lookups, nothing interned; errors name
+// the first bad target in batch order), then add/retract conflicts, then
+// the arity of every addition — all before anything interns, so a batch
+// that fails leaves the store's schema and w untouched. track keeps the
+// multiplicity of the added atoms for a later batch's retractions.
+func (s *System) stageLocked(w *dbEdit, d *Delta, epoch uint64, track bool, tok *cancel.Token, ap *trace.Span) error {
+	endValidate := ap.Phase("validate")
+	defer endValidate() // idempotent; covers the validation error returns
+	gone := make([]atom.AtomID, 0, len(d.retracts))
+	for _, f := range d.retracts {
+		a, err := s.lookupFactLocked(f)
+		if err != nil {
+			return err
 		}
-		want, found := ground.NewBits(int(top)+1), ground.NewBits(int(top)+1)
-		for _, a := range removed {
-			want.Set(int32(a))
+		if w.count[a] == 0 {
+			return fmt.Errorf("wfs: retract %s: not a database fact", f)
 		}
-		for i, a := range s.db {
-			if int32(a) <= top && want.Get(int32(a)) {
-				found.Set(int32(a))
-				gone = append(gone, i)
-			}
-		}
-		for j, a := range removed {
-			if !found.Get(int32(a)) {
-				return fmt.Errorf("wfs: retract %s: not a database fact", retracts[j])
-			}
-		}
-		if resolveErr != nil {
-			return resolveErr
-		}
+		gone = append(gone, a)
 	}
 	// Reject add/retract conflicts at the spec level, before anything
 	// interns: additions and retractions resolve constants and
 	// predicates identically, so two specs denote the same fact exactly
 	// when they render identically.
-	if len(retracts) > 0 && len(adds) > 0 {
-		rset := make(map[string]struct{}, len(retracts))
-		for _, f := range retracts {
+	if len(d.retracts) > 0 && len(d.adds) > 0 {
+		rset := make(map[string]struct{}, len(d.retracts))
+		for _, f := range d.retracts {
 			rset[f.String()] = struct{}{}
 		}
-		for _, f := range adds {
+		for _, f := range d.adds {
 			if _, clash := rset[f.String()]; clash {
 				return fmt.Errorf("wfs: delta both adds and retracts %s", f)
 			}
@@ -283,8 +312,8 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	// validation would permanently poison the predicate at the failed
 	// batch's arity. Constants and ground atoms carry no such weight, so
 	// they may intern below.
-	newPreds := make(map[string]int, len(adds))
-	for _, f := range adds {
+	newPreds := make(map[string]int, len(d.adds))
+	for _, f := range d.adds {
 		if p, ok := s.store.LookupPred(f.pred); ok {
 			if got := s.store.PredArity(p); got != len(f.args) {
 				return fmt.Errorf("wfs: add %s: predicate %s used with arity %d, previously %d",
@@ -308,38 +337,117 @@ func (s *System) applyCancelLocked(adds, retracts []factSpec, tok *cancel.Token,
 	// fsync) rejects the mutation with the database untouched; a hook
 	// success guarantees the batch is durable before it becomes visible.
 	if s.commitHook != nil {
-		if err := s.commitHook(s.epoch+1, factRefs(adds), factRefs(retracts), ap); err != nil {
+		if err := s.commitHook(epoch, factRefs(d.adds), factRefs(d.retracts), ap); err != nil {
 			return fmt.Errorf("wfs: commit hook: %w", err)
 		}
 	}
-	endCommit := ap.Phase("commit")
-	defer endCommit()
-	added := make([]atom.AtomID, 0, len(adds))
-	for _, f := range adds {
+	added := make([]atom.AtomID, 0, len(d.adds))
+	for _, f := range d.adds {
 		a, err := s.store.Fact(f.pred, f.args)
 		if err != nil {
 			return err // unreachable: arities validated above
 		}
 		added = append(added, a)
 	}
-	// Commit.
-	newDB := s.db
-	if len(gone) > 0 {
-		newDB = make(program.Database, 0, len(s.db)-len(gone))
-		from := 0
-		for _, i := range gone {
-			newDB = append(newDB, s.db[from:i]...)
+	w.stage(gone, added, track)
+	return nil
+}
+
+// dbEdit is the database as a run of batches leaves it, kept as edits
+// against the database the run started from, so staging a batch costs
+// O(batch) and only the final rebuild costs O(database). Positions count
+// base then added: retracting a at the moment the run's database has n
+// entries removes every occurrence at a position < n, so an occurrence
+// survives exactly when its position is ≥ killed[a].
+type dbEdit struct {
+	base   program.Database
+	occ    []int               // ascending positions in base of the atoms count covers
+	count  map[atom.AtomID]int // live multiplicity of every atom a batch may retract
+	added  []atom.AtomID       // staged additions, in order
+	killed map[atom.AtomID]int // per retracted atom, the position its occurrences end at
+}
+
+// newDBEdit starts an edit of the current database for batches. One scan
+// of the database counts the occurrences of every retraction target
+// that already resolves: a target that does not cannot be in the
+// database, and one that an earlier batch interns has count 0 until that
+// batch's additions (tracked in stage) raise it.
+func (s *System) newDBEdit(batches []*Delta) *dbEdit {
+	w := &dbEdit{base: s.db, count: make(map[atom.AtomID]int)}
+	var targets []atom.AtomID
+	for _, d := range batches {
+		if d == nil {
+			continue
+		}
+		for _, f := range d.retracts {
+			if a, err := s.lookupFactLocked(f); err == nil {
+				targets = append(targets, a)
+			}
+		}
+	}
+	if len(targets) == 0 {
+		return w
+	}
+	top := int32(-1)
+	for _, a := range targets {
+		top = max(top, int32(a))
+	}
+	want := ground.NewBits(int(top) + 1)
+	for _, a := range targets {
+		want.Set(int32(a))
+	}
+	for i, a := range s.db {
+		if int32(a) <= top && want.Get(int32(a)) {
+			w.count[a]++
+			w.occ = append(w.occ, i)
+		}
+	}
+	return w
+}
+
+// stage records one validated batch: every occurrence of the gone atoms
+// so far is removed, then added is appended.
+func (w *dbEdit) stage(gone, added []atom.AtomID, track bool) {
+	if len(gone) > 0 && w.killed == nil {
+		w.killed = make(map[atom.AtomID]int, len(gone))
+	}
+	for _, a := range gone {
+		w.count[a] = 0
+		w.killed[a] = len(w.base) + len(w.added)
+	}
+	w.added = append(w.added, added...)
+	if track {
+		for _, a := range added {
+			w.count[a]++
+		}
+	}
+}
+
+// rebuild returns the database w describes: the surviving base entries
+// in order, then the surviving additions in order — exactly what
+// applying the staged batches one at a time leaves. The result is
+// clipped, and built by copy, so no earlier snapshot's view can alias
+// its entries and later appends cannot alias it.
+func (w *dbEdit) rebuild() program.Database {
+	if len(w.killed) == 0 {
+		db := append(w.base[:len(w.base):len(w.base)], w.added...)
+		return db[:len(db):len(db)]
+	}
+	db := make(program.Database, 0, len(w.base)+len(w.added))
+	from := 0
+	for _, i := range w.occ {
+		if i < w.killed[w.base[i]] {
+			db = append(db, w.base[from:i]...)
 			from = i + 1
 		}
-		newDB = append(newDB, s.db[from:]...)
 	}
-	// Clip before appending so no earlier snapshot's view can alias the
-	// new entries, then clip the result so later appends cannot either.
-	newDB = append(newDB[:len(newDB):len(newDB)], added...)
-	s.db = newDB[:len(newDB):len(newDB)]
-	endCommit()
-	s.invalidateLocked(ap)
-	return nil
+	db = append(db, w.base[from:]...)
+	for j, a := range w.added {
+		if len(w.base)+j >= w.killed[a] {
+			db = append(db, a)
+		}
+	}
+	return db[:len(db):len(db)]
 }
 
 // lookupFactLocked resolves a retraction target against the current

@@ -362,10 +362,14 @@ type WALStats struct {
 	// checkpoint — an upper bound on how much replay a crash right now
 	// would cost.
 	OldestCheckpointAgeSeconds float64 `json:"oldest_checkpoint_age_seconds"`
-	RecoveredSessions          int     `json:"recovered_sessions"`
-	ReplayedRecords            int     `json:"replayed_records"`
-	ReplayDurationMS           float64 `json:"replay_duration_ms"`
-	TornTails                  int64   `json:"torn_tails"`
+	// RecordsSinceCheckpoint is the most log records any session holds
+	// past its newest checkpoint: recovery replays them, so restart time
+	// grows with it.
+	RecordsSinceCheckpoint int64   `json:"records_since_checkpoint"`
+	RecoveredSessions      int     `json:"recovered_sessions"`
+	ReplayedRecords        int     `json:"replayed_records"`
+	ReplayDurationMS       float64 `json:"replay_duration_ms"`
+	TornTails              int64   `json:"torn_tails"`
 	// ReadonlySessions counts sessions whose WAL circuit breaker is
 	// currently open: their mutations 503 while a background probe waits
 	// for the disk to heal.

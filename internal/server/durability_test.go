@@ -180,6 +180,9 @@ func TestWALObservability(t *testing.T) {
 	if st.WAL.Checkpoints != 1 { // the creation-time checkpoint
 		t.Errorf("wal stats checkpoints = %d, want 1", st.WAL.Checkpoints)
 	}
+	if st.WAL.RecordsSinceCheckpoint != 2 { // both mutations, past the creation-time checkpoint
+		t.Errorf("wal stats records_since_checkpoint = %d, want 2", st.WAL.RecordsSinceCheckpoint)
+	}
 	if n := len(st.WAL.FsyncHistogram); n != len(wal.FsyncBuckets)+1 {
 		t.Errorf("fsync histogram has %d buckets, want %d", n, len(wal.FsyncBuckets)+1)
 	}
@@ -210,6 +213,7 @@ func TestWALObservability(t *testing.T) {
 		"wfsd_wal_checkpoints_total 1",
 		"wfsd_wal_torn_tails_total 0",
 		"wfsd_wal_last_checkpoint_age_seconds{session=\"w\"}",
+		"wfsd_wal_records_since_checkpoint{session=\"w\"} 2",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %q", family)

@@ -439,12 +439,21 @@ func (s *Server) writeWALMetrics(p *promWriter) {
 	p.family("wfsd_wal_readonly", "Sessions currently read-only (WAL circuit breaker open).", "gauge")
 	p.sample("wfsd_wal_readonly", "", float64(s.reg.walReadonly.Load()))
 
-	p.family("wfsd_wal_last_checkpoint_age_seconds", "Seconds since each session's newest checkpoint.", "gauge")
+	var logs []*Session
 	for _, name := range s.reg.Names() {
 		if sess, err := s.reg.Get(name); err == nil && sess.wlog != nil {
-			p.sample("wfsd_wal_last_checkpoint_age_seconds", promLabel("session", name),
-				time.Since(sess.wlog.LastCheckpoint()).Seconds())
+			logs = append(logs, sess)
 		}
+	}
+	p.family("wfsd_wal_last_checkpoint_age_seconds", "Seconds since each session's newest checkpoint.", "gauge")
+	for _, sess := range logs {
+		p.sample("wfsd_wal_last_checkpoint_age_seconds", promLabel("session", sess.Name),
+			time.Since(sess.wlog.LastCheckpoint()).Seconds())
+	}
+	p.family("wfsd_wal_records_since_checkpoint", "Log records each session holds past its newest checkpoint (what recovery replays).", "gauge")
+	for _, sess := range logs {
+		p.sample("wfsd_wal_records_since_checkpoint", promLabel("session", sess.Name),
+			float64(sess.wlog.RecordsSinceCheckpoint()))
 	}
 }
 

@@ -297,13 +297,13 @@ func (s *Server) walStats() *WALStats {
 		ws.FsyncHistogram = append(ws.FsyncHistogram, WALBucket{LESeconds: ub, Count: m.FsyncBuckets[i]})
 	}
 	ws.FsyncHistogram = append(ws.FsyncHistogram, WALBucket{LESeconds: -1, Count: m.FsyncBuckets[len(wal.FsyncBuckets)]})
-	// Oldest (= most overdue) checkpoint across sessions: the headline
-	// "how much replay would a crash right now cost" signal.
+	// Oldest (= most overdue) checkpoint and longest log tail across
+	// sessions: the headline "how much replay would a crash right now
+	// cost" signals.
 	for _, name := range s.reg.Names() {
 		if sess, err := s.reg.Get(name); err == nil && sess.wlog != nil {
-			if age := time.Since(sess.wlog.LastCheckpoint()).Seconds(); age > ws.OldestCheckpointAgeSeconds {
-				ws.OldestCheckpointAgeSeconds = age
-			}
+			ws.OldestCheckpointAgeSeconds = max(ws.OldestCheckpointAgeSeconds, time.Since(sess.wlog.LastCheckpoint()).Seconds())
+			ws.RecordsSinceCheckpoint = max(ws.RecordsSinceCheckpoint, sess.wlog.RecordsSinceCheckpoint())
 		}
 	}
 	return ws

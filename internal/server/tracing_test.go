@@ -481,7 +481,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"go_sched_latency_seconds", "go_gc_cpu_seconds_total", "go_gomaxprocs",
 		"wfsd_build_info",
 		"wfsd_trace_entries", "wfsd_trace_recorded_total",
-		"wfsd_wal_appended_records_total", "wfsd_session_facts",
+		"wfsd_wal_appended_records_total", "wfsd_wal_records_since_checkpoint", "wfsd_session_facts",
 	} {
 		if _, ok := typed[want]; !ok {
 			t.Errorf("metrics output missing family %q", want)
@@ -494,6 +494,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		`wfsd_build_info{go_version="` + runtime.Version() + `",gomaxprocs="` + procs +
 			`",num_cpu="` + strconv.Itoa(runtime.NumCPU()) + `"} 1`,
 		"go_gomaxprocs " + procs,
+		`wfsd_wal_records_since_checkpoint{session="w"} 1`,
 	} {
 		if !strings.Contains(body.String(), "\n"+want+"\n") {
 			t.Errorf("metrics output has no line %q", want)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,10 +19,12 @@ import (
 // database as store-independent facts, and the epoch the dump was taken
 // at. Replay then applies only the delta records with epoch > Epoch.
 //
-// The payload is JSON inside the same CRC frame as log records: a
-// checkpoint torn by a crash mid-write fails validation and recovery
-// falls back to the previous one (checkpoints are written to a temp file
-// and renamed into place, so the previous one is never destroyed first).
+// The payload (see appendCheckpoint) sits inside the same CRC frame as
+// log records: a checkpoint torn by a crash mid-write fails validation
+// and recovery falls back to the previous one (checkpoints are written
+// to a temp file and renamed into place, so the previous one is never
+// destroyed first). The JSON tags describe the legacy format, a JSON
+// object, which recovery still reads; nothing writes it any more.
 type Checkpoint struct {
 	Name              string        `json:"name"`
 	Source            string        `json:"source"`
@@ -29,6 +32,59 @@ type Checkpoint struct {
 	Epoch             uint64        `json:"epoch"`
 	Facts             []wfs.FactRef `json:"facts"`
 	WrittenAtUnixNano int64         `json:"written_at_unix_nano"`
+}
+
+// appendCheckpoint appends the binary checkpoint payload (not the frame)
+// to dst:
+//
+//	kind(1B)=2 | name string | epoch uvarint | written-at uvarint (int64 bits)
+//	| options string | source string | facts
+//
+// with strings and facts as in encodeDelta, so one fact codec serves the
+// log and the checkpoint. opts is the JSON of ck.Options: options decode
+// tolerantly, a field a later release drops or adds is ignored rather
+// than failing recovery, so they alone keep a JSON form.
+func appendCheckpoint(dst []byte, ck Checkpoint, opts []byte) []byte {
+	dst = append(dst, recCheckpoint)
+	dst = appendString(dst, ck.Name)
+	dst = binary.AppendUvarint(dst, ck.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(ck.WrittenAtUnixNano))
+	dst = appendString(dst, string(opts))
+	dst = appendString(dst, ck.Source)
+	return appendFacts(dst, ck.Facts)
+}
+
+// decodeCheckpoint parses a checkpoint payload and also returns its
+// options JSON as stored (nil for a legacy checkpoint), which
+// appendCheckpoint turns back into the same bytes. A payload starting
+// with '{' is a legacy JSON checkpoint. A binary payload is held to the
+// rules decodeDelta enforces: minimal varints, no truncation, no
+// trailing bytes. The facts' strings share one copy of the payload, so
+// they are meant to be interned and dropped; the name and source are
+// cloned, since a session keeps them.
+func decodeCheckpoint(p []byte) (Checkpoint, []byte, error) {
+	var ck Checkpoint
+	if len(p) > 0 && p[0] == '{' {
+		err := json.Unmarshal(p, &ck)
+		return ck, nil, err
+	}
+	if len(p) == 0 || p[0] != recCheckpoint {
+		return ck, nil, fmt.Errorf("wal: not a checkpoint")
+	}
+	d := newDecoder(p[1:])
+	ck.Name = strings.Clone(d.str())
+	ck.Epoch = d.uvarint()
+	ck.WrittenAtUnixNano = int64(d.uvarint())
+	opts := d.bytes()
+	ck.Source = strings.Clone(d.str())
+	ck.Facts = d.facts()
+	if err := d.finish("checkpoint"); err != nil {
+		return ck, nil, err
+	}
+	if err := json.Unmarshal(opts, &ck.Options); err != nil {
+		return ck, nil, fmt.Errorf("wal: checkpoint options: %w", err)
+	}
+	return ck, opts, nil
 }
 
 const (
@@ -55,15 +111,19 @@ func parseEpoch(name, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// writeCheckpoint atomically persists ck into dir: frame the JSON, write
-// to a temp file, fsync it, rename to its final epoch-stamped name, and
-// fsync the directory so the rename itself is durable.
+// writeCheckpoint atomically persists ck into dir: encode it straight
+// into its frame, write to a temp file, fsync it, rename to its final
+// epoch-stamped name, and fsync the directory so the rename itself is
+// durable.
 func writeCheckpoint(fsys FS, dir string, ck Checkpoint) error {
-	payload, err := json.Marshal(ck)
+	opts, err := json.Marshal(ck.Options)
 	if err != nil {
-		return fmt.Errorf("wal: encode checkpoint: %w", err)
+		return fmt.Errorf("wal: encode checkpoint options: %w", err)
 	}
-	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
+	size := frameHeader + 1 + stringSize(ck.Name) + uvarintSize(ck.Epoch) + uvarintSize(uint64(ck.WrittenAtUnixNano)) +
+		stringSize(string(opts)) + stringSize(ck.Source) + factsSize(ck.Facts)
+	frame, start := openFrame(make([]byte, 0, size))
+	frame = sealFrame(appendCheckpoint(frame, ck, opts), start)
 	tmp := filepath.Join(dir, ckptTmp)
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -92,26 +152,26 @@ func writeCheckpoint(fsys FS, dir string, ck Checkpoint) error {
 }
 
 // readCheckpoint loads and validates one checkpoint file: exactly one
-// intact frame holding well-formed JSON.
+// intact frame holding a well-formed checkpoint, decoded in place.
 func readCheckpoint(fsys FS, path string) (Checkpoint, error) {
-	var ck Checkpoint
 	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return ck, err
+		return Checkpoint{}, err
 	}
 	var payload []byte
 	valid, torn, _ := scanFrames(data, func(p []byte) error {
 		if payload != nil {
 			return fmt.Errorf("wal: multiple frames in checkpoint %s", filepath.Base(path))
 		}
-		payload = append([]byte(nil), p...)
+		payload = p
 		return nil
 	})
 	if torn || payload == nil || valid != int64(len(data)) {
-		return ck, fmt.Errorf("wal: checkpoint %s is torn or corrupt", filepath.Base(path))
+		return Checkpoint{}, fmt.Errorf("wal: checkpoint %s is torn or corrupt", filepath.Base(path))
 	}
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return ck, fmt.Errorf("wal: checkpoint %s: %w", filepath.Base(path), err)
+	ck, _, err := decodeCheckpoint(payload)
+	if err != nil {
+		return Checkpoint{}, fmt.Errorf("wal: checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return ck, nil
 }

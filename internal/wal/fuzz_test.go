@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	wfs "repro"
@@ -55,6 +56,43 @@ func FuzzDecodeDelta(f *testing.F) {
 					t.Fatalf("rescan record %d differs", i)
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint decoder.
+// It must never panic, and it must accept only what appendCheckpoint
+// writes: a binary checkpoint that decodes re-encodes to the same bytes
+// (its options JSON carried as stored, since options decode tolerantly),
+// which rules out non-minimal varints as FuzzDecodeDelta does. A legacy
+// JSON checkpoint only has to decode or fail cleanly.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	encode := func(ck Checkpoint) []byte {
+		opts, err := json.Marshal(ck.Options)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return appendCheckpoint(nil, ck, opts)
+	}
+	for _, p := range [][]byte{
+		encode(Checkpoint{}),
+		encode(Checkpoint{Name: "s", Source: "move(a,b).\n", Epoch: 1, Facts: []wfs.FactRef{{Pred: "move", Args: []string{"a", "b"}}}}),
+		encode(Checkpoint{Name: "näme日本", Source: "p(é).", Options: wfs.Options{Depth: 2}, Epoch: 300,
+			WrittenAtUnixNano: 1760000000000000000, Facts: []wfs.FactRef{{Pred: "p", Args: []string{"é"}}}}),
+		encode(Checkpoint{Name: "flags", Source: "flag.", Facts: []wfs.FactRef{{Pred: "flag"}, {Pred: "flag"}}}),
+	} {
+		for cut := len(p); cut >= 0; cut -= max(1, len(p)/4) {
+			f.Add(p[:cut])
+		}
+	}
+	f.Add([]byte(parentCheckpoint))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, opts, err := decodeCheckpoint(data)
+		if err != nil || data[0] == '{' {
+			return
+		}
+		if again := appendCheckpoint(nil, ck, opts); !bytes.Equal(again, data) {
+			t.Fatalf("decoded %+v re-encodes to %x, want %x", ck, again, data)
 		}
 	})
 }

@@ -37,11 +37,12 @@ type Skipped struct {
 // Recover rebuilds every session persisted under the data directory:
 // load the newest valid checkpoint (falling back to older ones if the
 // newest is torn), Restore a system from it, replay the delta tail in
-// epoch order, and truncate away any torn final record a crash mid-write
-// left behind. Replay stops at the first record that is torn, out of
-// sequence, or fails to apply — everything before it is a consistent
-// prefix, everything from it on is dropped from the log so the repaired
-// log and the recovered state agree exactly.
+// epoch order in one pass (wfs.System.ApplyAll), and truncate away any
+// torn final record a crash mid-write left behind. Replay stops at the
+// first record that is torn, out of sequence, or fails to apply —
+// everything before it is a consistent prefix, everything from it on is
+// dropped from the log so the repaired log and the recovered state
+// agree exactly.
 func (m *Manager) Recover() ([]Recovered, []Skipped, error) {
 	return m.RecoverTraced(nil)
 }
@@ -115,12 +116,19 @@ func (m *Manager) recoverSession(dir string, tr *trace.Span) (Recovered, error) 
 	if err != nil {
 		return Recovered{}, err
 	}
+	// Read the tail: every record after the checkpoint, in epoch order,
+	// up to the first that is torn, undecodable or out of sequence. cut
+	// is the segment holding that record (-1: none) and valid[i] the
+	// length of segment i's prefix that stays.
+	type recordAt struct {
+		seg int
+		off int64
+	}
+	var tail []*wfs.Delta
+	var at []recordAt
+	valid := make([]int64, len(segs))
+	cut := -1
 	cur := ck.Epoch
-	var sinceRecs int
-	var sinceBytes int64
-	// lastSeg/lastSize track the log's new tail: the last segment that
-	// still holds records after repair, and its valid length.
-	lastSeg, lastSize := "", int64(0)
 	for i, path := range segs {
 		data, err := m.fsys().ReadFile(path)
 		if err != nil {
@@ -133,9 +141,13 @@ func (m *Manager) recoverSession(dir string, tr *trace.Span) (Recovered, error) 
 			if err := m.fsys().Remove(path); err != nil {
 				return Recovered{}, err
 			}
+			segs[i] = ""
 			continue
 		}
-		valid, torn, fnErr := scanFrames(data, func(payload []byte) error {
+		var off int64
+		v, torn, fnErr := scanFrames(data, func(payload []byte) error {
+			start := off
+			off += int64(frameHeader + len(payload))
 			d, err := decodeDelta(payload)
 			if err != nil {
 				return err
@@ -153,42 +165,60 @@ func (m *Manager) recoverSession(dir string, tr *trace.Span) (Recovered, error) 
 			for _, f := range d.retracts {
 				delta.Retract(f.Pred, f.Args...)
 			}
-			if err := sys.Apply(delta); err != nil {
-				return fmt.Errorf("wal: replay epoch %d: %w", d.epoch, err)
-			}
+			tail = append(tail, delta)
+			at = append(at, recordAt{i, start})
 			cur = d.epoch
-			rec.Replayed++
-			sinceRecs++
 			return nil
 		})
-		sinceBytes += valid
+		valid[i] = v
 		if torn || fnErr != nil {
-			// Repair: cut this segment back to the consistent prefix and
-			// drop everything after it (later segments are unreachable
-			// under the contiguity invariant). The repaired log now ends
-			// exactly at the recovered state.
-			rec.TornTail = true
-			m.met.tornTails.Add(1)
-			if valid == 0 {
-				if err := m.fsys().Remove(path); err != nil {
-					return Recovered{}, err
-				}
-			} else {
-				if err := m.fsys().Truncate(path, valid); err != nil {
-					return Recovered{}, err
-				}
-				lastSeg, lastSize = path, valid
-			}
-			for _, later := range segs[i+1:] {
-				if err := m.fsys().Remove(later); err != nil {
-					return Recovered{}, err
-				}
-			}
-			syncDir(m.fsys(), dir)
+			cut = i
 			break
 		}
-		if valid > 0 {
-			lastSeg, lastSize = path, valid
+	}
+	// Apply the tail in one pass. A record that does not apply to the
+	// state its predecessors left ends the consistent prefix like a torn
+	// one: the records before it stay committed, it and all after it go.
+	n, err := sys.ApplyAll(tail)
+	if err != nil {
+		cut = at[n].seg
+		valid[cut] = at[n].off
+		cur = ck.Epoch + uint64(n)
+	}
+	rec.Replayed = n
+	if cut >= 0 {
+		// Repair: cut this segment back to the consistent prefix and
+		// drop everything after it (later segments are unreachable
+		// under the contiguity invariant). The repaired log now ends
+		// exactly at the recovered state.
+		rec.TornTail = true
+		m.met.tornTails.Add(1)
+		if valid[cut] == 0 {
+			if err := m.fsys().Remove(segs[cut]); err != nil {
+				return Recovered{}, err
+			}
+		} else if err := m.fsys().Truncate(segs[cut], valid[cut]); err != nil {
+			return Recovered{}, err
+		}
+		for _, later := range segs[cut+1:] {
+			if later == "" {
+				continue // already removed as empty
+			}
+			if err := m.fsys().Remove(later); err != nil {
+				return Recovered{}, err
+			}
+		}
+		syncDir(m.fsys(), dir)
+		segs = segs[:cut+1]
+	}
+	// The log's new tail is the last segment that still holds records,
+	// and the bytes since the checkpoint are every kept prefix.
+	var sinceBytes int64
+	lastSeg, lastSize := "", int64(0)
+	for i, path := range segs {
+		sinceBytes += valid[i]
+		if valid[i] > 0 {
+			lastSeg, lastSize = path, valid[i]
 		}
 	}
 
@@ -199,10 +229,10 @@ func (m *Manager) recoverSession(dir string, tr *trace.Span) (Recovered, error) 
 		name:      ck.Name,
 		head:      cur,
 		ckptEpoch: ck.Epoch,
-		sinceRecs: sinceRecs,
 		sinceByte: sinceBytes,
 	}
 	l.ckptAt.Store(ck.WrittenAtUnixNano)
+	l.sinceRecs.Store(int64(rec.Replayed))
 	if lastSeg != "" {
 		f, err := m.fsys().OpenFile(lastSeg, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

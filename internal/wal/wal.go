@@ -197,13 +197,15 @@ type SessionLog struct {
 	f         File // live segment, nil when none is open
 	segSize   int64
 	head      uint64 // last epoch appended (= checkpoint epoch when log is empty)
-	sinceRecs int    // records since the last checkpoint
 	sinceByte int64  // bytes since the last checkpoint
 	ckptEpoch uint64
-	payload   []byte // reused record build buffer
 	buf       []byte // reused frame build buffer
 
 	ckptAt atomic.Int64 // WrittenAtUnixNano of the newest checkpoint
+	// sinceRecs counts the records since the last checkpoint: written
+	// under mu, read lock-free so a metrics scrape never waits on an
+	// fsync.
+	sinceRecs atomic.Int64
 }
 
 // Name returns the session name the log belongs to.
@@ -215,6 +217,10 @@ func (l *SessionLog) Name() string { return l.name }
 func (l *SessionLog) LastCheckpoint() time.Time {
 	return time.Unix(0, l.ckptAt.Load())
 }
+
+// RecordsSinceCheckpoint returns how many records the log holds past its
+// newest checkpoint: what a recovery right now would replay.
+func (l *SessionLog) RecordsSinceCheckpoint() int64 { return l.sinceRecs.Load() }
 
 // Append serializes one committed delta to the live segment — creating a
 // fresh segment named by the record's epoch when none is open — and, with
@@ -256,9 +262,9 @@ func (l *SessionLog) AppendTraced(epoch uint64, adds, retracts []wfs.FactRef, tr
 		}
 		l.f, l.segSize = f, 0
 	}
-	l.payload = encodeDelta(l.payload[:0], epoch, adds, retracts)
-	l.buf = appendFrame(l.buf[:0], l.payload)
-	frame := l.buf
+	frame, start := openFrame(l.buf[:0])
+	frame = sealFrame(encodeDelta(frame, epoch, adds, retracts), start)
+	l.buf = frame
 	if _, err := l.f.Write(frame); err != nil {
 		// A partial frame may have landed; roll the file back to the last
 		// record boundary so the tail stays parseable.
@@ -280,7 +286,7 @@ func (l *SessionLog) AppendTraced(epoch uint64, adds, retracts []wfs.FactRef, tr
 	sp.SetCount("bytes", int64(len(frame)))
 	l.segSize += int64(len(frame))
 	l.head = epoch
-	l.sinceRecs++
+	l.sinceRecs.Add(1)
 	l.sinceByte += int64(len(frame))
 	l.man.met.appendedRecords.Add(1)
 	l.man.met.appendedBytes.Add(int64(len(frame)))
@@ -293,7 +299,7 @@ func (l *SessionLog) NeedCheckpoint() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	o := l.man.opts
-	return (o.CheckpointRecords > 0 && l.sinceRecs >= o.CheckpointRecords) ||
+	return (o.CheckpointRecords > 0 && l.sinceRecs.Load() >= int64(o.CheckpointRecords)) ||
 		(o.CheckpointBytes > 0 && l.sinceByte >= o.CheckpointBytes)
 }
 
@@ -383,7 +389,7 @@ func (l *SessionLog) CheckpointTraced(dump func() Checkpoint, tr *trace.Span) er
 	syncDir(l.man.fsys(), l.dir)
 	l.ckptEpoch = ck.Epoch
 	l.ckptAt.Store(ck.WrittenAtUnixNano)
-	l.sinceRecs = 0
+	l.sinceRecs.Store(0)
 	l.sinceByte = 0
 	l.man.met.checkpoints.Add(1)
 	return nil

@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -723,4 +726,174 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Fatalf("recovery metrics: %+v", rsnap)
 	}
 	man2.Close()
+}
+
+// appendFrame appends one framed payload to dst and returns the
+// extended slice.
+func appendFrame(dst, payload []byte) []byte {
+	buf, start := openFrame(dst)
+	return sealFrame(append(buf, payload...), start)
+}
+
+// TestRecoverStopsAtUnappliableRecord: a log whose k-th record decodes
+// but cannot apply to the state the records before it left — here it
+// retracts a fact that is not in the database — recovers at epoch k−1,
+// truncated at that record's first byte (later segments dropped), and
+// the reopened log accepts epoch k. The tail spans two segments, so the
+// failing record sits at a segment start, in the middle, and at the end.
+func TestRecoverStopsAtUnappliableRecord(t *testing.T) {
+	const nRec, split = 6, 3 // records 1..3 in one segment, 4..6 in the next
+	add := func(i int) []wfs.FactRef {
+		return []wfs.FactRef{{Pred: "move", Args: []string{"c", fmt.Sprint("d", i)}}}
+	}
+	for k := 1; k <= nRec; k++ {
+		dir := t.TempDir()
+		man, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := man.Create("s", Checkpoint{Source: winMove, Facts: mustDump(t, winMove)}); err != nil {
+			t.Fatal(err)
+		}
+		man.Close()
+		sdir := man.sessionDir("s")
+		var segs [2][]byte
+		var starts [nRec + 1]int // record i's offset in its segment
+		for i := 1; i <= nRec; i++ {
+			adds, retracts := add(i), []wfs.FactRef(nil)
+			if i == k {
+				adds, retracts = nil, []wfs.FactRef{{Pred: "move", Args: []string{"z", "z"}}}
+			}
+			s := &segs[(i-1)/split]
+			starts[i] = len(*s)
+			*s = appendFrame(*s, encodeDelta(nil, uint64(i), adds, retracts))
+		}
+		for j, first := range []uint64{1, split + 1} {
+			if err := os.WriteFile(filepath.Join(sdir, segName(first)), segs[j], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		man2, _ := Open(dir, Options{})
+		recs, skipped, err := man2.Recover()
+		if err != nil || len(skipped) != 0 || len(recs) != 1 {
+			t.Fatalf("k=%d: Recover: recs=%d skipped=%v err=%v", k, len(recs), skipped, err)
+		}
+		rec := recs[0]
+		if got := rec.Sys.Epoch(); got != uint64(k-1) || rec.Replayed != k-1 || !rec.TornTail {
+			t.Fatalf("k=%d: epoch %d replayed %d torn %v, want %d/%d/true", k, got, rec.Replayed, rec.TornTail, k-1, k-1)
+		}
+		// The segment holding record k ends where record k began (or is
+		// gone when k was its first record), and no later segment is left.
+		left, _, _ := listByEpoch(osFS{}, sdir, segSuffix)
+		var sizes []int
+		for _, p := range left {
+			data, _ := os.ReadFile(p)
+			sizes = append(sizes, len(data))
+		}
+		var want []int
+		if k > split {
+			want = append(want, len(segs[0]))
+		}
+		if starts[k] > 0 {
+			want = append(want, starts[k])
+		}
+		if !reflect.DeepEqual(sizes, want) {
+			t.Fatalf("k=%d: segments left %v with sizes %v, want sizes %v", k, left, sizes, want)
+		}
+
+		rec.Sys.SetCommitHook(func(e uint64, adds, retracts []wfs.FactRef) error {
+			return rec.Log.Append(e, adds, retracts)
+		})
+		if err := rec.Sys.AddFact("move", "c", "post"); err != nil {
+			t.Fatalf("k=%d: post-recovery mutation: %v", k, err)
+		}
+		man2.Close()
+		man3, _ := Open(dir, Options{})
+		recs, _, err = man3.Recover()
+		if err != nil || len(recs) != 1 || recs[0].TornTail || recs[0].Replayed != k {
+			t.Fatalf("k=%d: second Recover: recs=%v err=%v", k, recs, err)
+		}
+		requireSameState(t, rec.Sys, recs[0].Sys)
+		man3.Close()
+	}
+}
+
+// mustDump returns the database src loads as a checkpoint fact list.
+func mustDump(t *testing.T, src string) []wfs.FactRef {
+	t.Helper()
+	sys, err := wfs.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts, _ := sys.DumpState()
+	return facts
+}
+
+// TestCheckpointRoundTrip: a binary checkpoint decodes to what was
+// encoded, its options included, and re-encodes to the same bytes.
+func TestCheckpointRoundTrip(t *testing.T) {
+	for i, ck := range []Checkpoint{
+		{},
+		{Name: "s", Source: winMove, Epoch: 7, WrittenAtUnixNano: 1760000000000000000, Facts: mustDump(t, winMove)},
+		{Name: "näme/日本", Source: "flag.\n", Options: wfs.Options{Depth: 3, MaxAtoms: 10}, Epoch: 1 << 40,
+			WrittenAtUnixNano: -1, Facts: []wfs.FactRef{{Pred: "flag"}, {Pred: "p", Args: []string{"", "\x00\xff"}}}},
+	} {
+		opts, err := json.Marshal(ck.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, want := factsSize(ck.Facts), len(appendFacts(nil, ck.Facts)); n != want {
+			t.Fatalf("case %d: factsSize = %d, encoding is %d bytes", i, n, want)
+		}
+		p := appendCheckpoint(nil, ck, opts)
+		got, gotOpts, err := decodeCheckpoint(p)
+		if err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, ck) {
+			t.Fatalf("case %d: decoded %+v, want %+v", i, got, ck)
+		}
+		if again := appendCheckpoint(nil, got, gotOpts); !bytes.Equal(again, p) {
+			t.Fatalf("case %d: re-encoding differs", i)
+		}
+		for cut := 0; cut < len(p); cut++ {
+			if _, _, err := decodeCheckpoint(p[:cut]); err == nil {
+				t.Fatalf("case %d: truncation at %d decodes", i, cut)
+			}
+		}
+	}
+}
+
+func TestUvarintSize(t *testing.T) {
+	for _, x := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+		if got, want := uvarintSize(x), len(binary.AppendUvarint(nil, x)); got != want {
+			t.Errorf("uvarintSize(%d) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// TestCheckpointWrittenBinary: checkpoints are written in the binary
+// format, and the legacy JSON one still reads to the same checkpoint.
+func TestCheckpointWrittenBinary(t *testing.T) {
+	dir := t.TempDir()
+	man, sys, _ := openLogged(t, dir, Options{}, "s", winMove)
+	man.Close()
+	cks, _, _ := listByEpoch(osFS{}, man.sessionDir("s"), ckptSuffix)
+	data, err := os.ReadFile(cks[0])
+	if err != nil || len(data) <= frameHeader || data[frameHeader] != recCheckpoint {
+		t.Fatalf("checkpoint file does not hold a binary checkpoint (%v)", err)
+	}
+	ck, err := readCheckpoint(osFS{}, cks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts, _ := sys.DumpState()
+	if ck.Name != "s" || ck.Source != winMove || !reflect.DeepEqual(ck.Facts, facts) {
+		t.Fatalf("read back %+v", ck)
+	}
+	legacy, _, err := decodeCheckpoint([]byte(parentCheckpoint))
+	if err != nil || legacy.Name != "old" || legacy.Epoch != 1 || len(legacy.Facts) != 4 {
+		t.Fatalf("legacy checkpoint: %+v, %v", legacy, err)
+	}
 }

@@ -50,8 +50,9 @@ func (s *System) DumpState() (facts []FactRef, epoch uint64) {
 // records nothing).
 //
 // Restore plus an in-order replay of the deltas committed after the
-// checkpoint (System.Apply bumps the epoch by one per batch, matching the
-// epochs a CommitHook observed) reproduces the pre-crash system state.
+// checkpoint (System.ApplyAll, or one Apply per delta: either bumps the
+// epoch by one per batch, matching the epochs a CommitHook observed)
+// reproduces the pre-crash system state.
 func Restore(src string, opts Options, facts []FactRef, epoch uint64, tr *trace.Span) (*System, error) {
 	unit, err := parse(src, tr)
 	if err != nil {

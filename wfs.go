@@ -287,19 +287,18 @@ func (s *System) NumQueries() int { return len(s.queries) }
 func (s *System) AddFact(pred string, args ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked([]factSpec{{pred: pred, args: args}}, nil, nil)
+	return s.applyLocked(&Delta{adds: []factSpec{{pred: pred, args: args}}})
 }
 
-// invalidateLocked bumps the epoch after a database mutation and
-// replaces the published snapshot. When that snapshot has any model
-// materialized, the writer builds the successor beside it, rebases every
-// model that was warm in it under tr, and only then publishes it: readers
-// keep answering from the predecessor until the Store, never from a cold
-// successor. Otherwise (nothing published, or nothing read since) it just
-// unpublishes, so WAL replay and cold AddFact loops build nothing per
-// mutation. Callers must hold mu.
+// invalidateLocked replaces the published snapshot once a database
+// mutation has committed and bumped the epoch. When that snapshot has
+// any model materialized, the writer builds the successor beside it,
+// rebases every model that was warm in it under tr, and only then
+// publishes it: readers keep answering from the predecessor until the
+// Store, never from a cold successor. Otherwise (nothing published, or
+// nothing read since) it just unpublishes, so cold AddFact loops build
+// nothing per mutation. Callers must hold mu.
 func (s *System) invalidateLocked(tr *trace.Span) {
-	s.epoch++
 	prev := s.snap.Load()
 	if prev == nil || !prev.warm() {
 		s.snap.Store(nil)
