@@ -108,23 +108,28 @@ type Result struct {
 	waiters map[atom.AtomID][]waiter
 	queue   []int32 // atoms pending guard expansion
 
-	// replay, when non-nil, switches run/derive from rule matching to
-	// re-firing a prior chase's instances (Retract's DRed-style replay).
-	replay *replayState
-
-	// Exact summary statistics, kept as atoms are derived: the number of
-	// derived atoms per forest depth, and the deepest term of any of them.
-	depthHist    []int32
-	maxTermDepth int
+	// Exact summary statistics, kept as atoms are derived and retracted:
+	// the number of derived atoms per forest depth and per term depth.
+	depthHist []int32
+	termHist  []int32
 
 	// claim guards the tail of the arena; gen is this result's place in
 	// the chain of in-place continuations under it. base and baseGen
 	// name the claim and generation the arena was copied from, when a
-	// continuation lost the claim (see Extends).
+	// continuation lost the claim (see SameAtoms). records names the
+	// record numbering: a retraction renumbers the records it keeps and
+	// takes a fresh one (see Extends).
 	claim   *tailClaim
 	gen     uint64
 	base    *tailClaim
 	baseGen uint64
+	records uint64
+
+	// Garbage a retraction leaves in the shared arrays: body slots of
+	// dead records, and universe entries of atoms that died (an atom
+	// derived again stops counting). Once either exceeds a quarter of
+	// its array, the retraction compacts (see compact).
+	orphanSlots, orphanAtoms int
 }
 
 // arena is the ground program of a chase: append-only arrays that a
@@ -157,8 +162,9 @@ type arena struct {
 
 	// Occurrence lists, newest first: headNext[i] links record i to the
 	// previous record with its head, occNext[k] body slot k to the
-	// previous slot with its atom, and occRec[k] is slot k's record.
-	// perAtom.firstHead and perAtom.firstOcc head the lists.
+	// previous slot with its atom, and occRec[k] is slot k's record, or
+	// -1 once a retraction killed it. perAtom.firstHead and
+	// perAtom.firstOcc head the lists.
 	headNext, occNext, occRec []int32
 }
 
@@ -194,7 +200,13 @@ func (p *perAtom) clone() perAtom {
 const (
 	flagQueued uint8 = 1 << iota
 	flagExpanded
+	flagProgFact // a fact of the program: depth 0 whatever the database
+	flagDied     // died in a retraction and not derived since
+	flagOver     // scratch of a retraction: overdeleted
 )
+
+// recordLines numbers record numberings; see Result.records.
+var recordLines atomic.Uint64
 
 // tailClaim is the right to append to an arena in place: it holds the
 // generation of the result that may hand the tail to its next
@@ -223,6 +235,7 @@ func newResult(prog *program.Program, db program.Database, opts Options, n, m, b
 		Opts:    opts,
 		waiters: make(map[atom.AtomID][]waiter),
 		claim:   &tailClaim{},
+		records: recordLines.Add(1),
 	}
 }
 
@@ -246,7 +259,9 @@ func (r *Result) seed(db program.Database) {
 	for _, rule := range r.Prog.Rules {
 		if rule.IsFact() && len(rule.Exist) == 0 {
 			sub := atom.NewSubst(rule.NumVars)
-			r.derive(r.intern(r.Prog.Store.Instantiate(rule.Head, sub)), 0, 0)
+			d := r.intern(r.Prog.Store.Instantiate(rule.Head, sub))
+			r.flags[d] |= flagProgFact
+			r.derive(d, 0, 0)
 		}
 	}
 }
@@ -309,20 +324,23 @@ func (r *Result) continuation(prog *program.Program, opts Options) *Result {
 		waiters[a] = append([]waiter(nil), ws...)
 	}
 	nr := &Result{
-		arena:        r.arena,
-		Prog:         prog,
-		DB:           r.DB,
-		Opts:         opts,
-		Truncated:    r.Truncated,
-		perAtom:      r.perAtom.clone(),
-		waiters:      waiters,
-		queue:        cloneSlack(r.queue),
-		depthHist:    cloneSlack(r.depthHist),
-		maxTermDepth: r.maxTermDepth,
-		claim:        r.claim,
-		gen:          r.gen + 1,
-		base:         r.base,
-		baseGen:      r.baseGen,
+		arena:       r.arena,
+		Prog:        prog,
+		DB:          r.DB,
+		Opts:        opts,
+		Truncated:   r.Truncated,
+		perAtom:     r.perAtom.clone(),
+		waiters:     waiters,
+		queue:       cloneSlack(r.queue),
+		depthHist:   cloneSlack(r.depthHist),
+		termHist:    cloneSlack(r.termHist),
+		claim:       r.claim,
+		gen:         r.gen + 1,
+		base:        r.base,
+		baseGen:     r.baseGen,
+		records:     r.records,
+		orphanSlots: r.orphanSlots,
+		orphanAtoms: r.orphanAtoms,
 	}
 	if !r.claim.owner.CompareAndSwap(r.gen, r.gen+1) {
 		nr.arena = r.arena.copy()
@@ -331,13 +349,20 @@ func (r *Result) continuation(prog *program.Program, opts Options) *Result {
 	return nr
 }
 
-// Extends reports whether r's ground program starts with all of prev's
-// records, atoms numbered alike: r is prev, an in-place continuation of
-// it, or a copy of one.
-func (r *Result) Extends(prev *Result) bool {
+// SameAtoms reports whether r numbers atoms as prev does, prev's
+// Universe a prefix of r's: r is prev, a continuation of it in place or
+// in a copy, or a retraction of one that did not compact.
+func (r *Result) SameAtoms(prev *Result) bool {
 	return r == prev ||
 		(r.claim == prev.claim && r.gen >= prev.gen) ||
 		(r.base == prev.claim && r.baseGen >= prev.gen)
+}
+
+// Extends reports whether r's ground program starts with all of prev's
+// records, atoms numbered alike: r is prev, or a continuation of it
+// with no retraction between them.
+func (r *Result) Extends(prev *Result) bool {
+	return r.records == prev.records && r.SameAtoms(prev)
 }
 
 // cloneSlack copies xs into a fresh slice with ~25% spare capacity, so a
@@ -390,6 +415,8 @@ func (r *Result) Head(rec int32) atom.AtomID { return r.Universe[r.Ground[rec].H
 // (body true, once per occurrence), newest first.
 func (r *Result) RecordsSince(d int32, from int, body bool, dst []int32) []int32 {
 	if body {
+		// A slot of a dead record is older than every slot of a record
+		// written since the last retraction, so it ends the walk too.
 		for k := r.firstOcc[d]; k >= 0 && int(r.occRec[k]) >= from; k = r.occNext[k] {
 			dst = append(dst, r.occRec[k])
 		}
@@ -430,10 +457,10 @@ func (r *Result) derive(d int32, depth, level int32) {
 		g := r.Universe[d]
 		r.Atoms = append(r.Atoms, g)
 		r.countDepth(depth, 1)
-		// A replay re-derives a subset of its source's atoms, so the
-		// source's deepest term bounds the scan.
-		if rep := r.replay; rep == nil || r.maxTermDepth < rep.src.maxTermDepth {
-			r.maxTermDepth = max(r.maxTermDepth, r.Prog.Store.TermDepth(g))
+		r.countTerm(g, 1)
+		if r.flags[d]&flagDied != 0 {
+			r.flags[d] &^= flagDied
+			r.orphanAtoms--
 		}
 		if depth == 0 {
 			r.record(d, -1, len(r.Body), len(r.Body))
@@ -446,14 +473,6 @@ func (r *Result) derive(d int32, depth, level int32) {
 			delete(r.waiters, g)
 			for _, w := range ws {
 				r.tryApply(w.rule, w.guard)
-			}
-		}
-		if rep := r.replay; rep != nil {
-			if cs := rep.parked[g]; len(cs) > 0 {
-				delete(rep.parked, g)
-				for _, ci := range cs {
-					r.tryReplay(ci)
-				}
 			}
 		}
 		return
@@ -469,10 +488,11 @@ func (r *Result) derive(d int32, depth, level int32) {
 		}
 		// Cascade the decrease to heads derived through d as guard.
 		for k := r.firstOcc[d]; k >= 0; k = r.occNext[k] {
-			in := r.Ground[r.occRec[k]]
-			if in.Off != k {
-				continue
+			rec := r.occRec[k]
+			if rec < 0 || r.Ground[rec].Off != k {
+				continue // a dead record's slot, or not the guard
 			}
+			in := r.Ground[rec]
 			if nd := depth + 1; nd < r.depth[in.Head] {
 				r.derive(in.Head, nd, r.level[in.Head])
 			}
@@ -489,6 +509,16 @@ func (r *Result) countDepth(depth int32, delta int32) {
 		r.depthHist = append(r.depthHist, 0)
 	}
 	r.depthHist[depth] += delta
+}
+
+// countTerm adjusts the census of derived atoms by the depth of their
+// deepest term.
+func (r *Result) countTerm(g atom.AtomID, delta int32) {
+	td := r.Prog.Store.TermDepth(g)
+	for td >= len(r.termHist) {
+		r.termHist = append(r.termHist, 0)
+	}
+	r.termHist[td] += delta
 }
 
 func (r *Result) enqueue(d int32) {
@@ -521,21 +551,6 @@ func (r *Result) run() {
 			continue // defensive: each atom's guard expansion runs once
 		}
 		r.flags[a] |= flagExpanded
-		if rep := r.replay; rep != nil {
-			// Replay mode: re-fire the source chase's instances guarded
-			// by a instead of matching rules against the store (order
-			// within one guard is immaterial — the fired set is what
-			// matters).
-			src := rep.src
-			if sd := src.Local(r.Universe[a]); sd >= 0 {
-				for k := src.firstOcc[sd]; k >= 0; k = src.occNext[k] {
-					if rec := src.occRec[k]; src.Ground[rec].Off == k {
-						r.tryReplay(rec)
-					}
-				}
-			}
-			continue
-		}
 		for _, rule := range r.Prog.RulesGuardedBy(r.Prog.Store.PredOf(r.Universe[a])) {
 			r.tryApply(rule, a)
 		}
@@ -634,11 +649,15 @@ func (r *Result) ComputeStats() Stats {
 	for maxDepth > 0 && r.depthHist[maxDepth] == 0 {
 		maxDepth--
 	}
+	maxTerm := len(r.termHist) - 1
+	for maxTerm > 0 && r.termHist[maxTerm] == 0 {
+		maxTerm--
+	}
 	return Stats{
 		Atoms:        len(r.Atoms),
 		Instances:    len(r.Instances),
 		MaxDepth:     max(maxDepth, 0),
-		MaxTermDepth: r.maxTermDepth,
+		MaxTermDepth: max(maxTerm, 0),
 		Truncated:    r.Truncated,
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -219,6 +220,9 @@ type Model struct {
 
 	idxOnce sync.Once    // guards buildIndexes
 	preds   []*predIndex // matcher candidates per predicate, by PredID
+	// patch, until buildIndexes consumes it, names the model this one
+	// was rebased from and the atoms whose candidacy may differ.
+	patch *indexPatch
 
 	ranksOnce sync.Once // guards PrepareExplanations (models may be shared across snapshots)
 	ranks     []int32   // lazy: derivation ranks for Explain
@@ -425,6 +429,7 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 			if ext.Interrupted {
 				return interruptedModel(prev)
 			}
+			cones := [][]int32{gm.Cone}
 			if ext != res {
 				firstNew := len(res.Ground)
 				res = ext
@@ -441,8 +446,11 @@ func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 				if gm.Interrupted {
 					return interruptedModel(prev)
 				}
+				cones = append(cones, gm.Cone)
 			}
-			return wrapModel(opts, res, gp, gm, depth)
+			m := wrapModel(opts, res, gp, gm, depth)
+			m.patch = newIndexPatch(prev, m, cones)
+			return m
 		}
 	}
 	if tok.Cancelled() {
@@ -603,6 +611,11 @@ func (m *Model) Precompute() { m.buildIndexes() }
 
 func (m *Model) buildIndexes() {
 	m.idxOnce.Do(func() {
+		if p := m.patch; p != nil {
+			m.patch = nil // release the previous model
+			m.preds = p.apply(m)
+			return
+		}
 		st := m.Chase.Prog.Store
 		m.preds = make([]*predIndex, st.NumPreds())
 		for i, g := range m.GP.Atoms {
@@ -618,6 +631,92 @@ func (m *Model) buildIndexes() {
 			pi.atoms = append(pi.atoms, g)
 		}
 	})
+}
+
+// indexPatch derives a rebased model's matcher lists from those of the
+// model it was rebased from. Truth changes only inside the re-solved
+// cones, and so does depth (a retraction deepens or kills only atoms
+// downstream of a retracted fact, an addition lowers only atoms
+// downstream of an added one), so the candidacy of every other atom of
+// the previous universe stands.
+type indexPatch struct {
+	prev  *Model
+	moved []int32 // local atoms whose candidacy may differ, ascending
+}
+
+// newIndexPatch returns the patch from prev to m, whose warm solves
+// re-solved cones, or nil when the lists must be rebuilt: a cold solve,
+// renumbered atoms, or a guard band that moved.
+func newIndexPatch(prev, m *Model, cones [][]int32) *indexPatch {
+	if prev.UsableDepth != m.UsableDepth || !m.Chase.SameAtoms(prev.Chase) {
+		return nil
+	}
+	var moved []int32
+	for _, c := range cones {
+		if c == nil {
+			return nil
+		}
+		moved = append(moved, c...)
+	}
+	for i := len(prev.GP.Atoms); i < len(m.GP.Atoms); i++ {
+		moved = append(moved, int32(i))
+	}
+	slices.Sort(moved)
+	return &indexPatch{prev: prev, moved: slices.Compact(moved)}
+}
+
+// apply returns m's matcher lists: prev's, sharing every predicate's
+// list (and its built argument indexes) where no candidate moved, and a
+// new list — the old one with the moved atoms spliced in or out, still
+// in universe order — where one did. The result equals a rebuild.
+func (p *indexPatch) apply(m *Model) []*predIndex {
+	prev := p.prev
+	prev.buildIndexes()
+	st := m.Chase.Prog.Store
+	preds := make([]*predIndex, st.NumPreds())
+	copy(preds, prev.preds)
+	type change struct {
+		local int32
+		a     atom.AtomID
+		in    bool
+	}
+	var byPred map[atom.PredID][]change
+	for _, i := range p.moved {
+		a := m.GP.Atoms[i]
+		in := m.GM.Truth[i] != ground.False && m.Usable(a)
+		was := int(i) < len(prev.GM.Truth) && prev.GM.Truth[i] != ground.False && prev.Usable(a)
+		if in != was {
+			if byPred == nil {
+				byPred = make(map[atom.PredID][]change)
+			}
+			pr := st.PredOf(a)
+			byPred[pr] = append(byPred[pr], change{i, a, in})
+		}
+	}
+	for pr, cs := range byPred {
+		var old []atom.AtomID
+		if pi := preds[pr]; pi != nil {
+			old = pi.atoms
+		}
+		out := make([]atom.AtomID, 0, len(old)+len(cs))
+		at := 0
+		for _, c := range cs {
+			k := at + sort.Search(len(old)-at, func(j int) bool { return m.Chase.Local(old[at+j]) >= c.local })
+			out = append(out, old[at:k]...)
+			at = k
+			if c.in {
+				out = append(out, c.a)
+			} else {
+				at++ // old[k] is c.a
+			}
+		}
+		out = append(out, old[at:]...)
+		preds[pr] = nil
+		if len(out) > 0 {
+			preds[pr] = &predIndex{atoms: out, args: make([]argIndex, st.PredArity(pr))}
+		}
+	}
+	return preds
 }
 
 // ModelStats summarizes an evaluated model for reporting layers (CLIs,

@@ -5,15 +5,18 @@
 //
 // The pipeline for one applied delta is
 //
-//	diff ──▶ retract (DRed replay over the forest)
+//	diff ──▶ retract (DRed on the forest, in the chase's own numbering)
 //	     ──▶ extend  (data-dimension chase continuation)
-//	     ──▶ reground (a view of the extended arena, or of the replay's
-//	                   fresh arena with rebuilt occurrence lists)
+//	     ──▶ reground (a view of the arena: the previous occurrence lists,
+//	                   renumbered after a retraction, extended through
+//	                   the chase's links after an addition)
 //	     ──▶ seeds   (atoms whose ground rule set changed)
 //
 // with the warm-started WFS fixpoint (ground.IncrementalModel) consuming
-// the seeds downstream. Everything here is set-level: the database is a
-// multiset at the API layer, but the chase — and therefore everything
+// the seeds downstream. Atoms keep their numbers through every stage
+// (until a retraction compacts the arena), so the warm start reads the
+// previous model by index. Everything here is set-level: the database is
+// a multiset at the API layer, but the chase — and therefore everything
 // the delta subsystem maintains — only sees which atoms are present.
 package delta
 
@@ -76,11 +79,11 @@ type Result struct {
 // Rebase carries (res, gp) — a finished chase of res.DB and its grounding
 // — onto the mutated database newDB, whose set-level change from res.DB
 // is (added, removed), both already interned in res's store (prog must
-// be bound to that store). Retractions
-// replay the derivation forest (chase.Result.Retract), additions extend
-// it (chase.Result.ExtendDB), and the grounding is a view of the
-// resulting arena: extended for pure additions, with its occurrence lists
-// rebuilt after a retraction.
+// be bound to that store). Retractions run DRed on the derivation forest
+// (chase.Result.RetractCancel), additions extend it
+// (chase.Result.ExtendDB), and the grounding is a view of the resulting
+// arena: gp's occurrence lists renumbered after a retraction, extended
+// after an addition.
 //
 // ok is false when the state cannot be rebased — a truncated chase, whose
 // instance set is incomplete — and the caller must re-evaluate from
@@ -91,14 +94,14 @@ func Rebase(res *chase.Result, gp *ground.Program, prog *program.Program,
 }
 
 // RebaseCancelTraced is Rebase with observability and under a
-// cancellation token. The overdelete (retract), rederive (extend-db), and
-// reground stages become child spans of tr, with delta sizes
-// (added/removed facts, dead and refired instances) as counters; tr nil
-// records nothing. The token (nil = never cancelled) is threaded into the
-// retraction replay and the data-dimension chase continuation, and polled
-// between stages. A cancelled rebase reports ok=false with an interrupted
-// chase — callers on a cancellable path must check the token before
-// falling back to a from-scratch rebuild.
+// cancellation token. The retract, extend-db, and reground stages become
+// child spans of tr, with delta sizes (added/removed facts, dead and new
+// instances, overdeleted and rederived atoms, whether the retraction
+// compacted) as counters; tr nil records nothing. The token (nil = never
+// cancelled) is threaded into the retraction and the data-dimension
+// chase continuation. A cancelled rebase reports ok=false with an
+// interrupted chase — callers on a cancellable path must check the token
+// before falling back to a from-scratch rebuild.
 func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Program,
 	newDB program.Database, added, removed []atom.AtomID, tok *cancel.Token, tr *trace.Span) (Result, bool) {
 	if res.Truncated {
@@ -107,7 +110,8 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 	tr.SetCount("added_facts", int64(len(added)))
 	tr.SetCount("removed_facts", int64(len(removed)))
 	seeds := make([]atom.AtomID, 0, len(added)+len(removed))
-	cur, curGP := res, gp
+	cur := res
+	var ret *chase.Retraction
 	if len(removed) > 0 {
 		mid := newDB
 		if len(added) > 0 {
@@ -124,18 +128,27 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 			}
 		}
 		endRetract := tr.Phase("retract")
-		next, dead := cur.RetractCancel(prog, mid, tok)
+		next, r := cur.RetractCancel(prog, mid, removed, tok)
 		endRetract()
 		if next == nil || next.Interrupted {
 			return Result{}, false
 		}
-		tr.SetCount("dead_instances", int64(len(dead)))
-		for _, ci := range dead {
+		ret = r
+		tr.SetCount("dead_instances", int64(len(ret.Dead)))
+		tr.SetCount("overdeleted_atoms", int64(ret.Overdeleted))
+		tr.SetCount("rederived_atoms", int64(ret.Rederived))
+		compacted := int64(0)
+		if ret.Compacted {
+			compacted = 1
+		}
+		tr.SetCount("compacted", compacted)
+		for _, ci := range ret.Dead {
 			seeds = append(seeds, cur.Head(ci))
 		}
 		seeds = append(seeds, removed...)
-		cur, curGP = next, nil // a fresh arena: reground below
+		cur = next
 	}
+	retracted := cur
 	if len(added) > 0 {
 		firstInst, firstRec := len(cur.Instances), len(cur.Ground)
 		endExtend := tr.Phase("extend-db")
@@ -153,11 +166,12 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 		cur = next
 	}
 	endReground := tr.Phase("reground")
-	if curGP != nil {
-		// Pure addition: the grounding is a view of the extended arena.
+	curGP := gp
+	if ret != nil {
+		curGP = ground.RetractFromChase(gp, retracted, ret.Remap)
+	}
+	if cur != retracted || ret == nil {
 		curGP = ground.ExtendFromChase(curGP, cur)
-	} else {
-		curGP = ground.FromChase(cur)
 	}
 	endReground()
 	return Result{Chase: cur, GP: curGP, Seeds: seeds}, true

@@ -96,10 +96,12 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 	nAff := len(cone)
 	tr.SetCount("affected_atoms", int64(nAff))
 	tr.SetCount("universe_atoms", int64(n))
-	// Atoms keep their indexes when gp extends prev's program; after a
-	// retraction the chase renumbered them, and prev is read by global ID.
+	// Atoms keep their indexes across continuations and retractions of
+	// one chase; after a compaction the chase renumbered them, and prev
+	// is read by global ID.
 	prevTruth := func(i int32) Truth { return prev.TruthOfGlobal(gp.Atoms[i]) }
-	if gp.extends(prev.Prog) {
+	same := gp.sameAtoms(prev.Prog)
+	if same {
 		prevTruth = func(i int32) Truth {
 			if int(i) < len(prev.Truth) {
 				return prev.Truth[i]
@@ -111,7 +113,7 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 	// the observability stats survive delta applies (the steady-state
 	// path of a mutating session) without condensing the whole program.
 	wrap := func(out []Truth, rounds, workers int) *Model {
-		return &Model{
+		m := &Model{
 			Prog:       gp,
 			Truth:      out,
 			Rounds:     rounds,
@@ -120,9 +122,20 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 			HardSCCs:   prev.HardSCCs,
 			Workers:    max(workers, 1),
 		}
+		if same {
+			m.Cone = cone[:nAff:nAff]
+			if m.Cone == nil {
+				m.Cone = []int32{}
+			}
+		}
+		return m
 	}
 	merged := func() []Truth {
 		out := make([]Truth, n)
+		if same {
+			copy(out, prev.Truth) // the atoms past prev's universe are false
+			return out
+		}
 		for i := range out {
 			out[i] = prevTruth(int32(i))
 		}

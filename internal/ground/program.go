@@ -26,6 +26,7 @@ package ground
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/atom"
@@ -271,6 +272,85 @@ func ExtendFromChase(prev *Program, res *chase.Result) *Program {
 	return view(res, occ)
 }
 
+// RetractFromChase returns the ground program of res, a retraction of
+// the chase prev was built from whose surviving records moved as remap
+// says (chase.Retraction.Remap): a view of res's arena whose occurrence
+// lists are prev's, renumbered through remap with the dead rules dropped,
+// plus the rules prev reached through the chase's links. Atoms keep their
+// indexes, and the lists come out exactly as FromChase would build them.
+// prev is not mutated. A prev that is not a view of the retracted chase,
+// or a nil remap (the retraction compacted), falls back to FromChase.
+func RetractFromChase(prev *Program, res *chase.Result, remap []int32) *Program {
+	if prev == nil || prev.res == nil || remap == nil || len(remap) != len(prev.Rules) || !res.SameAtoms(prev.res) {
+		return FromChase(res)
+	}
+	// Lists that cover only records before the first dead one are still
+	// right: those records kept their positions (remap is monotone, so
+	// it is enough that the last of them did), and the records after
+	// them are reached through the chase's links, as for an extension.
+	if k := prev.occ.rules; k == 0 || remap[k-1] == int32(k-1) {
+		if 4*(len(res.Ground)-k) <= k {
+			return view(res, prev.occ)
+		}
+	}
+	old := prev.occ
+	if x := prev.full.Load(); x != nil {
+		old = x
+	}
+	// The rules past prev's lists join the end of their atoms' lists:
+	// they are newer than every rule the lists hold.
+	var tails [3][]occEntry
+	for ri := old.rules; ri < len(prev.Rules); ri++ {
+		j := remap[ri]
+		if j < 0 {
+			continue
+		}
+		r := &prev.Rules[ri]
+		tails[0] = append(tails[0], occEntry{r.Head, j})
+		for _, b := range prev.Pos(r) {
+			tails[1] = append(tails[1], occEntry{b, j})
+		}
+		for _, b := range prev.Neg(r) {
+			tails[2] = append(tails[2], occEntry{b, j})
+		}
+	}
+	n := int32(len(res.Universe))
+	off := make([]int32, 3*(n+1))
+	x := &occIndex{rules: len(res.Ground)}
+	x.headOff, x.headList = remapCSR(old.headOff, old.headList, remap, tails[0], off[:n+1])
+	x.posOff, x.posList = remapCSR(old.posOff, old.posList, remap, tails[1], off[n+1:2*(n+1)])
+	x.negOff, x.negList = remapCSR(old.negOff, old.negList, remap, tails[2], off[2*(n+1):])
+	return view(res, x)
+}
+
+// occEntry is an occurrence of atom a in rule j.
+type occEntry struct{ a, j int32 }
+
+// remapCSR writes into off (one entry per atom, plus one) the CSR lists
+// of oldOff/oldList with every rule renumbered through remap and the
+// dead ones dropped, tail's entries appended to their atoms' lists, and
+// returns off and the new list.
+func remapCSR(oldOff, oldList, remap []int32, tail []occEntry, off []int32) ([]int32, []int32) {
+	slices.SortStableFunc(tail, func(x, y occEntry) int { return int(x.a - y.a) })
+	list := make([]int32, 0, len(oldList)+len(tail))
+	k, t := int32(0), 0
+	for a := range len(off) - 1 {
+		off[a] = int32(len(list))
+		if a+1 < len(oldOff) {
+			for end := oldOff[a+1]; k < end; k++ {
+				if j := remap[oldList[k]]; j >= 0 {
+					list = append(list, j)
+				}
+			}
+		}
+		for ; t < len(tail) && tail[t].a == int32(a); t++ {
+			list = append(list, tail[t].j)
+		}
+	}
+	off[len(off)-1] = int32(len(list))
+	return off, list
+}
+
 // Local returns the local index of global atom a, or -1 if a is not in the
 // program's universe (atom.NoAtom included).
 func (p *Program) Local(a atom.AtomID) int32 {
@@ -280,10 +360,10 @@ func (p *Program) Local(a atom.AtomID) int32 {
 	return p.res.Local(a)
 }
 
-// extends reports whether p's atoms and rules start with all of q's,
-// numbered alike.
-func (p *Program) extends(q *Program) bool {
-	return p.res != nil && q.res != nil && p.res.Extends(q.res)
+// sameAtoms reports whether p's atoms start with all of q's, numbered
+// alike.
+func (p *Program) sameAtoms(q *Program) bool {
+	return p.res != nil && q.res != nil && p.res.SameAtoms(q.res)
 }
 
 // Model is a three-valued interpretation of a program: one Truth per local
@@ -313,6 +393,13 @@ type Model struct {
 	// before the fixpoint: Truth is a partial assignment and the model
 	// must not be used for answering (callers convert it to an error).
 	Interrupted bool
+
+	// Cone, on a model IncrementalModel merged over a previous model
+	// whose atoms it numbers alike, lists the atoms it re-solved, in
+	// increasing order: every other atom of the previous universe kept
+	// its truth value, and atoms new to the universe are false. Nil on a
+	// model solved whole.
+	Cone []int32
 }
 
 // TruthOf returns the truth of local atom a.
