@@ -10,7 +10,7 @@
 //	wfsd [-addr :8080] [-max-sessions N] [-max-concurrent N]
 //	     [-max-queue-wait 5s] [-slow-query 0]
 //	     [-query-timeout 0] [-access-log] [-pprof-addr :6060]
-//	     [-trace-buffer N] [-data-dir DIR] [-checkpoint-every N]
+//	     [-trace-buffer N] [-data-dir DIR] [-checkpoint-bytes B]
 //	     [-fsync=true] [-wal-breaker-threshold 3] [-wal-probe-interval 2s]
 //	     [-preload prog.dl [-preload-name default]]
 //
@@ -31,7 +31,7 @@
 // startup — a SIGKILLed server restarts to the exact pre-crash epoch,
 // with torn final records dropped — and graceful shutdown writes final
 // checkpoints so a clean restart replays zero records.
-// -checkpoint-every bounds the replay tail in records.
+// -checkpoint-bytes bounds the replay tail in bytes of log.
 //
 // Observability: GET /metrics serves Prometheus text metrics,
 // ?trace=1 on the query endpoint returns a per-phase evaluation trace,
@@ -107,8 +107,7 @@ func main() {
 		preloadName   = flag.String("preload-name", "default", "session name for -preload")
 		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown deadline")
 		dataDir       = flag.String("data-dir", "", "enable durability: write-ahead log + checkpoints under this directory (empty = in-memory only)")
-		ckptEvery     = flag.Int("checkpoint-every", wal.DefaultCheckpointRecords, "checkpoint a session after this many logged records (-1 = only on byte threshold/shutdown)")
-		ckptBytes     = flag.Int64("checkpoint-bytes", wal.DefaultCheckpointBytes, "checkpoint a session after this many logged bytes (-1 = only on record threshold/shutdown)")
+		ckptBytes     = flag.Int64("checkpoint-bytes", wal.DefaultCheckpointBytes, "checkpoint a session after this many logged bytes (-1 = only at shutdown)")
 		fsync         = flag.Bool("fsync", true, "fsync the write-ahead log on every mutation (durable against power loss, not just crashes)")
 		walBreaker    = flag.Int("wal-breaker-threshold", server.DefaultWALFailureThreshold, "consecutive WAL append failures before a session goes read-only (-1 = never)")
 		walProbe      = flag.Duration("wal-probe-interval", server.DefaultWALProbeInterval, "how often a read-only session probes its log directory for healing")
@@ -133,9 +132,8 @@ func main() {
 	srv := server.New(cfg)
 	if *dataDir != "" {
 		st, err := srv.OpenWAL(*dataDir, wal.Options{
-			Fsync:             *fsync,
-			CheckpointRecords: *ckptEvery,
-			CheckpointBytes:   *ckptBytes,
+			Fsync:           *fsync,
+			CheckpointBytes: *ckptBytes,
 		})
 		if err != nil {
 			logger.Fatalf("wal: %v", err)

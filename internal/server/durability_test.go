@@ -229,11 +229,12 @@ func TestWALObservability(t *testing.T) {
 	}
 }
 
-// TestBackgroundCheckpoint: crossing the record threshold schedules an
+// TestBackgroundCheckpoint: crossing the byte threshold schedules an
 // async checkpoint that truncates the replay tail for the next restart.
 func TestBackgroundCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	c, srv, _ := newDurableClient(t, dir, wal.Options{CheckpointRecords: 2, CheckpointBytes: -1})
+	// Each mutation below logs a 22-byte record: the threshold is two.
+	c, srv, _ := newDurableClient(t, dir, wal.Options{CheckpointBytes: 2 * 22})
 	c.mustCreate("w", winMove)
 	args := []string{"d", "e", "f", "g"}
 	for _, a := range args {

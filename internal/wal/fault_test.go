@@ -161,7 +161,7 @@ const faultSrc = "p(a).\n"
 // mutation leaves the epoch unbumped and a later client retries.
 func runFaultWorkload(t *testing.T, ffs *faultFS, dir string) (acked uint64, created bool) {
 	t.Helper()
-	m, err := Open(dir, Options{Fsync: true, CheckpointRecords: -1, CheckpointBytes: -1, FS: ffs})
+	m, err := Open(dir, Options{Fsync: true, CheckpointBytes: -1, FS: ffs})
 	if err != nil {
 		return 0, false
 	}

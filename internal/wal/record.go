@@ -287,10 +287,13 @@ const argChunk = 1024
 
 // argList decodes n argument strings into the current chunk and returns
 // them as a slice whose capacity ends at its length, so an append by a
-// caller can never overwrite the next fact's arguments.
+// caller can never overwrite the next fact's arguments. A chunk holds no
+// more strings than the bytes left could encode (each takes at least
+// its length byte), so a small delta record does not pay for a whole
+// chunk.
 func (d *decoder) argList(n int) []string {
 	if len(d.args)+n > cap(d.args) {
-		d.args = make([]string, 0, max(n, argChunk))
+		d.args = make([]string, 0, max(n, min(argChunk, len(d.buf)-d.off)))
 	}
 	lo := len(d.args)
 	for j := 0; j < n && d.err == nil; j++ {

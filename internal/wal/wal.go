@@ -20,12 +20,13 @@ import (
 // still failing: a closed log means stop probing, not keep waiting.
 var ErrClosed = errors.New("closed")
 
-// Durability defaults: how much un-checkpointed log a session may
+// DefaultCheckpointBytes is how much un-checkpointed log a session may
 // accumulate before the next mutation triggers a background checkpoint.
-const (
-	DefaultCheckpointRecords = 1024
-	DefaultCheckpointBytes   = 4 << 20
-)
+// The log tail replays at about 70 ms per MB while a checkpoint
+// re-encodes the whole database, so the only bound is in bytes of log,
+// set where recovering a full tail costs about what a cold restore plus
+// its first answer does (DESIGN.md, "Checkpoint policy").
+const DefaultCheckpointBytes = 2 << 20
 
 // Options configures a Manager. Zero values select the defaults noted on
 // each field.
@@ -36,10 +37,6 @@ type Options struct {
 	// interval — recovery correctness (torn-tail handling, prefix
 	// consistency) is unaffected either way.
 	Fsync bool
-	// CheckpointRecords triggers a checkpoint once this many records
-	// accumulate since the last one; 0 means DefaultCheckpointRecords,
-	// negative disables the record trigger.
-	CheckpointRecords int
 	// CheckpointBytes triggers a checkpoint once this many log bytes
 	// accumulate since the last one; 0 means DefaultCheckpointBytes,
 	// negative disables the byte trigger.
@@ -51,12 +48,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	switch {
-	case o.CheckpointRecords == 0:
-		o.CheckpointRecords = DefaultCheckpointRecords
-	case o.CheckpointRecords < 0:
-		o.CheckpointRecords = 0 // disabled
-	}
 	switch {
 	case o.CheckpointBytes == 0:
 		o.CheckpointBytes = DefaultCheckpointBytes
@@ -294,13 +285,12 @@ func (l *SessionLog) AppendTraced(epoch uint64, adds, retracts []wfs.FactRef, tr
 }
 
 // NeedCheckpoint reports whether the log since the last checkpoint has
-// crossed a configured record/byte threshold.
+// crossed the configured byte threshold.
 func (l *SessionLog) NeedCheckpoint() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	o := l.man.opts
-	return (o.CheckpointRecords > 0 && l.sinceRecs.Load() >= int64(o.CheckpointRecords)) ||
-		(o.CheckpointBytes > 0 && l.sinceByte >= o.CheckpointBytes)
+	return o.CheckpointBytes > 0 && l.sinceByte >= o.CheckpointBytes
 }
 
 // Checkpoint writes a full-state snapshot and garbage-collects the log it

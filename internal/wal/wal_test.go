@@ -330,7 +330,7 @@ func TestCrossCheckRandomScripts(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			man, sys, l := openLogged(t, dir, Options{CheckpointRecords: -1, CheckpointBytes: -1}, "x", winMove)
+			man, sys, l := openLogged(t, dir, Options{CheckpointBytes: -1}, "x", winMove)
 
 			live := map[string]int{} // move-fact multiset, key "a b"
 			for _, k := range []string{"a b", "b a", "b c"} {
@@ -421,7 +421,7 @@ func TestCrossCheckRandomScripts(t *testing.T) {
 // older checkpoints; recovery afterwards replays only the tail.
 func TestCheckpointGC(t *testing.T) {
 	dir := t.TempDir()
-	man, sys, l := openLogged(t, dir, Options{CheckpointRecords: -1, CheckpointBytes: -1}, "s", winMove)
+	man, sys, l := openLogged(t, dir, Options{CheckpointBytes: -1}, "s", winMove)
 	for i := 0; i < 5; i++ {
 		if err := sys.AddFact("move", "c", fmt.Sprintf("d%d", i)); err != nil {
 			t.Fatal(err)
@@ -660,7 +660,8 @@ func TestManagerRemove(t *testing.T) {
 
 func TestNeedCheckpointThresholds(t *testing.T) {
 	dir := t.TempDir()
-	_, sys, l := openLogged(t, dir, Options{CheckpointRecords: 3, CheckpointBytes: -1}, "s", winMove)
+	// Each record below takes 23 bytes of log: the threshold is three.
+	_, sys, l := openLogged(t, dir, Options{CheckpointBytes: 3 * 23}, "s", winMove)
 	for i := 0; i < 2; i++ {
 		if err := sys.AddFact("move", "c", fmt.Sprintf("d%d", i)); err != nil {
 			t.Fatal(err)
@@ -673,7 +674,7 @@ func TestNeedCheckpointThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !l.NeedCheckpoint() {
-		t.Fatal("NeedCheckpoint false after crossing the record threshold")
+		t.Fatal("NeedCheckpoint false after crossing the byte threshold")
 	}
 }
 
@@ -690,7 +691,7 @@ func TestFsyncBucketsMatchCounters(t *testing.T) {
 // log is exercised.
 func TestMetricsAccounting(t *testing.T) {
 	dir := t.TempDir()
-	man, sys, l := openLogged(t, dir, Options{Fsync: true, CheckpointRecords: -1, CheckpointBytes: -1}, "s", winMove)
+	man, sys, l := openLogged(t, dir, Options{Fsync: true, CheckpointBytes: -1}, "s", winMove)
 	for i := 0; i < 3; i++ {
 		if err := sys.AddFact("move", "c", fmt.Sprintf("d%d", i)); err != nil {
 			t.Fatal(err)
