@@ -82,8 +82,9 @@ type Retraction struct {
 	// renumbers the atoms too.
 	Remap []int32
 	// Overdeleted counts the atoms the retraction took out of the derived
-	// universe, Rederived the ones of them that came back.
-	Overdeleted, Rederived int
+	// universe, Rederived the ones of them that came back, and Visited
+	// the body occurrences the overdelete and rederive walks examined.
+	Overdeleted, Rederived, Visited int
 	// Compacted reports that the result's arena was rebuilt without the
 	// garbage earlier retractions left (see compact).
 	Compacted bool
@@ -160,6 +161,7 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 		}
 		a := x.pop()
 		for k := nr.firstOcc[a]; k >= 0; k = nr.occNext[k] {
+			x.visited++
 			rec := nr.occRec[k]
 			if rec < 0 || x.state[rec] != recLive || k >= nr.Ground[rec].Neg {
 				continue // dead already, or a negative occurrence
@@ -193,12 +195,13 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 		}
 		a := x.pop()
 		for k := nr.firstOcc[a]; k >= 0; k = nr.occNext[k] {
+			x.visited++
 			if rec := nr.occRec[k]; rec >= 0 && x.state[rec] != recLive && k < nr.Ground[rec].Neg {
 				x.revive(rec)
 			}
 		}
 	}
-	ret := &Retraction{Overdeleted: len(x.over)}
+	ret := &Retraction{Overdeleted: len(x.over), Visited: x.visited}
 	// Settle the overdeleted atoms: dead ones leave the derived universe,
 	// and an atom that now sits at or past the cap is no longer expanded
 	// (a deepening expands it afresh).
@@ -248,11 +251,12 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 // dred is the scratch state of one retraction over its result.
 type dred struct {
 	*Result
-	state  []uint8 // per record of the receiver: recLive, recKilled, recRevived
-	over   []int32 // overdeleted atoms
-	stack  []int32
-	tok    *cancel.Token
-	budget int
+	state   []uint8 // per record of the receiver: recLive, recKilled, recRevived
+	over    []int32 // overdeleted atoms
+	stack   []int32
+	visited int // body occurrences walked
+	tok     *cancel.Token
+	budget  int
 }
 
 func (x *dred) overdelete(d int32) {
@@ -359,6 +363,13 @@ func (x *dred) renumber(ret *Retraction) {
 		in := x.Ground[d]
 		remap[d] = -chainNext(remap, x.headNext[d]) - 2
 		x.orphanSlots += int(in.End - in.Off)
+		// An underived atom only negated may have lost its last mention.
+		for _, b := range x.Body[in.Neg:in.End] {
+			if x.depth[b] < 0 && x.flags[b]&flagDied == 0 {
+				x.flags[b] |= flagDied
+				x.orphanAtoms++
+			}
+		}
 		if in.Rule >= 0 {
 			x.repark(in)
 		}

@@ -190,6 +190,43 @@ func TestTraceEndpointsDisabled(t *testing.T) {
 	}
 }
 
+// TestRetractionTraceCountsDRed: a retraction's delta-rebase span
+// reports what DRed did beside the instances that died — the atoms it
+// overdeleted and rederived, and whether it compacted the arena.
+func TestRetractionTraceCountsDRed(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := &testClient{t: t, srv: ts}
+	c.mustCreate("w", winMove)
+	if code := c.do("POST", "/v1/sessions/w/query", QueryRequest{Query: "? win(b)."}, nil); code != 200 {
+		t.Fatalf("warm query: status %d", code)
+	}
+	const upstream = "00-5bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	resp := c.doHdr("POST", "/v1/sessions/w/retract", map[string]string{"traceparent": upstream},
+		AddFactsRequest{Facts: []Fact{{Pred: "move", Args: []string{"b", "c"}}}}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retraction: status %d", resp.StatusCode)
+	}
+	var rt trace.RequestTrace
+	if code := c.do("GET", "/v1/traces/5bf92f3577b34da6a3ce929d0e0e4736", nil, &rt); code != 200 || rt.Trace == nil {
+		t.Fatalf("trace get: status %d", code)
+	}
+	rb := rt.Trace.Find("delta-rebase")
+	if rb == nil {
+		t.Fatalf("no delta-rebase span:\n%s", rt.Trace.Format())
+	}
+	// move(b,c) and win(b) go; win(b) comes back through move(b,a). The
+	// dead fact and instance are most of this small arena: it compacts.
+	want := map[string]int64{"removed_facts": 1, "dead_instances": 1,
+		"overdeleted_atoms": 2, "rederived_atoms": 1, "compacted": 1}
+	for k, v := range want {
+		if got, ok := rb.Counters[k]; !ok || got != v {
+			t.Errorf("delta-rebase %s = %d (present %v), want %d:\n%s", k, got, ok, v, rt.Trace.Format())
+		}
+	}
+}
+
 // TestMutationTraceStitchesWALAndRebase is the acceptance flow: a
 // mutation request against a durable server yields, via
 // GET /v1/traces/{id}, one stitched span tree containing the WAL
