@@ -294,3 +294,28 @@ func TestRetractionsDoNotAlias(t *testing.T) {
 		}
 	}
 }
+
+// TestRetractPushesGuardPastCap: an atom a retraction rederives at the
+// depth cap is no longer expanded, so the instances it guarded stay dead
+// — and a deepening expands it afresh.
+func TestRetractPushesGuardPastCap(t *testing.T) {
+	prog, db, st := compile(t, `
+e(a). f(a).
+e(X) -> g(X).
+f(X) -> h(X).
+h(X) -> i(X).
+i(X) -> g(X).
+g(X) -> k(X).
+`)
+	opts := Options{MaxDepth: 3, MaxAtoms: 1000}
+	res := Run(prog, db, opts) // g(a) at depth 1 guards k(a) at depth 2
+	db2, gone := applyOp(t, st, db, del("e", "a"))
+	ret, _ := res.Retract(prog, db2) // g(a) now only at depth 3, the cap
+	checkSameChase(t, st, ret, Run(prog, db2, opts))
+	if ret.Derived(mkfact(t, st, "k", "a")) {
+		t.Fatal("k(a) survived under a guard pushed to the cap")
+	}
+	checkSameChase(t, st, ret.Extend(prog, 5), Run(prog, db2, Options{MaxDepth: 5, MaxAtoms: 1000}))
+	back := ret.ExtendDB(prog, db, []atom.AtomID{gone})
+	checkSameChase(t, st, back, res)
+}
