@@ -167,7 +167,7 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 				continue // dead already, or a negative occurrence
 			}
 			x.state[rec] = recKilled
-			if h := nr.Ground[rec].Head; nr.depth[h] != 0 || nr.flags[h]&flagOver != 0 {
+			if h := nr.Ground[rec].Head; nr.depth[h] != 0 {
 				x.overdelete(h)
 			}
 		}
@@ -284,17 +284,12 @@ func (x *dred) cancelled() bool {
 	return x.Interrupted
 }
 
-// revive re-fires record rec when its guard is derived under the cap and
-// its positive side atoms are derived, lowering its head's depth to what
-// the guard gives.
+// revive re-fires instance record rec when its guard is derived under
+// the cap and its positive side atoms are derived, lowering its head's
+// depth to what the guard gives. (An overdeleted atom has no live fact
+// record: it is a retracted fact, or it was never at depth 0.)
 func (x *dred) revive(rec int32) {
 	in := &x.Ground[rec]
-	if in.Rule < 0 {
-		if x.state[rec] == recLive {
-			x.rederive(in.Head, 0, 0)
-		}
-		return
-	}
 	g := x.Body[in.Off]
 	if x.depth[g] < 0 || int(x.depth[g]) >= x.Opts.MaxDepth {
 		return
