@@ -150,7 +150,7 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 		}
 		for rec := nr.firstHead[d]; rec >= 0; rec = nr.headNext[rec] {
 			if nr.Ground[rec].Rule < 0 {
-				x.state[rec] = recKilled
+				x.kill(rec)
 			}
 		}
 		x.overdelete(d)
@@ -166,7 +166,7 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 			if rec < 0 || x.state[rec] != recLive || k >= nr.Ground[rec].Neg {
 				continue // dead already, or a negative occurrence
 			}
-			x.state[rec] = recKilled
+			x.kill(rec)
 			if h := nr.Ground[rec].Head; nr.depth[h] != 0 {
 				x.overdelete(h)
 			}
@@ -252,6 +252,7 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 type dred struct {
 	*Result
 	state   []uint8 // per record of the receiver: recLive, recKilled, recRevived
+	killed  []int32 // the records killed, revived or not
 	over    []int32 // overdeleted atoms
 	stack   []int32
 	visited int // body occurrences walked
@@ -265,6 +266,11 @@ func (x *dred) overdelete(d int32) {
 		x.over = append(x.over, d)
 		x.stack = append(x.stack, d)
 	}
+}
+
+func (x *dred) kill(rec int32) {
+	x.state[rec] = recKilled
+	x.killed = append(x.killed, rec)
 }
 
 func (x *dred) pop() int32 {
@@ -329,12 +335,8 @@ func (x *dred) rederive(h, depth, level int32) {
 // pair of every dead instance whose guard is still expanded on its first
 // underived side atom, and fills ret's Dead and Remap.
 func (x *dred) renumber(ret *Retraction) {
-	var dead []int32
-	for i, s := range x.state {
-		if s == recKilled {
-			dead = append(dead, int32(i))
-		}
-	}
+	dead := slices.DeleteFunc(x.killed, func(rec int32) bool { return x.state[rec] != recKilled })
+	slices.Sort(dead)
 	// Live records keep their order, so every run between two dead ones
 	// moves down by the dead records before it, and the prefix before
 	// the first stays in place. A dead record j maps to -2 minus the new
@@ -385,15 +387,25 @@ func (x *dred) renumber(ret *Retraction) {
 			x.firstHead[a] = chainNext(remap, rec)
 		}
 	}
+	// Slots and instances come in record order, so the ones before the
+	// first dead record stay as they are.
 	occRec := make([]int32, len(x.occRec), cap(x.occRec))
-	for k, rec := range x.occRec {
-		if int(rec) >= first {
-			rec = max(remap[rec], -1)
-		}
-		occRec[k] = rec
-	}
 	insts := make([]int32, 0, cap(ground))
-	for _, rec := range x.Instances {
+	k, i := len(x.occRec), len(x.Instances)
+	if first < n {
+		k = int(x.Ground[first].Off)
+		i, _ = slices.BinarySearch(x.Instances, int32(first))
+	}
+	copy(occRec, x.occRec[:k])
+	for ; k < len(occRec); k++ {
+		if rec := x.occRec[k]; rec >= 0 {
+			occRec[k] = max(remap[rec], -1)
+		} else {
+			occRec[k] = -1
+		}
+	}
+	insts = append(insts, x.Instances[:i]...)
+	for _, rec := range x.Instances[i:] {
 		if remap[rec] >= 0 {
 			insts = append(insts, remap[rec])
 		} else {

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/atom"
 	"repro/internal/cancel"
@@ -555,6 +556,7 @@ type predIndex struct {
 // (sync.Once's fast path is one atomic load).
 type argIndex struct {
 	once   sync.Once
+	built  atomic.Bool   // the index exists: a patch of the list rebuilds it
 	lo     term.ID       // smallest term at the position
 	start  []int32       // sorted[start[t-lo]:start[t-lo+1]] hold term t
 	sorted []atom.AtomID // pi.atoms ordered by the position's term, stably
@@ -564,6 +566,16 @@ type argIndex struct {
 // in list order, building the position's index on first use (counted in
 // *builds).
 func (pi *predIndex) bucket(st *atom.Store, pos int, t term.ID, builds *int64) []atom.AtomID {
+	ai := pi.index(st, pos, builds)
+	if t < ai.lo || int(t-ai.lo)+1 >= len(ai.start) {
+		return nil
+	}
+	return ai.sorted[ai.start[t-ai.lo]:ai.start[t-ai.lo+1]]
+}
+
+// index returns pi's index at argument position pos, building it on
+// first use (counted in *builds).
+func (pi *predIndex) index(st *atom.Store, pos int, builds *int64) *argIndex {
 	ai := &pi.args[pos]
 	ai.once.Do(func() {
 		keys := make([]term.ID, len(pi.atoms)) // one store walk; the rest is arithmetic
@@ -587,12 +599,10 @@ func (pi *predIndex) bucket(st *atom.Store, pos int, t term.ID, builds *int64) [
 			start[k-lo+1]++
 		}
 		ai.lo, ai.start, ai.sorted = lo, start, sorted
+		ai.built.Store(true)
 		*builds++
 	})
-	if t < ai.lo || int(t-ai.lo)+1 >= len(ai.start) {
-		return nil
-	}
-	return ai.sorted[ai.start[t-ai.lo]:ai.start[t-ai.lo+1]]
+	return ai
 }
 
 // Usable reports whether query matching may use atom a: always on an exact
@@ -694,9 +704,10 @@ func (p *indexPatch) apply(m *Model) []*predIndex {
 		}
 	}
 	for pr, cs := range byPred {
+		was := preds[pr] // prev's list, nil when it had none
 		var old []atom.AtomID
-		if pi := preds[pr]; pi != nil {
-			old = pi.atoms
+		if was != nil {
+			old = was.atoms
 		}
 		out := make([]atom.AtomID, 0, len(old)+len(cs))
 		at := 0
@@ -712,8 +723,21 @@ func (p *indexPatch) apply(m *Model) []*predIndex {
 		}
 		out = append(out, old[at:]...)
 		preds[pr] = nil
-		if len(out) > 0 {
-			preds[pr] = &predIndex{atoms: out, args: make([]argIndex, st.PredArity(pr))}
+		if len(out) == 0 {
+			continue
+		}
+		pi := &predIndex{atoms: out, args: make([]argIndex, st.PredArity(pr))}
+		preds[pr] = pi
+		// Rebuild now the argument indexes readers used on the old list:
+		// the writer pays for them before the model is published, instead
+		// of the first reader of each.
+		if was != nil {
+			var builds int64
+			for pos := range was.args {
+				if was.args[pos].built.Load() {
+					pi.index(st, pos, &builds)
+				}
+			}
 		}
 	}
 	return preds

@@ -58,11 +58,20 @@ p(X,Y), not s(X) -> t(X).
 			fresh := &Model{Chase: next.Chase, GP: next.GP, GM: next.GM, Depth: next.Depth,
 				Exact: next.Exact, UsableDepth: next.UsableDepth}
 			fresh.buildIndexes()
+			var builds int64
 			for p := range max(len(next.preds), len(fresh.preds)) {
 				got, want := listAt(next.preds, p), listAt(fresh.preds, p)
 				if !slices.Equal(got, want) {
 					t.Fatalf("depth %d step %d (%v): predicate %s: patched %d atoms, rebuilt %d",
 						depth, step, op, st.PredName(atom.PredID(p)), len(got), len(want))
+				}
+				// A reader bound the first argument of every list of m, so a
+				// patched list has that index built already, equal to a fresh one.
+				if len(got) > 0 {
+					g, w := next.preds[p].index(st, 0, &builds), fresh.preds[p].index(st, 0, &builds)
+					if !slices.Equal(g.sorted, w.sorted) || !slices.Equal(g.start, w.start) || g.lo != w.lo {
+						t.Fatalf("depth %d step %d: predicate %s: argument index differs from a rebuild", depth, step, st.PredName(atom.PredID(p)))
+					}
 				}
 				if wasPatched && p < len(m.preds) && m.preds[p] != nil && slices.Equal(got, listAt(m.preds, p)) && next.preds[p] != m.preds[p] {
 					t.Fatalf("depth %d step %d: unchanged predicate %s did not share its list", depth, step, st.PredName(atom.PredID(p)))
@@ -70,6 +79,11 @@ p(X,Y), not s(X) -> t(X).
 			}
 			if want := NewEngine(prog, db, opts).EvaluateAtDepth(depth); len(want.Chase.Atoms) != len(next.Chase.Atoms) {
 				t.Fatalf("depth %d step %d: %d atoms, from scratch %d", depth, step, len(next.Chase.Atoms), len(want.Chase.Atoms))
+			}
+			for _, pi := range next.preds {
+				if pi != nil {
+					pi.index(st, 0, &builds)
+				}
 			}
 			m = next
 		}

@@ -237,8 +237,9 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 // forwardCone closes seeds forward over gp's occurrence lists — from
 // each atom to the heads of the rules with it in the body, positively or
 // negatively — and returns the membership flags and the atoms of the
-// cone. The rules past the view's lists are reached through the chase's
-// links. A cancelled walk returns nil flags.
+// cone. The view's lists are read through its renumbering, and the rules
+// past them are reached through the chase's links. A cancelled walk
+// returns nil flags.
 func forwardCone(gp *Program, seeds []int32, tok *cancel.Token) (affected []bool, cone []int32) {
 	affected = make([]bool, gp.NumAtoms())
 	var stack, more []int32
@@ -264,10 +265,15 @@ func forwardCone(gp *Program, seeds []int32, tok *cancel.Token) (affected []bool
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		more = more[:0]
-		if occ.rules < len(gp.Rules) {
-			more = gp.res.RecordsSince(a, occ.rules, true, more)
+		pos, neg := occ.pos(a), occ.neg(a)
+		if gp.remap != nil {
+			more = gp.mapped(gp.mapped(more, pos), neg)
+			pos, neg = nil, nil
 		}
-		for _, rules := range [3][]int32{occ.pos(a), occ.neg(a), more} {
+		if gp.from < len(gp.Rules) {
+			more = gp.res.RecordsSince(a, gp.from, true, more)
+		}
+		for _, rules := range [3][]int32{pos, neg, more} {
 			for _, ri := range rules {
 				mark(gp.Rules[ri].Head)
 			}

@@ -26,7 +26,6 @@ package ground
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/atom"
@@ -72,7 +71,9 @@ type Rule struct {
 // array (Pos, Neg); the view is a record-prefix length plus occurrence
 // lists. A view never writes the arena, and a view's lists cover a prefix
 // of its records: the records after it are found through the chase's
-// occurrence links until enough of them pile up to rebuild the lists.
+// occurrence links, and after a retraction the lists are read through
+// the retraction's renumbering, until enough rules are missed or dead to
+// rebuild the lists.
 type Program struct {
 	// Atoms maps local indexes to global atom IDs — the chase's dense
 	// Universe numbering; nil for purely local (New-built) programs.
@@ -83,11 +84,18 @@ type Program struct {
 	n    int           // atoms
 	res  *chase.Result // the chase viewed; nil for New-built programs
 
-	// occ indexes the rules Rules[:occ.rules]; descendant views share it
-	// until they rebuild. full caches an index over all rules, built when
-	// a whole-program solve needs one and occ falls short.
-	occ  *occIndex
-	full atomic.Pointer[occIndex]
+	// occ holds occurrence lists over the rules of an earlier view of the
+	// same chase. With remap nil they are this view's Rules[:occ.rules];
+	// otherwise remap renumbers them into this view, a negative entry
+	// for a rule a retraction killed. Either way they cover exactly the
+	// rules before from, and the rules from it on are found through the
+	// chase's links. Descendant views share occ and remap until they
+	// rebuild. full caches an index over all rules, built when a
+	// whole-program solve needs one and occ falls short.
+	occ   *occIndex
+	remap []int32
+	from  int
+	full  atomic.Pointer[occIndex]
 
 	// cond caches the dependency-graph condensation (Condensation): a
 	// program shared across snapshot rungs may be condensed from several
@@ -158,7 +166,7 @@ func buildOcc(p *Program) *occIndex {
 // when they do, otherwise (a solve over a view extended since its lists
 // were built) a full index built once per program.
 func (p *Program) index() *occIndex {
-	if p.occ.rules == len(p.Rules) {
+	if p.remap == nil && p.from == len(p.Rules) {
 		return p.occ
 	}
 	if x := p.full.Load(); x != nil {
@@ -197,20 +205,30 @@ func (p *Program) Neg(r *chase.Instance) []int32 { return p.body[r.Neg:r.End] }
 // RulesFor returns the indexes of rules whose head is atom a.
 func (p *Program) RulesFor(a int32) []int32 {
 	base := p.occ.heads(a)
-	if p.occ.rules == len(p.Rules) {
+	if p.remap == nil && p.from == len(p.Rules) {
 		return base
 	}
-	more := p.res.RecordsSince(a, p.occ.rules, false, nil)
-	if len(more) == 0 {
-		return base
+	return p.res.RecordsSince(a, p.from, false, p.mapped(nil, base))
+}
+
+// mapped appends the rules of an occ list to dst, renumbered into p's
+// rules and without the dead ones.
+func (p *Program) mapped(dst, rules []int32) []int32 {
+	if p.remap == nil {
+		return append(dst, rules...)
 	}
-	return append(append([]int32(nil), base...), more...)
+	for _, r := range rules {
+		if j := p.remap[r]; j >= 0 {
+			dst = append(dst, j)
+		}
+	}
+	return dst
 }
 
 // New builds a program over n atoms from rules. Rule atom indexes must be
 // in [0,n).
 func New(n int, rules []Rule) *Program {
-	p := &Program{n: n, Rules: make([]chase.Instance, len(rules))}
+	p := &Program{n: n, Rules: make([]chase.Instance, len(rules)), from: len(rules)}
 	size := 0
 	for _, r := range rules {
 		size += len(r.Pos) + len(r.Neg)
@@ -227,8 +245,9 @@ func New(n int, rules []Rule) *Program {
 	return p
 }
 
-// view returns the program res's arena holds, with occurrence lists occ.
-func view(res *chase.Result, occ *occIndex) *Program {
+// view returns the program res's arena holds, with occurrence lists occ
+// read through remap and covering the rules before from.
+func view(res *chase.Result, occ *occIndex, remap []int32, from int) *Program {
 	return &Program{
 		Atoms: res.Universe,
 		Rules: res.Ground,
@@ -236,6 +255,8 @@ func view(res *chase.Result, occ *occIndex) *Program {
 		n:     len(res.Universe),
 		res:   res,
 		occ:   occ,
+		remap: remap,
+		from:  from,
 	}
 }
 
@@ -244,7 +265,7 @@ func view(res *chase.Result, occ *occIndex) *Program {
 // body atom of an instance, one rule per instance and one fact per
 // depth-0 atom — with freshly built occurrence lists.
 func FromChase(res *chase.Result) *Program {
-	p := view(res, nil)
+	p := view(res, nil, nil, len(res.Ground))
 	p.occ = buildOcc(p)
 	return p
 }
@@ -252,103 +273,71 @@ func FromChase(res *chase.Result) *Program {
 // ExtendFromChase returns the ground program of res, a continuation of
 // the chase prev was built from: every atom and rule of prev keeps its
 // index, and the view reuses prev's occurrence lists, reaching the
-// records appended since through the chase's links. The lists are
-// rebuilt once the records they miss exceed a quarter of those they
-// cover, so a sequence of extensions costs amortised time per new
-// record. prev is not mutated, so a model computed over prev keeps
-// serving concurrent readers. A prev that is not a chase view, or a res
-// that does not extend prev's chase, falls back to FromChase.
+// records appended since through the chase's links. prev is not
+// mutated, so a model computed over prev keeps serving concurrent
+// readers. A prev that is not a chase view, or a res that does not
+// extend prev's chase, falls back to FromChase.
 func ExtendFromChase(prev *Program, res *chase.Result) *Program {
 	if prev == nil || prev.res == nil || !res.Extends(prev.res) {
 		return FromChase(res)
 	}
-	occ := prev.occ
 	if x := prev.full.Load(); x != nil {
-		occ = x
+		return reuse(res, x, nil, x.rules)
 	}
-	if 4*(len(res.Ground)-occ.rules) > occ.rules {
-		return FromChase(res)
-	}
-	return view(res, occ)
+	return reuse(res, prev.occ, prev.remap, prev.from)
 }
 
 // RetractFromChase returns the ground program of res, a retraction of
 // the chase prev was built from whose surviving records moved as remap
-// says (chase.Retraction.Remap): a view of res's arena whose occurrence
-// lists are prev's, renumbered through remap with the dead rules dropped,
-// plus the rules prev reached through the chase's links. Atoms keep their
-// indexes, and the lists come out exactly as FromChase would build them.
-// prev is not mutated. A prev that is not a view of the retracted chase,
-// or a nil remap (the retraction compacted), falls back to FromChase.
+// says (chase.Retraction.Remap): a view of res's arena that reads prev's
+// occurrence lists through remap, skipping the dead rules. Atoms keep
+// their indexes. prev is not mutated. A prev that is not a view of the
+// retracted chase, or a nil remap (the retraction compacted), falls back
+// to FromChase.
 func RetractFromChase(prev *Program, res *chase.Result, remap []int32) *Program {
 	if prev == nil || prev.res == nil || remap == nil || len(remap) != len(prev.Rules) || !res.SameAtoms(prev.res) {
 		return FromChase(res)
 	}
-	// Lists that cover only records before the first dead one are still
-	// right: those records kept their positions (remap is monotone, so
-	// it is enough that the last of them did), and the records after
-	// them are reached through the chase's links, as for an extension.
-	if k := prev.occ.rules; k == 0 || remap[k-1] == int32(k-1) {
-		if 4*(len(res.Ground)-k) <= k {
-			return view(res, prev.occ)
-		}
-	}
-	old := prev.occ
+	occ, base, from := prev.occ, prev.remap, prev.from
 	if x := prev.full.Load(); x != nil {
-		old = x
+		occ, base, from = x, nil, x.rules
 	}
-	// The rules past prev's lists join the end of their atoms' lists:
-	// they are newer than every rule the lists hold.
-	var tails [3][]occEntry
-	for ri := old.rules; ri < len(prev.Rules); ri++ {
-		j := remap[ri]
-		if j < 0 {
-			continue
-		}
-		r := &prev.Rules[ri]
-		tails[0] = append(tails[0], occEntry{r.Head, j})
-		for _, b := range prev.Pos(r) {
-			tails[1] = append(tails[1], occEntry{b, j})
-		}
-		for _, b := range prev.Neg(r) {
-			tails[2] = append(tails[2], occEntry{b, j})
-		}
-	}
-	n := int32(len(res.Universe))
-	off := make([]int32, 3*(n+1))
-	x := &occIndex{rules: len(res.Ground)}
-	x.headOff, x.headList = remapCSR(old.headOff, old.headList, remap, tails[0], off[:n+1])
-	x.posOff, x.posList = remapCSR(old.posOff, old.posList, remap, tails[1], off[n+1:2*(n+1)])
-	x.negOff, x.negList = remapCSR(old.negOff, old.negList, remap, tails[2], off[2*(n+1):])
-	return view(res, x)
-}
-
-// occEntry is an occurrence of atom a in rule j.
-type occEntry struct{ a, j int32 }
-
-// remapCSR writes into off (one entry per atom, plus one) the CSR lists
-// of oldOff/oldList with every rule renumbered through remap and the
-// dead ones dropped, tail's entries appended to their atoms' lists, and
-// returns off and the new list.
-func remapCSR(oldOff, oldList, remap []int32, tail []occEntry, off []int32) ([]int32, []int32) {
-	slices.SortStableFunc(tail, func(x, y occEntry) int { return int(x.a - y.a) })
-	list := make([]int32, 0, len(oldList)+len(tail))
-	k, t := int32(0), 0
-	for a := range len(off) - 1 {
-		off[a] = int32(len(list))
-		if a+1 < len(oldOff) {
-			for end := oldOff[a+1]; k < end; k++ {
-				if j := remap[oldList[k]]; j >= 0 {
-					list = append(list, j)
-				}
+	comp := remap
+	if base != nil {
+		comp = make([]int32, len(base))
+		for i, j := range base {
+			comp[i] = -1
+			if j >= 0 {
+				comp[i] = remap[j]
 			}
 		}
-		for ; t < len(tail) && tail[t].a == int32(a); t++ {
-			list = append(list, tail[t].j)
+	}
+	// The live rules the lists covered keep their order at the front of
+	// res's: they end after the last of them.
+	newFrom := 0
+	for j := from - 1; j >= 0; j-- {
+		if remap[j] >= 0 {
+			newFrom = int(remap[j]) + 1
+			break
 		}
 	}
-	off[len(off)-1] = int32(len(list))
-	return off, list
+	return reuse(res, occ, comp, newFrom)
+}
+
+// reuse returns the view of res over lists occ read through remap and
+// covering its rules before from — or, once the rules the lists miss
+// (past from, or dead) exceed a quarter of those they cover, a view
+// with rebuilt lists, so a sequence of extensions and retractions costs
+// amortised time per changed record.
+func reuse(res *chase.Result, occ *occIndex, remap []int32, from int) *Program {
+	dead := 0
+	if remap != nil {
+		dead = occ.rules - from
+	}
+	if 4*(len(res.Ground)-from+dead) > from {
+		return FromChase(res)
+	}
+	return view(res, occ, remap, from)
 }
 
 // Local returns the local index of global atom a, or -1 if a is not in the
