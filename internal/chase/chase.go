@@ -415,10 +415,14 @@ func (r *Result) Head(rec int32) atom.AtomID { return r.Universe[r.Ground[rec].H
 // (body true, once per occurrence), newest first.
 func (r *Result) RecordsSince(d int32, from int, body bool, dst []int32) []int32 {
 	if body {
-		// A slot of a dead record is older than every slot of a record
-		// written since the last retraction, so it ends the walk too.
-		for k := r.firstOcc[d]; k >= 0 && int(r.occRec[k]) >= from; k = r.occNext[k] {
-			dst = append(dst, r.occRec[k])
+		// Live records' slots come in record order; a dead record's slot
+		// (-1) can sit anywhere, so it is skipped.
+		for k := r.firstOcc[d]; k >= 0; k = r.occNext[k] {
+			if rec := r.occRec[k]; int(rec) >= from {
+				dst = append(dst, rec)
+			} else if rec >= 0 {
+				break
+			}
 		}
 		return dst
 	}

@@ -153,6 +153,9 @@ func TestRetractFromChaseListsMatchRebuild(t *testing.T) {
 	sorted := func(xs []int32) []int32 { xs = slices.Clone(xs); slices.Sort(xs); return xs }
 	for step := 0; step < 60; step++ {
 		f := db[(step*7)%len(db)]
+		if step%6 == 4 {
+			f = db[len(db)-1-step%4] // a recent addition: its slots are past the lists
+		}
 		var ret *chase.Retraction
 		var next *chase.Result
 		if step%3 == 2 {
