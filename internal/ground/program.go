@@ -16,7 +16,8 @@
 // of production models.
 //
 // Atoms are dense local indexes. A program grounded by the chase is a
-// view of the chase's instance arena (FromChase, ExtendFromChase): its
+// view of the chase's instance arena (FromChase, ExtendFromChase,
+// RetractFromChase): its
 // local indexes are the chase's dense atom numbering, its rules the
 // chase's records, and Atoms maps them back to global atom.AtomIDs. An atom with no rules (in
 // particular a negative body atom never derived by the bounded chase,
