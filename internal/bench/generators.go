@@ -207,7 +207,7 @@ func LadderFamily(m, levels int) string {
 // disjoint win-move chains of length l, against which a trickle of fact
 // additions and retractions mutates one chain at a time. Each delta's
 // dependency cone is one component (~l atoms of a k·l universe), so an
-// incremental engine — resumed chase, forest-replay retraction,
+// incremental engine — resumed chase, DRed retraction,
 // warm-started fixpoint — re-derives a vanishing fraction of what an
 // invalidate-and-rebuild evaluation recomputes (the harness's
 // mutate_durable workload measures it). Chains (rather than cycles) make

@@ -363,8 +363,8 @@ func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, d
 // RebaseModel carries a previously evaluated model onto a mutated
 // database: the data-dimension counterpart of ExtendModel. The set-level
 // change is computed from prev's own chase database, so any number of
-// intermediate mutations collapse into one rebase. Retractions replay
-// the derivation forest DRed-style, additions extend the chase against
+// intermediate mutations collapse into one rebase. Retractions run DRed
+// on the derivation forest, additions extend the chase against
 // it, and the WFS fixpoint is warm-started — only the dependency cone of
 // the change is re-solved (ground.IncrementalModel). prev is not
 // mutated; when the database did not change at the set level, prev
@@ -391,7 +391,7 @@ func interruptedModel(prev *Model) *Model {
 // overdelete/rederive/reground under a delta-rebase child, cone warm
 // starts) as child spans of tr with the delta and cone sizes as
 // counters; tr nil records nothing. The token gates every stage — the
-// forest replay, the data-dimension continuation, the warm solves, the
+// retraction, the data-dimension continuation, the warm solves, the
 // deepening, and crucially the cold-rebuild fallback, which must not
 // run when the rebase failed *because* of the cancel.
 func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tok *cancel.Token, tr *trace.Span) *Model {

@@ -45,7 +45,7 @@
 // the published snapshot has any model materialized, the writer builds
 // its successor beside it — every model that was warm in the
 // predecessor REBASED onto the delta (resumed chase for
-// additions, derivation-forest replay for retractions, warm-started WFS
+// additions, DRed on the derivation forest for retractions, warm-started WFS
 // fixpoint over the change's dependency cone — see DESIGN.md
 // "Incremental updates") — and only then publishes it. Warm stays warm,
 // cold stays cold: a snapshot with nothing materialized is simply
