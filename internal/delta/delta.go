@@ -170,7 +170,7 @@ func RebaseCancelTraced(res *chase.Result, gp *ground.Program, prog *program.Pro
 	if ret != nil {
 		curGP = ground.RetractFromChase(gp, retracted, ret.Remap)
 	}
-	if cur != retracted || ret == nil {
+	if len(added) > 0 {
 		curGP = ground.ExtendFromChase(curGP, cur)
 	}
 	endReground()
