@@ -133,7 +133,7 @@ type Result struct {
 }
 
 // arena is the ground program of a chase: append-only arrays that a
-// continuation (Extend, ExtendDB) extends in place instead of copying
+// continuation (Apply) extends in place instead of copying
 // them — but only while it holds the tail claim. The first continuation
 // of a result takes the claim; every later one, a sibling of the first,
 // copies the arena. So a continuation never writes memory that an
@@ -270,48 +270,15 @@ func (r *Result) seed(db program.Database) {
 // depth bound newDepth instead of re-chasing from the database: the
 // derived universe, fired instances, parked waiters, and the unexpanded
 // depth-capped frontier all carry over, and only atoms at depth ≥ the old
-// bound are (newly) expanded. r itself is not mutated, so models already
-// built over r keep serving concurrent readers unchanged.
-//
-// prog must be the program r was chased under, or one sharing its
-// compiled rules and its store; usually it is r.Prog. If newDepth does not exceed the current
-// bound, or the chase already saturated strictly below it (no frontier
-// exists at any depth, so the deeper chase is identical), r is returned
-// unchanged.
+// bound are (newly) expanded. It is Apply with no fact changes. r itself
+// is not mutated, so models already built over r keep serving concurrent
+// readers unchanged. If newDepth does not exceed the current bound, the
+// chase already saturated strictly below it (no frontier exists at any
+// depth, so the deeper chase is identical), or MaxAtoms truncated it, r
+// is returned unchanged.
 func (r *Result) Extend(prog *program.Program, newDepth int) *Result {
-	nr, _ := r.ExtendCancel(prog, newDepth, nil)
+	nr, _ := r.Apply(prog, r.DB, nil, nil, newDepth, nil)
 	return nr
-}
-
-// ExtendCancel is Extend under a cancellation token, and it surfaces the
-// MaxAtoms condition as a structured *BudgetError instead of silently
-// sharing the permanently-truncated receiver: callers that deepen on an
-// answering path need to distinguish "already saturated" (receiver
-// returned, nil error) from "cannot deepen under the budget". tok may be
-// nil (never cancelled).
-func (r *Result) ExtendCancel(prog *program.Program, newDepth int, tok *cancel.Token) (*Result, error) {
-	oldDepth := r.Opts.MaxDepth
-	if newDepth <= oldDepth {
-		return r, nil
-	}
-	if r.Truncated {
-		// MaxAtoms exhaustion is permanent (atoms are never removed), so
-		// a deeper continuation can derive nothing.
-		return r, &BudgetError{Atoms: len(r.Atoms), Limit: r.Opts.MaxAtoms}
-	}
-	if len(r.queue) == 0 && r.ComputeStats().MaxDepth < oldDepth {
-		return r, nil
-	}
-	nr := r.continuation(prog, Options{MaxDepth: newDepth, MaxAtoms: r.Opts.MaxAtoms, Cancel: tok})
-	// The frontier: atoms derived at the old cap were never enqueued for
-	// guard expansion. Under the raised cap they are expandable again.
-	for a, d := range nr.depth {
-		if int(d) >= oldDepth && int(d) < newDepth {
-			nr.enqueue(int32(a))
-		}
-	}
-	nr.run()
-	return nr, nil
 }
 
 // continuation returns a Result that continues r under opts without

@@ -401,7 +401,7 @@ reach(X), edge(X,Y) -> reach(Y).
 // TestComputeStatsExact: the statistics are kept as atoms are derived,
 // so every continuation — deeper, grown, shrunk — must report exactly
 // what a from-scratch chase of the same database and bound reports.
-// Exactness and the saturation check of ExtendCancel read MaxDepth, so an
+// Exactness and the saturation check of Apply read MaxDepth, so an
 // over-estimate would be a correctness bug, not a cosmetic one.
 func TestComputeStatsExact(t *testing.T) {
 	prog, db, st := compile(t, example4+`

@@ -1,15 +1,12 @@
 package chase
 
-// Data-dimension continuations of a finished chase: the guarded chase is
-// monotone in the database (chase(D') ⊆ chase(D) for D' ⊆ D, and every
-// rule firing over D remains a firing over D ∪ ∆), so
+// Apply is the one continuation a write runs on a finished chase. The
+// guarded chase is monotone in the database (chase(D') ⊆ chase(D) for
+// D' ⊆ D, and every rule firing over D remains a firing over D ∪ ∆), so a
+// write is one change to one forest, made in three steps on one copy of
+// the per-atom state:
 //
-//   - additions (ExtendDB) resume the existing chase exactly the way
-//     Extend resumes it in depth — new EDB atoms seed fresh frontier work
-//     against the carried-over forest, waking parked waiters and
-//     cascading depth decreases, while everything already derived stays
-//     derived; and
-//   - retractions (RetractCancel) run DRed on the recorded forest, in the
+//   - the retracted facts go by DRed on the recorded forest, in the
 //     receiver's own atom numbering. Overdelete walks forward from the
 //     retracted facts through the body-occurrence links of the arena,
 //     killing every record with a dying atom in its positive body and
@@ -20,15 +17,22 @@ package chase
 //     its (rule, guard) pair on a missing side atom again. No rule is
 //     matched and no atom is interned: the work is the killed records
 //     and their heads, plus memory-speed copies of the record arrays,
-//     which the result renumbers without the dead records.
+//     which the result renumbers without the dead records;
+//   - the added facts are derived at depth 0 and expanded against the
+//     carried-over forest, waking parked waiters and cascading depth
+//     decreases, while everything already derived stays derived (an
+//     added atom the rules already derived, an IDB atom asserted as a
+//     fact, drops to depth 0 and gets its fact record); and
+//   - the depth cap rises and the frontier the old cap left unexpanded
+//     is expanded, unless the chase saturated below the old cap.
 //
-// Both operations leave the receiver untouched, like Extend, so models
-// already built over it keep serving concurrent readers: a retraction
-// takes the arena's tail claim (or copies the arena) like any
-// continuation, writes its record arrays afresh, and never writes a
-// shared one. The bodies and universe entries of dead records stay in the
-// shared arrays as garbage until it exceeds a quarter of them; then the
-// retraction compacts (compact).
+// The receiver is left untouched, so models already built over it keep
+// serving concurrent readers: Apply takes the arena's tail claim (or
+// copies the arena) like any continuation, writes its record arrays
+// afresh when it retracts, and never writes a shared one. The bodies and
+// universe entries of dead records stay in the shared arrays as garbage
+// until it exceeds a quarter of them; then the retraction compacts
+// (compact).
 
 import (
 	"slices"
@@ -38,81 +42,153 @@ import (
 	"repro/internal/program"
 )
 
-// ExtendDB returns a new Result that continues this chase after the
-// database grew to newDB: the atoms of added (the set-level growth, each
-// already interned in the store) are derived at depth 0 and expanded
-// against the carried-over forest, firing only the rule instances the new
-// facts enable. prog must share r's compiled rules and store (see
-// Extend). r itself is not mutated.
-//
-// An added atom may already be in the derived universe (an IDB atom now
-// asserted as a fact): its depth drops to 0 and the decrease cascades.
-// Returns nil when r is truncated — MaxAtoms exhaustion left frontier
-// atoms unexpanded, so the continuation cannot know what a from-scratch
-// chase of the grown database would derive; callers must rebuild.
-func (r *Result) ExtendDB(prog *program.Program, newDB program.Database, added []atom.AtomID) *Result {
-	return r.ExtendDBCancel(prog, newDB, added, nil)
-}
-
-// ExtendDBCancel is ExtendDB under a cancellation token (nil = never
-// cancelled); a cancelled continuation returns with Interrupted set.
-func (r *Result) ExtendDBCancel(prog *program.Program, newDB program.Database, added []atom.AtomID, tok *cancel.Token) *Result {
-	if r.Truncated {
-		return nil
-	}
-	opts := r.Opts
-	opts.Cancel = tok
-	nr := r.continuation(prog, opts)
-	nr.DB = newDB
-	for _, a := range added {
-		nr.derive(nr.intern(a), 0, 0)
-	}
-	nr.run()
-	return nr
-}
-
-// Retraction reports what RetractCancel changed.
-type Retraction struct {
+// Change reports what Apply changed in the ground program.
+type Change struct {
 	// Dead lists the positions in the receiver's Ground of the rule
 	// instances that did not survive, in firing order.
 	Dead []int32
 	// Remap maps each position of the receiver's Ground to the record's
 	// position in the result's, or to a negative value for a record that
-	// died. It is nil when the retraction compacted the arena, which
+	// died; the records after them are new. It is nil when nothing was
+	// retracted, and when the retraction compacted the arena, which
 	// renumbers the atoms too.
 	Remap []int32
+	// Seeds lists the global atoms whose ground rule set changed: the
+	// retracted facts, the heads of the dead records, and the heads of
+	// every record appended after the renumbering. ground.IncrementalModel
+	// re-solves exactly their dependency cone.
+	Seeds []atom.AtomID
 	// Overdeleted counts the atoms the retraction took out of the derived
 	// universe, Rederived the ones of them that came back, and Visited
 	// the body occurrences the overdelete and rederive walks examined.
-	Overdeleted, Rederived, Visited int
+	// NewInstances counts the rule instances the additions and the
+	// deepening fired.
+	Overdeleted, Rederived, Visited, NewInstances int
 	// Compacted reports that the result's arena was rebuilt without the
 	// garbage earlier retractions left (see compact).
 	Compacted bool
 }
 
-// Retract returns a new Result chasing the shrunken database newDB (a
-// subset of r.DB at the set level), together with the positions in
-// r.Ground of the rule instances that did not survive. It is
-// RetractCancel with the removed atoms computed from the two databases.
-// Returns (nil, nil) when r is truncated, in which case the instance set
-// is incomplete and the caller must re-chase from scratch.
-func (r *Result) Retract(prog *program.Program, newDB program.Database) (*Result, []int32) {
-	keep := make(map[atom.AtomID]bool, len(newDB))
-	for _, a := range newDB {
-		keep[a] = true
+// Apply returns a new Result chasing newDB under the depth cap depth:
+// r after the atoms of removed left the database and the atoms of added
+// joined it (the set-level change from r.DB to newDB, every atom already
+// interned in the store), and after the cap rose to depth — see the file
+// comment. prog must share r's compiled rules and store; usually it is
+// r.Prog. A depth at or below r's cap keeps the cap.
+//
+// The result keeps r's atom numbering unless a retraction compacts, and
+// renumbers the surviving records densely in their old order. r is not
+// mutated. tok (nil = never cancelled) is polled through the walks and
+// the chase; a cancelled Apply returns a result with Interrupted set.
+// Apply returns r itself, with an empty Change, when there is nothing to
+// do: no fact changes, and a cap that does not rise, a truncated chase,
+// or a saturated one. It returns (nil, nil) when r is truncated: MaxAtoms
+// exhaustion left frontier atoms unexpanded, so no continuation can know
+// what a from-scratch chase of newDB derives, and the caller must
+// re-chase.
+func (r *Result) Apply(prog *program.Program, newDB program.Database, removed, added []atom.AtomID, depth int, tok *cancel.Token) (*Result, *Change) {
+	if len(removed) == 0 && len(added) == 0 && (depth <= r.Opts.MaxDepth || r.Truncated || r.saturated()) {
+		return r, &Change{}
 	}
-	var removed []atom.AtomID
-	for _, a := range r.DB {
-		if !keep[a] {
-			keep[a] = true // report a duplicate once
-			removed = append(removed, a)
+	if r.Truncated {
+		return nil, nil
+	}
+	opts := r.Opts
+	opts.Cancel = tok
+	nr := r.continuation(prog, opts)
+	nr.DB = newDB
+	ch := &Change{}
+	if len(removed) > 0 {
+		if nr = nr.retract(removed, ch); nr.Interrupted {
+			return nr, ch
 		}
+		for _, rec := range ch.Dead {
+			ch.Seeds = append(ch.Seeds, r.Head(rec))
+		}
+		ch.Seeds = append(ch.Seeds, removed...)
 	}
-	nr, ret := r.RetractCancel(prog, newDB, removed, nil)
+	firstRec, firstInst := len(nr.Ground), len(nr.Instances)
+	for _, a := range added {
+		nr.derive(nr.intern(a), 0, 0)
+	}
+	nr.run()
+	if oldDepth := nr.Opts.MaxDepth; depth > oldDepth && !nr.Truncated && !nr.Interrupted && !nr.saturated() {
+		// The frontier: atoms derived at the old cap were never enqueued
+		// for guard expansion. Under the raised cap they are expandable.
+		nr.Opts.MaxDepth = depth
+		for a, d := range nr.depth {
+			if int(d) >= oldDepth && int(d) < depth {
+				nr.enqueue(int32(a))
+			}
+		}
+		nr.run()
+	}
+	for rec := firstRec; rec < len(nr.Ground); rec++ {
+		ch.Seeds = append(ch.Seeds, nr.Head(int32(rec)))
+	}
+	ch.NewInstances = len(nr.Instances) - firstInst
+	return nr, ch
+}
+
+// saturated reports that r has no frontier: it derived nothing at its
+// cap and has nothing queued, so a deeper chase is identical.
+func (r *Result) saturated() bool {
+	return len(r.queue) == 0 && r.ComputeStats().MaxDepth < r.Opts.MaxDepth
+}
+
+// ExtendDB is Apply for additions alone, at r's cap; nil when r is
+// truncated.
+func (r *Result) ExtendDB(prog *program.Program, newDB program.Database, added []atom.AtomID) *Result {
+	nr, _ := r.Apply(prog, newDB, nil, added, r.Opts.MaxDepth, nil)
+	return nr
+}
+
+// Retract is Apply for the shrinkage from r.DB to newDB, at r's cap: it
+// returns the result and the positions in r.Ground of the rule instances
+// that did not survive, or (nil, nil) when r is truncated.
+func (r *Result) Retract(prog *program.Program, newDB program.Database) (*Result, []int32) {
+	_, removed := Diff(r.DB, newDB)
+	nr, ch := r.Apply(prog, newDB, removed, nil, r.Opts.MaxDepth, nil)
 	if nr == nil {
 		return nil, nil
 	}
-	return nr, ret.Dead
+	return nr, ch.Dead
+}
+
+// Diff computes the set-level difference between two database instances:
+// atoms present in newDB but not oldDB (added, in newDB order) and present
+// in oldDB but not newDB (removed, in oldDB order). Duplicate entries
+// within either database are ignored — a fact that merely changed
+// multiplicity is no chase-level change at all. Membership is two
+// bitsets over the atom IDs: a mutation diffs two whole databases, and a
+// bit test per fact keeps that to a few scans.
+func Diff(oldDB, newDB program.Database) (added, removed []atom.AtomID) {
+	n := atom.AtomID(0)
+	for _, db := range []program.Database{oldDB, newDB} {
+		for _, a := range db {
+			n = max(n, a+1)
+		}
+	}
+	inOld, inNew := make([]uint64, n/64+1), make([]uint64, n/64+1)
+	has := func(b []uint64, a atom.AtomID) bool { return b[a/64]&(1<<(a%64)) != 0 }
+	for _, a := range oldDB {
+		inOld[a/64] |= 1 << (a % 64)
+	}
+	for _, a := range newDB {
+		if !has(inNew, a) {
+			inNew[a/64] |= 1 << (a % 64)
+			if !has(inOld, a) {
+				added = append(added, a)
+			}
+		}
+	}
+	for _, a := range oldDB {
+		if !has(inNew, a) {
+			inNew[a/64] |= 1 << (a % 64) // report a duplicate once
+			removed = append(removed, a)
+		}
+	}
+	return added, removed
 }
 
 // Record states during a retraction.
@@ -122,34 +198,23 @@ const (
 	recRevived
 )
 
-// RetractCancel continues r after the atoms of removed (the set-level
-// shrinkage from r.DB to newDB) left the database, by DRed on the
-// forest — see the file comment. The result keeps r's atom numbering
-// and renumbers the surviving records densely in their old order. r is
-// not mutated. tok (nil = never cancelled) is polled through the
-// overdelete and rederive walks; a cancelled retraction returns a result
-// with Interrupted set. Returns (nil, nil) when r is truncated.
-func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, removed []atom.AtomID, tok *cancel.Token) (*Result, *Retraction) {
-	if r.Truncated {
-		return nil, nil
-	}
-	opts := r.Opts
-	opts.Cancel = tok
-	nr := r.continuation(prog, opts)
-	nr.DB = newDB
-	nr.records = recordLines.Add(1)
-	x := &dred{Result: nr, state: make([]uint8, len(nr.Ground)), tok: tok, budget: cancelCheckInterval}
-
+// retract runs DRed for the atoms of removed on r, a continuation that
+// has not run yet (see the file comment), filling ch's record map and
+// counters. It returns r, or r compacted; a cancelled walk returns r
+// with Interrupted set.
+func (r *Result) retract(removed []atom.AtomID, ch *Change) *Result {
+	r.records = recordLines.Add(1)
+	x := &dred{Result: r, state: make([]uint8, len(r.Ground)), budget: cancelCheckInterval}
 	// Overdelete: the fact records of the removed atoms die, and so does
 	// every record with a dying atom in its positive body, transitively.
 	// An atom that keeps a fact record keeps depth 0 and stays.
 	for _, a := range removed {
-		d := nr.Local(a)
-		if d < 0 || nr.depth[d] != 0 || nr.flags[d]&flagProgFact != 0 {
+		d := r.Local(a)
+		if d < 0 || r.depth[d] != 0 || r.flags[d]&flagProgFact != 0 {
 			continue
 		}
-		for rec := nr.firstHead[d]; rec >= 0; rec = nr.headNext[rec] {
-			if nr.Ground[rec].Rule < 0 {
+		for rec := r.firstHead[d]; rec >= 0; rec = r.headNext[rec] {
+			if r.Ground[rec].Rule < 0 {
 				x.kill(rec)
 			}
 		}
@@ -157,17 +222,17 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 	}
 	for len(x.stack) > 0 {
 		if x.cancelled() {
-			return nr, &Retraction{}
+			return r
 		}
 		a := x.pop()
-		for k := nr.firstOcc[a]; k >= 0; k = nr.occNext[k] {
+		for k := r.firstOcc[a]; k >= 0; k = r.occNext[k] {
 			x.visited++
-			rec := nr.occRec[k]
-			if rec < 0 || x.state[rec] != recLive || k >= nr.Ground[rec].Neg {
+			rec := r.occRec[k]
+			if rec < 0 || x.state[rec] != recLive || k >= r.Ground[rec].Neg {
 				continue // dead already, or a negative occurrence
 			}
 			x.kill(rec)
-			if h := nr.Ground[rec].Head; nr.depth[h] != 0 {
+			if h := r.Ground[rec].Head; r.depth[h] != 0 {
 				x.overdelete(h)
 			}
 		}
@@ -179,11 +244,11 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 	// and rederives its head. Depths settle by label correction, as in
 	// derive's cascade.
 	for _, h := range x.over {
-		nr.countDepth(nr.depth[h], -1)
-		nr.depth[h], nr.level[h] = -1, -1
+		r.countDepth(r.depth[h], -1)
+		r.depth[h], r.level[h] = -1, -1
 	}
 	for _, h := range x.over {
-		for rec := nr.firstHead[h]; rec >= 0; rec = nr.headNext[rec] {
+		for rec := r.firstHead[h]; rec >= 0; rec = r.headNext[rec] {
 			if x.state[rec] == recLive {
 				x.revive(rec)
 			}
@@ -191,61 +256,61 @@ func (r *Result) RetractCancel(prog *program.Program, newDB program.Database, re
 	}
 	for len(x.stack) > 0 {
 		if x.cancelled() {
-			return nr, &Retraction{}
+			return r
 		}
 		a := x.pop()
-		for k := nr.firstOcc[a]; k >= 0; k = nr.occNext[k] {
+		for k := r.firstOcc[a]; k >= 0; k = r.occNext[k] {
 			x.visited++
-			if rec := nr.occRec[k]; rec >= 0 && x.state[rec] != recLive && k < nr.Ground[rec].Neg {
+			if rec := r.occRec[k]; rec >= 0 && x.state[rec] != recLive && k < r.Ground[rec].Neg {
 				x.revive(rec)
 			}
 		}
 	}
-	ret := &Retraction{Overdeleted: len(x.over), Visited: x.visited}
+	ch.Overdeleted, ch.Visited = len(x.over), x.visited
 	// Settle the overdeleted atoms: dead ones leave the derived universe,
 	// and an atom that now sits at or past the cap is no longer expanded
 	// (a deepening expands it afresh).
 	var died []atom.AtomID
 	lost := false
 	for _, h := range x.over {
-		nr.flags[h] &^= flagOver
+		r.flags[h] &^= flagOver
 		switch {
-		case nr.depth[h] < 0:
-			g := nr.Universe[h]
+		case r.depth[h] < 0:
+			g := r.Universe[h]
 			died = append(died, g)
-			nr.countTerm(g, -1)
-			lost = lost || nr.flags[h]&flagExpanded != 0
-			nr.flags[h] = nr.flags[h]&^(flagExpanded|flagQueued) | flagDied
-			nr.orphanAtoms++
-		case int(nr.depth[h]) >= nr.Opts.MaxDepth && nr.flags[h]&flagExpanded != 0:
-			nr.flags[h] &^= flagExpanded
+			r.countTerm(g, -1)
+			lost = lost || r.flags[h]&flagExpanded != 0
+			r.flags[h] = r.flags[h]&^(flagExpanded|flagQueued) | flagDied
+			r.orphanAtoms++
+		case int(r.depth[h]) >= r.Opts.MaxDepth && r.flags[h]&flagExpanded != 0:
+			r.flags[h] &^= flagExpanded
 			lost = true
 			fallthrough
 		default:
-			ret.Rederived++
+			ch.Rederived++
 		}
 	}
 	// Parked pairs whose guard is no longer expanded go: re-deriving or
 	// deepening the guard matches its rules again.
 	if lost {
-		for sa, ws := range nr.waiters {
-			ws = slices.DeleteFunc(ws, func(w waiter) bool { return nr.flags[w.guard]&flagExpanded == 0 })
+		for sa, ws := range r.waiters {
+			ws = slices.DeleteFunc(ws, func(w waiter) bool { return r.flags[w.guard]&flagExpanded == 0 })
 			if len(ws) == 0 {
-				delete(nr.waiters, sa)
+				delete(r.waiters, sa)
 			} else {
-				nr.waiters[sa] = ws
+				r.waiters[sa] = ws
 			}
 		}
 	}
-	x.renumber(ret)
+	x.renumber(ch)
 	if len(died) > 0 {
-		nr.Atoms = dropAtoms(nr.Atoms, died)
+		r.Atoms = dropAtoms(r.Atoms, died)
 	}
-	if 4*nr.orphanSlots > len(nr.Body) || 4*nr.orphanAtoms > len(nr.Universe) {
-		nr = nr.compact()
-		ret.Remap, ret.Compacted = nil, true
+	if 4*r.orphanSlots > len(r.Body) || 4*r.orphanAtoms > len(r.Universe) {
+		r = r.compact()
+		ch.Remap, ch.Compacted = nil, true
 	}
-	return nr, ret
+	return r
 }
 
 // dred is the scratch state of one retraction over its result.
@@ -256,7 +321,6 @@ type dred struct {
 	over    []int32 // overdeleted atoms
 	stack   []int32
 	visited int // body occurrences walked
-	tok     *cancel.Token
 	budget  int
 }
 
@@ -286,7 +350,7 @@ func (x *dred) cancelled() bool {
 		return false
 	}
 	x.budget = cancelCheckInterval
-	x.Interrupted = x.tok.Cancelled()
+	x.Interrupted = x.Opts.Cancel.Cancelled()
 	return x.Interrupted
 }
 
@@ -333,8 +397,8 @@ func (x *dred) rederive(h, depth, level int32) {
 // renumber drops the dead records: it writes the result's record arrays
 // afresh (the receiver's stay as they are), re-parks the (rule, guard)
 // pair of every dead instance whose guard is still expanded on its first
-// underived side atom, and fills ret's Dead and Remap.
-func (x *dred) renumber(ret *Retraction) {
+// underived side atom, and fills ch's Dead and Remap.
+func (x *dred) renumber(ch *Change) {
 	dead := slices.DeleteFunc(x.killed, func(rec int32) bool { return x.state[rec] != recKilled })
 	slices.Sort(dead)
 	// Live records keep their order, so every run between two dead ones
@@ -409,11 +473,11 @@ func (x *dred) renumber(ret *Retraction) {
 		if remap[rec] >= 0 {
 			insts = append(insts, remap[rec])
 		} else {
-			ret.Dead = append(ret.Dead, rec)
+			ch.Dead = append(ch.Dead, rec)
 		}
 	}
 	x.Ground, x.headNext, x.occRec, x.Instances = ground, headNext, occRec, insts
-	ret.Remap = remap
+	ch.Remap = remap
 }
 
 // chainNext returns the new position of the newest live record of a

@@ -251,3 +251,20 @@ func TestDeltaOpsRefuseTruncated(t *testing.T) {
 		t.Error("Retract accepted a truncated chase")
 	}
 }
+
+// TestDiffIsSetLevel: the database change a write applies is set-level.
+func TestDiffIsSetLevel(t *testing.T) {
+	oldDB := program.Database{1, 2, 2, 3}
+	newDB := program.Database{2, 3, 3, 4, 4}
+	added, removed := Diff(oldDB, newDB)
+	if len(added) != 1 || added[0] != 4 {
+		t.Errorf("added = %v, want [4]", added)
+	}
+	if len(removed) != 1 || removed[0] != 1 {
+		t.Errorf("removed = %v, want [1]", removed)
+	}
+	// Multiplicity changes alone are no change.
+	if a, r := Diff(program.Database{5, 5}, program.Database{5}); len(a)+len(r) != 0 {
+		t.Errorf("multiplicity-only diff = %v/%v, want empty", a, r)
+	}
+}

@@ -3,12 +3,14 @@ package chase
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/atom"
+	"repro/internal/bench"
 	"repro/internal/program"
 )
 
@@ -94,7 +96,7 @@ func TestRetractRandomScriptsMatchRun(t *testing.T) {
 					}
 				}
 				db = next
-				res, ret := cur.RetractCancel(prog, db, []atom.AtomID{gone}, nil)
+				res, ret := cur.Apply(prog, db, []atom.AtomID{gone}, nil, opts.MaxDepth, nil)
 				if res == nil || res.Interrupted {
 					t.Fatalf("%s: retraction refused", what)
 				}
@@ -152,7 +154,7 @@ func TestRetractCostsWhatItKills(t *testing.T) {
 				rest = append(rest, a)
 			}
 		}
-		_, ret := res.RetractCancel(prog, rest, []atom.AtomID{gone}, nil)
+		_, ret := res.Apply(prog, rest, []atom.AtomID{gone}, nil, 4, nil)
 		costs = append(costs, cost{ret.Overdeleted, ret.Rederived, ret.Visited, len(ret.Dead)})
 	}
 	if costs[0] != costs[1] {
@@ -162,6 +164,40 @@ func TestRetractCostsWhatItKills(t *testing.T) {
 	// out and not rederived (n7_25 has no other move).
 	if want := (cost{overdeleted: 2, rederived: 0, visited: costs[0].visited, dead: 1}); costs[0] != want {
 		t.Fatalf("retraction cost %+v, want %+v", costs[0], want)
+	}
+}
+
+// TestMixedDeltaCopiesOnce: a write that retracts one fact and adds
+// another is one continuation, so it copies the per-atom state, the
+// waiters and the record arrays once: it allocates about what the
+// retraction alone does, not that plus a second continuation's copies.
+// Each measurement chases afresh, so Apply takes the arena's tail claim
+// and no sibling's arena copy is counted.
+func TestMixedDeltaCopiesOnce(t *testing.T) {
+	prog, db, st := compile(t, bench.UpdateFamily(200, 50))
+	opts := Options{MaxDepth: 4, MaxAtoms: 1_000_000}
+	gone := mkfact(t, st, "move", "n7_25", "n7_26")
+	back := mkfact(t, st, "move", "n9_25", "n9_26")
+	without := func(db program.Database, a atom.AtomID) program.Database {
+		return slices.DeleteFunc(slices.Clone(db), func(b atom.AtomID) bool { return b == a })
+	}
+	base := without(db, back)
+	allocated := func(newDB program.Database, added []atom.AtomID) uint64 {
+		res := Run(prog, base, opts)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		next, _ := res.Apply(prog, newDB, []atom.AtomID{gone}, added, opts.MaxDepth, nil)
+		runtime.ReadMemStats(&after)
+		if next == nil || next.Interrupted {
+			t.Fatal("Apply refused the write")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	retract := allocated(without(base, gone), nil)
+	mixed := allocated(append(without(base, gone), back), []atom.AtomID{back})
+	if 10*mixed > 11*retract {
+		t.Fatalf("the mixed write allocated %d B, the retraction alone %d B (%.2f×, want ≤ 1.1×)",
+			mixed, retract, float64(mixed)/float64(retract))
 	}
 }
 
@@ -189,8 +225,8 @@ func TestRetractChurnStaysBounded(t *testing.T) {
 			}
 			db = append(next, in...)
 			if len(out) > 0 {
-				var ret *Retraction
-				cur, ret = cur.RetractCancel(prog, db, out, nil)
+				var ret *Change
+				cur, ret = cur.Apply(prog, db, out, nil, opts.MaxDepth, nil)
 				if ret.Compacted {
 					compactions++
 				}
@@ -252,9 +288,9 @@ func TestRetractionsDoNotAlias(t *testing.T) {
 		run func() *Result
 		cap int
 	}{
-		{without(m1), func() *Result { r, _ := parent.RetractCancel(prog, without(m1), []atom.AtomID{m1}, nil); return r }, 4},
+		{without(m1), func() *Result { r, _ := parent.Apply(prog, without(m1), []atom.AtomID{m1}, nil, 4, nil); return r }, 4},
 		{without(m2, p1), func() *Result {
-			r, _ := parent.RetractCancel(prog, without(m2, p1), []atom.AtomID{m2, p1}, nil)
+			r, _ := parent.Apply(prog, without(m2, p1), []atom.AtomID{m2, p1}, nil, 4, nil)
 			return r
 		}, 4},
 		{append(without(), extra), func() *Result { return parent.ExtendDB(prog, append(without(), extra), []atom.AtomID{extra}) }, 4},

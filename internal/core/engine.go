@@ -30,7 +30,6 @@ import (
 	"repro/internal/atom"
 	"repro/internal/cancel"
 	"repro/internal/chase"
-	"repro/internal/delta"
 	"repro/internal/ground"
 	"repro/internal/program"
 	"repro/internal/term"
@@ -172,7 +171,7 @@ func (o Options) withDefaults() Options {
 // Engine evaluates the well-founded semantics of a database under a
 // guarded normal Datalog± program. Evaluation state is resumable: the
 // engine keeps its deepest chase and grounding so far, and a deeper
-// request extends them (chase.Result.Extend, ground.ExtendFromChase)
+// request extends them (chase.Result.Apply, ground.View)
 // instead of re-chasing from the database — the adaptive-deepening
 // ladder therefore pays for each depth increment once. Models are cached
 // per depth. An Engine is single-goroutine (see wfs.Snapshot for the
@@ -267,19 +266,15 @@ func (e *Engine) EvaluateAtDepthCancelTraced(depth int, tok *cancel.Token, tr *t
 	switch {
 	case e.res != nil && depth > e.res.Opts.MaxDepth:
 		cs := tr.Child("chase-extend")
-		res, _ = e.res.ExtendCancel(e.Prog, depth, tok)
+		res, _ = e.res.Apply(e.Prog, e.res.DB, nil, nil, depth, tok)
 		chaseCounters(cs, res)
 		cs.End()
-		switch {
-		case res == e.res:
-			gp = e.gp // saturated or truncated: the deeper chase is identical
-		case res.Interrupted:
+		if res.Interrupted {
 			return &Model{Chase: res, GP: e.gp, GM: &ground.Model{}, Interrupted: true}
-		default:
-			end := tr.Phase("reground")
-			gp = ground.ExtendFromChase(e.gp, res)
-			end()
 		}
+		end := tr.Phase("reground")
+		gp = ground.View(e.gp, res, nil) // e.gp itself if saturated or truncated
+		end()
 	case e.res != nil && depth == e.res.Opts.MaxDepth:
 		res, gp = e.res, e.gp
 	default:
@@ -345,35 +340,35 @@ func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int) *M
 func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, tok *cancel.Token, tr *trace.Span) *Model {
 	opts = opts.withDefaults()
 	cs := tr.Child("chase-extend")
-	res, _ := prev.Chase.ExtendCancel(prog, depth, tok)
+	res, _ := prev.Chase.Apply(prog, prev.Chase.DB, nil, nil, depth, tok)
 	chaseCounters(cs, res)
 	cs.End()
 	if res.Interrupted {
 		return &Model{Chase: res, GP: prev.GP, GM: prev.GM, Interrupted: true}
 	}
-	gp := prev.GP
-	if res != prev.Chase {
-		end := tr.Phase("reground")
-		gp = ground.ExtendFromChase(prev.GP, res)
-		end()
-	}
+	end := tr.Phase("reground")
+	gp := ground.View(prev.GP, res, nil)
+	end()
 	return modelFromCancelTraced(opts, res, gp, depth, tok, tr)
 }
 
 // RebaseModel carries a previously evaluated model onto a mutated
 // database: the data-dimension counterpart of ExtendModel. The set-level
 // change is computed from prev's own chase database, so any number of
-// intermediate mutations collapse into one rebase. Retractions run DRed
-// on the derivation forest, additions extend the chase against
-// it, and the WFS fixpoint is warm-started — only the dependency cone of
-// the change is re-solved (ground.IncrementalModel). prev is not
-// mutated; when the database did not change at the set level, prev
-// itself is returned.
+// intermediate mutations collapse into one rebase. One chase
+// continuation (chase.Result.Apply) runs DRed on the derivation forest
+// for the retractions, extends the chase against it for the additions,
+// and deepens it to depth; one view regrounds it (ground.View); and the
+// WFS fixpoint is warm-started once — only the dependency cone of the
+// change is re-solved (ground.IncrementalModel). prev is not mutated;
+// when the database did not change at the set level, prev itself is
+// returned.
 //
-// prog must share prev's compiled rules and its chase's store, and newDB (with every atom interned there) must be the
-// full database after the mutation. A state that cannot be rebased (a
-// truncated chase, or a depth mismatch from an off-ladder caller) falls
-// back to cold evaluation at the requested depth.
+// prog must share prev's compiled rules and its chase's store, and newDB
+// (with every atom interned there) must be the full database after the
+// mutation. A state that cannot be rebased (a truncated chase, or a depth
+// mismatch from an off-ladder caller) falls back to cold evaluation at
+// the requested depth.
 func RebaseModel(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database) *Model {
 	return RebaseModelCancelTraced(prev, prog, opts, depth, newDB, nil, nil)
 }
@@ -387,72 +382,65 @@ func interruptedModel(prev *Model) *Model {
 }
 
 // RebaseModelCancelTraced is RebaseModel under a cancellation token (nil
-// = never cancelled), recording the delta-apply breakdown (diff,
-// overdelete/rederive/reground under a delta-rebase child, cone warm
-// starts) as child spans of tr with the delta and cone sizes as
-// counters; tr nil records nothing. The token gates every stage — the
-// retraction, the data-dimension continuation, the warm solves, the
-// deepening, and crucially the cold-rebuild fallback, which must not
-// run when the rebase failed *because* of the cancel.
+// = never cancelled), recording the delta-apply breakdown as child spans
+// of tr: the diff; a delta-rebase span with the write's one chase
+// continuation (chase.Result.Apply: DRed, additions, deepening) and its
+// reground as phases, and the delta sizes as counters; and one warm
+// solve over the Change's seeds, with the cone sizes as counters. tr nil
+// records nothing. The token gates every stage — the chase, the warm
+// solve, and crucially the cold-rebuild fallback, which must not run
+// when the rebase failed *because* of the cancel.
 func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tok *cancel.Token, tr *trace.Span) *Model {
 	opts = opts.withDefaults()
 	endDiff := tr.Phase("diff")
-	added, removed := delta.Diff(prev.Chase.DB, newDB)
+	added, removed := chase.Diff(prev.Chase.DB, newDB)
 	endDiff()
 	if len(added) == 0 && len(removed) == 0 {
 		return prev
 	}
 	// prev's chase may be bounded below depth: a ladder rung past
-	// saturation shares the shallower saturated chase (Extend returns its
-	// receiver). Rebase at the chase's own bound, then deepen — the delta
-	// may have unsaturated it.
-	if prevCap := prev.Chase.Opts.MaxDepth; prevCap <= depth {
+	// saturation shares the shallower saturated chase. Apply deepens it
+	// to depth after the change — the delta may have unsaturated it.
+	if prev.Chase.Opts.MaxDepth <= depth && !prev.Chase.Truncated {
 		rb := tr.Child("delta-rebase")
-		reb, ok := delta.RebaseCancelTraced(prev.Chase, prev.GP, prog, newDB, added, removed, tok, rb)
-		rb.End()
-		if !ok && tok.Cancelled() {
+		rb.SetCount("added_facts", int64(len(added)))
+		rb.SetCount("removed_facts", int64(len(removed)))
+		cs := rb.Child("chase")
+		res, ch := prev.Chase.Apply(prog, newDB, removed, added, depth, tok)
+		if res.Opts.MaxDepth != prev.Chase.Opts.MaxDepth {
+			chaseCounters(cs, res)
+		}
+		cs.End()
+		if res.Interrupted {
+			rb.End()
 			return interruptedModel(prev)
 		}
-		if ok {
-			ws := tr.Child("warm-solve")
-			gm := ground.IncrementalModelCancelTraced(reb.GP, prev.GM, reb.Seeds, solverCancelForTraced(opts, tok, nil), tok, ws)
-			ws.End()
-			if gm.Interrupted {
-				return interruptedModel(prev)
+		if len(removed) > 0 {
+			rb.SetCount("dead_instances", int64(len(ch.Dead)))
+			rb.SetCount("overdeleted_atoms", int64(ch.Overdeleted))
+			rb.SetCount("rederived_atoms", int64(ch.Rederived))
+			compacted := int64(0)
+			if ch.Compacted {
+				compacted = 1
 			}
-			res, gp := reb.Chase, reb.GP
-			cs := tr.Child("chase-extend")
-			ext, _ := res.ExtendCancel(prog, depth, tok)
-			if ext != res {
-				chaseCounters(cs, ext)
-			}
-			cs.End()
-			if ext.Interrupted {
-				return interruptedModel(prev)
-			}
-			cones := [][]int32{gm.Cone}
-			if ext != res {
-				firstNew := len(res.Ground)
-				res = ext
-				endRg := tr.Phase("reground")
-				gp = ground.ExtendFromChase(gp, res)
-				endRg()
-				seeds := make([]atom.AtomID, 0, len(res.Ground)-firstNew)
-				for rec := firstNew; rec < len(res.Ground); rec++ {
-					seeds = append(seeds, res.Head(int32(rec)))
-				}
-				ws2 := tr.Child("warm-solve")
-				gm = ground.IncrementalModelCancelTraced(gp, gm, seeds, solverCancelForTraced(opts, tok, nil), tok, ws2)
-				ws2.End()
-				if gm.Interrupted {
-					return interruptedModel(prev)
-				}
-				cones = append(cones, gm.Cone)
-			}
-			m := wrapModel(opts, res, gp, gm, depth)
-			m.patch = newIndexPatch(prev, m, cones)
-			return m
+			rb.SetCount("compacted", compacted)
 		}
+		if len(added) > 0 {
+			rb.SetCount("new_instances", int64(ch.NewInstances))
+		}
+		endRg := rb.Phase("reground")
+		gp := ground.View(prev.GP, res, ch.Remap)
+		endRg()
+		rb.End()
+		ws := tr.Child("warm-solve")
+		gm := ground.IncrementalModelCancelTraced(gp, prev.GM, ch.Seeds, solverCancelForTraced(opts, tok, nil), tok, ws)
+		ws.End()
+		if gm.Interrupted {
+			return interruptedModel(prev)
+		}
+		m := wrapModel(opts, res, gp, gm, depth)
+		m.patch = newIndexPatch(prev, m, gm.Cone)
+		return m
 	}
 	if tok.Cancelled() {
 		return interruptedModel(prev)
@@ -645,7 +633,7 @@ func (m *Model) buildIndexes() {
 
 // indexPatch derives a rebased model's matcher lists from those of the
 // model it was rebased from. Truth changes only inside the re-solved
-// cones, and so does depth (a retraction deepens or kills only atoms
+// cone, and so does depth (a retraction deepens or kills only atoms
 // downstream of a retracted fact, an addition lowers only atoms
 // downstream of an added one), so the candidacy of every other atom of
 // the previous universe stands.
@@ -654,20 +642,14 @@ type indexPatch struct {
 	moved []int32 // local atoms whose candidacy may differ, ascending
 }
 
-// newIndexPatch returns the patch from prev to m, whose warm solves
-// re-solved cones, or nil when the lists must be rebuilt: a cold solve,
-// renumbered atoms, or a guard band that moved.
-func newIndexPatch(prev, m *Model, cones [][]int32) *indexPatch {
-	if prev.UsableDepth != m.UsableDepth || !m.Chase.SameAtoms(prev.Chase) {
+// newIndexPatch returns the patch from prev to m, whose warm solve
+// re-solved cone, or nil when the lists must be rebuilt: a cold solve
+// (a nil cone), renumbered atoms, or a guard band that moved.
+func newIndexPatch(prev, m *Model, cone []int32) *indexPatch {
+	if cone == nil || prev.UsableDepth != m.UsableDepth || !m.Chase.SameAtoms(prev.Chase) {
 		return nil
 	}
-	var moved []int32
-	for _, c := range cones {
-		if c == nil {
-			return nil
-		}
-		moved = append(moved, c...)
-	}
+	moved := slices.Clone(cone)
 	for i := len(prev.GP.Atoms); i < len(m.GP.Atoms); i++ {
 		moved = append(moved, int32(i))
 	}

@@ -33,22 +33,6 @@ func fact(t *testing.T, st *atom.Store, pred string, args ...string) atom.AtomID
 	return st.Atom(p, ts)
 }
 
-func TestDiffIsSetLevel(t *testing.T) {
-	oldDB := program.Database{1, 2, 2, 3}
-	newDB := program.Database{2, 3, 3, 4, 4}
-	added, removed := Diff(oldDB, newDB)
-	if len(added) != 1 || added[0] != 4 {
-		t.Errorf("added = %v, want [4]", added)
-	}
-	if len(removed) != 1 || removed[0] != 1 {
-		t.Errorf("removed = %v, want [1]", removed)
-	}
-	// Multiplicity changes alone are no change.
-	if a, r := Diff(program.Database{5, 5}, program.Database{5}); len(a)+len(r) != 0 {
-		t.Errorf("multiplicity-only diff = %v/%v, want empty", a, r)
-	}
-}
-
 // TestRebaseMixedMatchesScratch drives a mixed delta (retraction +
 // addition in one rebase) and cross-checks the chase universe, grounding,
 // and seeds-driven incremental model against from-scratch evaluation.
@@ -72,7 +56,7 @@ move(X,Y), not win(Y) -> win(X).
 	}
 	newDB = append(newDB, addedAtom)
 
-	added, removed := Diff(db, newDB)
+	added, removed := chase.Diff(db, newDB)
 	reb, ok := Rebase(res, gp, prog, newDB, added, removed)
 	if !ok {
 		t.Fatal("Rebase refused a non-truncated chase")
@@ -111,7 +95,7 @@ probe(b).
 		t.Fatalf("r(b) depth = %d, want > 0 (IDB-derived)", res.Depth(rb))
 	}
 	newDB := append(db[:len(db):len(db)], rb)
-	added, removed := Diff(db, newDB)
+	added, removed := chase.Diff(db, newDB)
 	reb, ok := Rebase(res, gp, prog, newDB, added, removed)
 	if !ok {
 		t.Fatal("Rebase refused")

@@ -134,12 +134,12 @@ func TestExtendFromChaseFallsBack(t *testing.T) {
 	}
 }
 
-// TestRetractFromChaseListsMatchRebuild: along a script of retractions
+// TestViewListsMatchRebuild: along a script of retractions
 // and additions, every view — lists read through the retractions'
 // renumbering, rules past them reached through the chase's links —
 // answers, for every atom, the same head and body occurrences as lists
 // rebuilt from scratch, and a warm solve over it equals a cold one.
-func TestRetractFromChaseListsMatchRebuild(t *testing.T) {
+func TestViewListsMatchRebuild(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(example4Src + "move(X,Y), not win(Y) -> win(X).\n")
 	for i := 0; i < 300; i++ {
@@ -156,7 +156,7 @@ func TestRetractFromChaseListsMatchRebuild(t *testing.T) {
 		if step%6 == 4 {
 			f = db[len(db)-1-step%4] // a recent addition: its slots are past the lists
 		}
-		var ret *chase.Retraction
+		var ret *chase.Change
 		var next *chase.Result
 		if step%3 == 2 {
 			db = append(db[:len(db):len(db)], f) // a duplicate: set-level no-op
@@ -173,9 +173,9 @@ func TestRetractFromChaseListsMatchRebuild(t *testing.T) {
 				}
 			}
 			db = rest
-			next, ret = res.RetractCancel(prog, db, []atom.AtomID{f}, nil)
+			next, ret = res.Apply(prog, db, []atom.AtomID{f}, nil, opts.MaxDepth, nil)
 			lazy := gp.remap != nil && gp.full.Load() == nil
-			gp = RetractFromChase(gp, next, ret.Remap)
+			gp = View(gp, next, ret.Remap)
 			if lazy && gp.remap != nil {
 				composed++
 			}

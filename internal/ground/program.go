@@ -16,10 +16,11 @@
 // of production models.
 //
 // Atoms are dense local indexes. A program grounded by the chase is a
-// view of the chase's instance arena (FromChase, ExtendFromChase,
-// RetractFromChase): its
-// local indexes are the chase's dense atom numbering, its rules the
-// chase's records, and Atoms maps them back to global atom.AtomIDs. An atom with no rules (in
+// view of the chase's instance arena (View): its local indexes are the
+// chase's dense atom numbering, its rules the chase's records, and Atoms
+// maps them back to global atom.AtomIDs. One view follows each
+// chase.Result.Apply, reusing the previous view's occurrence lists
+// through the Change's record map. An atom with no rules (in
 // particular a negative body atom never derived by the bounded chase,
 // i.e. an atom with no forward proof) is simply false in every semantics
 // here, which is exactly the paper's treatment of atoms outside F+(P).
@@ -67,14 +68,14 @@ type Rule struct {
 }
 
 // Program is a finite ground normal logic program: a view of a chase's
-// instance arena (FromChase, ExtendFromChase) or of rules built directly
-// (New). Rules are fixed-size records whose bodies live in one shared
-// array (Pos, Neg); the view is a record-prefix length plus occurrence
-// lists. A view never writes the arena, and a view's lists cover a prefix
-// of its records: the records after it are found through the chase's
-// occurrence links, and after a retraction the lists are read through
-// the retraction's renumbering, until enough rules are missed or dead to
-// rebuild the lists.
+// instance arena (View) or of rules built directly (New). Rules are
+// fixed-size records whose bodies live in one shared array (Pos, Neg);
+// the view is a record-prefix length plus occurrence lists. A view never
+// writes the arena, and a view's lists cover a prefix of its records:
+// the records after it are found through the chase's occurrence links,
+// and after a retraction the lists are read through the retraction's
+// renumbering, until enough rules are missed or dead to rebuild the
+// lists.
 type Program struct {
 	// Atoms maps local indexes to global atom IDs — the chase's dense
 	// Universe numbering; nil for purely local (New-built) programs.
@@ -265,44 +266,55 @@ func view(res *chase.Result, occ *occIndex, remap []int32, from int) *Program {
 // result: a view of its arena — the derived universe plus every negative
 // body atom of an instance, one rule per instance and one fact per
 // depth-0 atom — with freshly built occurrence lists.
-func FromChase(res *chase.Result) *Program {
+func FromChase(res *chase.Result) *Program { return View(nil, res, nil) }
+
+// ExtendFromChase is View for a res that continued prev's chase without
+// a retraction.
+func ExtendFromChase(prev *Program, res *chase.Result) *Program { return View(prev, res, nil) }
+
+// View returns the ground program of res, reached from the chase prev
+// views by chase.Result.Apply, whose Change moved prev's records as remap
+// says. Every atom and surviving rule keeps its index, and the view
+// reuses prev's occurrence lists: read through remap, skipping the dead
+// rules, when remap is non-nil; as they are when it is nil and res
+// extends prev's chase. The records appended since are reached through
+// the chase's links. prev is not mutated, so a model computed over it
+// keeps serving concurrent readers. Anything else — no prev, a prev that
+// is not a chase view, a compacted chase — gets freshly built lists, and
+// so does a view whose lists would miss (past them, or dead) more than a
+// quarter of the rules they cover: a sequence of writes costs amortised
+// time per changed record.
+func View(prev *Program, res *chase.Result, remap []int32) *Program {
+	if prev != nil && prev.res == res && remap == nil {
+		return prev
+	}
+	if prev != nil && prev.res != nil &&
+		(remap == nil && res.Extends(prev.res) || remap != nil && len(remap) == len(prev.Rules) && res.SameAtoms(prev.res)) {
+		occ, base, from := prev.occ, prev.remap, prev.from
+		if x := prev.full.Load(); x != nil {
+			occ, base, from = x, nil, x.rules
+		}
+		if remap != nil {
+			base, from = composeRemap(base, remap, from)
+		}
+		dead := 0
+		if base != nil {
+			dead = occ.rules - from
+		}
+		if 4*(len(res.Ground)-from+dead) <= from {
+			return view(res, occ, base, from)
+		}
+	}
 	p := view(res, nil, nil, len(res.Ground))
 	p.occ = buildOcc(p)
 	return p
 }
 
-// ExtendFromChase returns the ground program of res, a continuation of
-// the chase prev was built from: every atom and rule of prev keeps its
-// index, and the view reuses prev's occurrence lists, reaching the
-// records appended since through the chase's links. prev is not
-// mutated, so a model computed over prev keeps serving concurrent
-// readers. A prev that is not a chase view, or a res that does not
-// extend prev's chase, falls back to FromChase.
-func ExtendFromChase(prev *Program, res *chase.Result) *Program {
-	if prev == nil || prev.res == nil || !res.Extends(prev.res) {
-		return FromChase(res)
-	}
-	if x := prev.full.Load(); x != nil {
-		return reuse(res, x, nil, x.rules)
-	}
-	return reuse(res, prev.occ, prev.remap, prev.from)
-}
-
-// RetractFromChase returns the ground program of res, a retraction of
-// the chase prev was built from whose surviving records moved as remap
-// says (chase.Retraction.Remap): a view of res's arena that reads prev's
-// occurrence lists through remap, skipping the dead rules. Atoms keep
-// their indexes. prev is not mutated. A prev that is not a view of the
-// retracted chase, or a nil remap (the retraction compacted), falls back
-// to FromChase.
-func RetractFromChase(prev *Program, res *chase.Result, remap []int32) *Program {
-	if prev == nil || prev.res == nil || remap == nil || len(remap) != len(prev.Rules) || !res.SameAtoms(prev.res) {
-		return FromChase(res)
-	}
-	occ, base, from := prev.occ, prev.remap, prev.from
-	if x := prev.full.Load(); x != nil {
-		occ, base, from = x, nil, x.rules
-	}
+// composeRemap returns base (nil for the identity) followed by remap,
+// and where the lists covering the rules before from end in the
+// renumbered rules: the live rules they covered keep their order at the
+// front, so after the last of them.
+func composeRemap(base, remap []int32, from int) ([]int32, int) {
 	comp := remap
 	if base != nil {
 		comp = make([]int32, len(base))
@@ -313,32 +325,12 @@ func RetractFromChase(prev *Program, res *chase.Result, remap []int32) *Program 
 			}
 		}
 	}
-	// The live rules the lists covered keep their order at the front of
-	// res's: they end after the last of them.
-	newFrom := 0
 	for j := from - 1; j >= 0; j-- {
 		if remap[j] >= 0 {
-			newFrom = int(remap[j]) + 1
-			break
+			return comp, int(remap[j]) + 1
 		}
 	}
-	return reuse(res, occ, comp, newFrom)
-}
-
-// reuse returns the view of res over lists occ read through remap and
-// covering its rules before from — or, once the rules the lists miss
-// (past from, or dead) exceed a quarter of those they cover, a view
-// with rebuilt lists, so a sequence of extensions and retractions costs
-// amortised time per changed record.
-func reuse(res *chase.Result, occ *occIndex, remap []int32, from int) *Program {
-	dead := 0
-	if remap != nil {
-		dead = occ.rules - from
-	}
-	if 4*(len(res.Ground)-from+dead) > from {
-		return FromChase(res)
-	}
-	return view(res, occ, remap, from)
+	return comp, 0
 }
 
 // Local returns the local index of global atom a, or -1 if a is not in the

@@ -21,7 +21,7 @@ type EngineMetrics struct {
 	builds  atomic.Int64 // rung/base models materialized
 	rebases atomic.Int64 // of those, served by delta-rebasing a prior epoch
 
-	chaseNS    atomic.Int64 // chase run/extend + delta retract/extend-db
+	chaseNS    atomic.Int64 // chase run, extension, and a rebase's Apply
 	groundNS   atomic.Int64 // grounding and regrounding
 	condenseNS atomic.Int64 // SCC condensation + incremental cone closure
 	solveNS    atomic.Int64 // WFS fixpoint (modular, cone, and cold solves)
@@ -78,7 +78,7 @@ func (em *EngineMetrics) observeBuild(build *trace.Span, rebased bool) {
 	build.Walk(func(s *trace.Span) {
 		ns := s.Duration().Nanoseconds()
 		switch s.Name() {
-		case "chase", "chase-extend", "retract", "extend-db":
+		case "chase", "chase-extend":
 			em.chaseNS.Add(ns)
 			if n := s.Counter("chase_atoms"); n > 0 {
 				em.chaseAtoms.Store(n)

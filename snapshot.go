@@ -28,11 +28,12 @@ import (
 // same thing for ever, so another snapshot's writer or builds appending
 // beside it change nothing this snapshot can observe. The
 // adaptive-deepening ladder is one chained, resumable chase: rung k+1
-// extends rung k's chase (chase.Result.Extend) instead of re-chasing from
-// the database, and its grounding appends to rung k's
-// (ground.ExtendFromChase) with local IDs kept stable. Reads never intern:
-// a query resolves its names by lookup, and a name the store does not know
-// is in no atom.
+// continues rung k's chase (chase.Result.Apply) instead of re-chasing
+// from the database, and its grounding is a view over rung k's
+// (ground.View) with local IDs kept stable. A rung rebased from an
+// earlier epoch runs the write as one such continuation and one view.
+// Reads never intern: a query resolves its names by lookup, and a name
+// the store does not know is in no atom.
 //
 // A Snapshot remains answerable forever: it keeps serving its epoch's
 // consistent view even after the originating System has accepted further

@@ -370,6 +370,27 @@ func TestSnapshotOneModelPerDepth(t *testing.T) {
 	}
 }
 
+// TestRebaseTimeIsAttributed: the rebase a write causes folds its chase
+// continuation and its reground into the engine metrics, which the
+// harness's live.chase_s and live.unattributed_ratio read.
+func TestRebaseTimeIsAttributed(t *testing.T) {
+	sys := loadGame(t)
+	if tv, err := sys.Answer("win(b)"); err != nil || tv != True {
+		t.Fatalf("win(b) = %v (%v)", tv, err)
+	}
+	before := sys.Metrics().Read()
+	if err := sys.Apply(NewDelta().Add("move", "c", "d")); err != nil {
+		t.Fatal(err)
+	}
+	if tv, err := sys.Answer("win(b)"); err != nil || tv != Undefined {
+		t.Fatalf("win(b) after move(c,d) = %v (%v)", tv, err)
+	}
+	after := sys.Metrics().Read()
+	if after.Rebases <= before.Rebases || after.ChaseNS <= before.ChaseNS || after.GroundNS <= before.GroundNS {
+		t.Errorf("metrics before the rebase %+v, after %+v: want rebases, chase and ground time grown", before, after)
+	}
+}
+
 // TestSnapshotBaseOffLadder: a configured depth the schedule does not
 // visit keeps a model of its own.
 func TestSnapshotBaseOffLadder(t *testing.T) {
