@@ -14,10 +14,12 @@ import (
 
 	"repro/internal/atom"
 	"repro/internal/chase"
+	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/ground"
 	"repro/internal/program"
 	"repro/internal/term"
+	"repro/internal/trace"
 )
 
 // storeDump renders everything compilation interned, in ID order — the
@@ -276,6 +278,51 @@ func TestMixedApplyMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeepenWarmEqualsCold: on every program of goldenSources, at each
+// rung of the default ladder (4, 6, 8, … up to saturation or 12), the
+// model core.Build deepens from the previous rung — re-solving only the
+// dependency cone of the appended records — equals a cold core.Build at
+// that depth on every atom's truth and on the ground program. Some rung
+// must take the warm path, or the test shows nothing.
+func TestDeepenWarmEqualsCold(t *testing.T) {
+	warmRungs := 0
+	for name, src := range goldenSources(t) {
+		prog, db, st := compileMust(src)
+		var warm *core.Model
+		for d := 4; d <= 12; d += 2 {
+			tr := trace.New("build")
+			deepened := warm != nil
+			warm = core.Build(warm, prog, core.Options{}, d, db, nil, tr)
+			tr.End()
+			cold := core.Build(nil, prog, core.Options{}, d, db, nil, nil)
+			if groundDigest(warm.GP, st) != groundDigest(cold.GP, st) {
+				t.Errorf("%s depth %d: the deepened ground program differs from a cold one", name, d)
+			}
+			for _, g := range append(slices.Clone(cold.GP.Atoms), warm.GP.Atoms...) {
+				if wv, cv := warm.Truth(g), cold.Truth(g); wv != cv {
+					t.Errorf("%s depth %d: truth(%s) = %v deepened, %v cold", name, d, st.String(g), wv, cv)
+				}
+			}
+			if warm.Exact != cold.Exact || warm.UsableDepth != cold.UsableDepth {
+				t.Errorf("%s depth %d: exact/usable %v/%d deepened, %v/%d cold",
+					name, d, warm.Exact, warm.UsableDepth, cold.Exact, cold.UsableDepth)
+			}
+			tr.Walk(func(s *trace.Span) {
+				if deepened && s.Name() == "cone-solve" {
+					warmRungs++
+				}
+			})
+			if cold.Exact {
+				break
+			}
+		}
+	}
+	if warmRungs == 0 {
+		t.Error("no rung re-solved only its cone: the warm deepening went untested")
+	}
+	t.Logf("%d rungs re-solved only their cone", warmRungs)
 }
 
 func ruleBody(gp *ground.Program, ri int) (pos, neg []int32) {

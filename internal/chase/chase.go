@@ -171,9 +171,9 @@ type arena struct {
 // copy returns a private copy of a, with room to grow.
 func (a *arena) copy() arena {
 	c := arena{
-		Atoms: cloneSlack(a.Atoms), Universe: cloneSlack(a.Universe),
-		Ground: cloneSlack(a.Ground), Body: cloneSlack(a.Body), Instances: cloneSlack(a.Instances),
-		headNext: cloneSlack(a.headNext), occNext: cloneSlack(a.occNext), occRec: cloneSlack(a.occRec),
+		Atoms: cloneSlack(a.Atoms, 0), Universe: cloneSlack(a.Universe, 0),
+		Ground: cloneSlack(a.Ground, 0), Body: cloneSlack(a.Body, 0), Instances: cloneSlack(a.Instances, 0),
+		headNext: cloneSlack(a.headNext, 0), occNext: cloneSlack(a.occNext, 0), occRec: cloneSlack(a.occRec, 0),
 		index: &atomIndex{},
 	}
 	for d, g := range c.Universe {
@@ -193,16 +193,17 @@ type perAtom struct {
 	flags     []uint8 // flagQueued, flagExpanded
 }
 
-func (p *perAtom) clone() perAtom {
-	return perAtom{cloneSlack(p.depth), cloneSlack(p.level), cloneSlack(p.firstHead), cloneSlack(p.firstOcc), cloneSlack(p.flags)}
+// clone copies p with room for at least room more atoms.
+func (p *perAtom) clone(room int) perAtom {
+	return perAtom{cloneSlack(p.depth, room), cloneSlack(p.level, room), cloneSlack(p.firstHead, room),
+		cloneSlack(p.firstOcc, room), cloneSlack(p.flags, room)}
 }
 
 const (
 	flagQueued uint8 = 1 << iota
 	flagExpanded
-	flagProgFact // a fact of the program: depth 0 whatever the database
-	flagDied     // died in a retraction and not derived since
-	flagOver     // scratch of a retraction: overdeleted
+	flagDied // died in a retraction and not derived since
+	flagOver // scratch of a retraction: overdeleted
 )
 
 // recordLines numbers record numberings; see Result.records.
@@ -218,10 +219,10 @@ type waiter struct {
 	guard int32
 }
 
-// newResult returns an empty chase of db under prog, its arrays sized for
-// about n atoms, m records and a body arena of b.
+// newResult returns an empty chase of db under prog, its arena sized for
+// about n atoms, m records and a body arena of b. The per-atom arrays
+// start empty: a continuation clones them with room for its additions.
 func newResult(prog *program.Program, db program.Database, opts Options, n, m, b int) *Result {
-	n32 := func() []int32 { return make([]int32, 0, n) }
 	return &Result{
 		arena: arena{
 			Atoms: make([]atom.AtomID, 0, n), Universe: make([]atom.AtomID, 0, n),
@@ -229,7 +230,6 @@ func newResult(prog *program.Program, db program.Database, opts Options, n, m, b
 			headNext: make([]int32, 0, m), occNext: make([]int32, 0, b), occRec: make([]int32, 0, b),
 			index: &atomIndex{},
 		},
-		perAtom: perAtom{n32(), n32(), n32(), n32(), make([]uint8, 0, n)},
 		Prog:    prog,
 		DB:      db,
 		Opts:    opts,
@@ -239,31 +239,20 @@ func newResult(prog *program.Program, db program.Database, opts Options, n, m, b
 	}
 }
 
-// Run chases db under prog up to the option bounds.
+// Empty returns the chase of the empty database under prog and opts, its
+// arena sized for a database of n facts. A cold chase is Apply of the
+// whole database to it.
+func Empty(prog *program.Program, opts Options, n int) *Result {
+	return newResult(prog, nil, opts, n, n, 0)
+}
+
+// Run chases db under prog up to the option bounds: Apply of db to Empty.
 func Run(prog *program.Program, db program.Database, opts Options) *Result {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 1
 	}
-	r := newResult(prog, db, opts, len(db), len(db), 0)
-	r.seed(db)
-	r.run()
+	r, _ := Empty(prog, opts, len(db)).Apply(prog, db, nil, db, opts.MaxDepth, opts.Cancel)
 	return r
-}
-
-// seed derives the database atoms and the program facts (rules with empty
-// bodies) at depth 0.
-func (r *Result) seed(db program.Database) {
-	for _, a := range db {
-		r.derive(r.intern(a), 0, 0)
-	}
-	for _, rule := range r.Prog.Rules {
-		if rule.IsFact() && len(rule.Exist) == 0 {
-			sub := atom.NewSubst(rule.NumVars)
-			d := r.intern(r.Prog.Store.Instantiate(rule.Head, sub))
-			r.flags[d] |= flagProgFact
-			r.derive(d, 0, 0)
-		}
-	}
 }
 
 // Extend returns a new Result that continues this chase to the deeper
@@ -282,10 +271,10 @@ func (r *Result) Extend(prog *program.Program, newDepth int) *Result {
 }
 
 // continuation returns a Result that continues r under opts without
-// mutating it. The per-atom bookkeeping and the parked waiters are
-// cloned; the arena is shared when r's tail claim can be taken, and
-// copied otherwise.
-func (r *Result) continuation(prog *program.Program, opts Options) *Result {
+// mutating it. The per-atom bookkeeping, with room for room more atoms,
+// and the parked waiters are cloned; the arena is shared when r's tail
+// claim can be taken, and copied otherwise.
+func (r *Result) continuation(prog *program.Program, opts Options, room int) *Result {
 	waiters := make(map[atom.AtomID][]waiter, len(r.waiters))
 	for a, ws := range r.waiters {
 		waiters[a] = append([]waiter(nil), ws...)
@@ -296,11 +285,11 @@ func (r *Result) continuation(prog *program.Program, opts Options) *Result {
 		DB:          r.DB,
 		Opts:        opts,
 		Truncated:   r.Truncated,
-		perAtom:     r.perAtom.clone(),
+		perAtom:     r.perAtom.clone(room),
 		waiters:     waiters,
-		queue:       cloneSlack(r.queue),
-		depthHist:   cloneSlack(r.depthHist),
-		termHist:    cloneSlack(r.termHist),
+		queue:       cloneSlack(r.queue, 0),
+		depthHist:   cloneSlack(r.depthHist, 0),
+		termHist:    cloneSlack(r.termHist, 0),
 		claim:       r.claim,
 		gen:         r.gen + 1,
 		base:        r.base,
@@ -332,11 +321,11 @@ func (r *Result) Extends(prev *Result) bool {
 	return r.records == prev.records && r.SameAtoms(prev)
 }
 
-// cloneSlack copies xs into a fresh slice with ~25% spare capacity, so a
-// chase continuation can append to the clone without immediately
-// re-copying the whole prefix on its first growth.
-func cloneSlack[T any](xs []T) []T {
-	out := make([]T, len(xs), len(xs)+len(xs)/4+64)
+// cloneSlack copies xs into a fresh slice with ~25% spare capacity, and
+// at least room, so a chase continuation can append to the clone without
+// immediately re-copying the whole prefix on its first growth.
+func cloneSlack[T any](xs []T, room int) []T {
+	out := make([]T, len(xs), len(xs)+max(len(xs)/4+64, room))
 	copy(out, xs)
 	return out
 }

@@ -1,10 +1,12 @@
 package chase
 
-// Apply is the one continuation a write runs on a finished chase. The
+// Apply is the one continuation every chase runs: a write, a deepening,
+// and a cold chase, which is Apply of the whole database to Empty. The
 // guarded chase is monotone in the database (chase(D') ⊆ chase(D) for
-// D' ⊆ D, and every rule firing over D remains a firing over D ∪ ∆), so a
-// write is one change to one forest, made in three steps on one copy of
-// the per-atom state:
+// D' ⊆ D, and every rule firing over D remains a firing over D ∪ ∆) and
+// in the depth cap (a deeper cut extends a shallower one), so each is one
+// change to one forest, made in three steps on one copy of the per-atom
+// state:
 //
 //   - the retracted facts go by DRed on the recorded forest, in the
 //     receiver's own atom numbering. Overdelete walks forward from the
@@ -95,7 +97,7 @@ func (r *Result) Apply(prog *program.Program, newDB program.Database, removed, a
 	}
 	opts := r.Opts
 	opts.Cancel = tok
-	nr := r.continuation(prog, opts)
+	nr := r.continuation(prog, opts, len(added))
 	nr.DB = newDB
 	ch := &Change{}
 	if len(removed) > 0 {
@@ -123,6 +125,7 @@ func (r *Result) Apply(prog *program.Program, newDB program.Database, removed, a
 		}
 		nr.run()
 	}
+	ch.Seeds = slices.Grow(ch.Seeds, len(nr.Ground)-firstRec)
 	for rec := firstRec; rec < len(nr.Ground); rec++ {
 		ch.Seeds = append(ch.Seeds, nr.Head(int32(rec)))
 	}
@@ -210,7 +213,7 @@ func (r *Result) retract(removed []atom.AtomID, ch *Change) *Result {
 	// An atom that keeps a fact record keeps depth 0 and stays.
 	for _, a := range removed {
 		d := r.Local(a)
-		if d < 0 || r.depth[d] != 0 || r.flags[d]&flagProgFact != 0 {
+		if d < 0 || r.depth[d] != 0 {
 			continue
 		}
 		for rec := r.firstHead[d]; rec >= 0; rec = r.headNext[rec] {
@@ -561,6 +564,7 @@ func (r *Result) compact() *Result {
 		n++
 	}
 	nr := newResult(r.Prog, r.DB, r.Opts, int(n), len(r.Ground), body)
+	nr.perAtom = nr.clone(int(n))
 	for d, k := range keep {
 		if k < 0 {
 			continue
@@ -581,7 +585,7 @@ func (r *Result) compact() *Result {
 		}
 		nr.record(keep[in.Head], in.Rule, off, off+int(in.Neg-in.Off))
 	}
-	nr.Atoms = cloneSlack(r.Atoms)
+	nr.Atoms = cloneSlack(r.Atoms, 0)
 	for _, ws := range r.waiters {
 		for i := range ws {
 			ws[i].guard = keep[ws[i].guard]

@@ -202,6 +202,11 @@ func TestRebaseModelTruncatedFallsBack(t *testing.T) {
 	if len(got.Chase.Atoms) != len(want.Chase.Atoms) {
 		t.Errorf("fallback universe %d atoms, want %d", len(got.Chase.Atoms), len(want.Chase.Atoms))
 	}
+	// With no write there is nothing to rebuild: the deeper chase of the
+	// same database truncates too, so a deepening keeps the chase.
+	if deeper := Build(m, prog, e.Opts, 6, db, nil, nil); deeper.Chase != m.Chase {
+		t.Error("deepening a truncated chase with no write re-chased")
+	}
 }
 
 // TestApplyDeltaThenDeepen: after a delta, a depth no rung was evaluated
@@ -215,7 +220,7 @@ func TestApplyDeltaThenDeepen(t *testing.T) {
 	db2 := applyDBOp(t, st, db, opAdd("p", "0", "1"))
 	want := NewEngine(prog, db2, Options{}).EvaluateAtDepth(7)
 	rebased := RebaseModel(m4, prog, e.Opts, 4, db2)
-	checkSameModel(t, st, ExtendModel(rebased, prog, e.Opts, 7), want)
+	checkSameModel(t, st, Build(rebased, prog, e.Opts, 7, db2, nil, nil), want)
 	checkSameModel(t, st, RebaseModel(m4, prog, e.Opts, 7, db2), want)
 }
 
@@ -268,7 +273,7 @@ reach(X,Z), not win(X) -> lost(X).
 		{"add", func() *Model { return RebaseModel(parent, prog, opts, depth, dbAdd) }, dbAdd, depth},
 		{"add-other", func() *Model { return RebaseModel(parent, prog, opts, depth, dbAdd2) }, dbAdd2, depth},
 		{"retract-add", func() *Model { return RebaseModel(parent, prog, opts, depth, dbDel) }, dbDel, depth},
-		{"deeper", func() *Model { return ExtendModel(parent, prog, opts, depth+3) }, db, depth + 3},
+		{"deeper", func() *Model { return Build(parent, prog, opts, depth+3, db, nil, nil) }, db, depth + 3},
 	}
 	for round := 0; round < 3; round++ {
 		got := make([]*Model, len(jobs))

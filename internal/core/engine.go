@@ -169,25 +169,18 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine evaluates the well-founded semantics of a database under a
-// guarded normal Datalog± program. Evaluation state is resumable: the
-// engine keeps its deepest chase and grounding so far, and a deeper
-// request extends them (chase.Result.Apply, ground.View)
-// instead of re-chasing from the database — the adaptive-deepening
-// ladder therefore pays for each depth increment once. Models are cached
-// per depth. An Engine is single-goroutine (see wfs.Snapshot for the
+// guarded normal Datalog± program. It caches its models per depth, and
+// builds a depth it has not evaluated (Build) from the deepest cached
+// model below it — a deepening of that model's chase, grounding and
+// solve — so the adaptive-deepening ladder pays for each depth increment
+// once. An Engine is single-goroutine (see wfs.Snapshot for the
 // concurrent read path).
 type Engine struct {
 	Prog *program.Program
 	DB   program.Database
 	Opts Options
 
-	cached *Model         // model at Opts.Depth
-	models map[int]*Model // depth → model, for ladder reuse
-
-	// Deepest chase and grounding computed so far; deeper evaluations
-	// resume from these.
-	res *chase.Result
-	gp  *ground.Program
+	models map[int]*Model // depth → model
 }
 
 // NewEngine creates an engine; opts zero-values select defaults.
@@ -213,7 +206,7 @@ type Model struct {
 	// Options.GuardBand); negative when everything is usable.
 	UsableDepth int
 	// Interrupted reports that a cancellation token stopped the chase or
-	// the solve mid-way: the model is a discardable partial state, never
+	// the solve mid-way: the model carries no other field, is never
 	// cached and never answered from (the ladder converts it to the
 	// token's cause as an error).
 	Interrupted bool
@@ -230,73 +223,152 @@ type Model struct {
 }
 
 // Evaluate computes (and caches) the model at the configured depth.
-func (e *Engine) Evaluate() *Model {
-	if e.cached == nil {
-		e.cached = e.EvaluateAtDepth(e.Opts.Depth)
-	}
-	return e.cached
-}
+func (e *Engine) Evaluate() *Model { return e.EvaluateAtDepth(e.Opts.Depth) }
 
 // EvaluateAtDepth computes (and caches) the model at an explicit chase
-// depth. When the requested depth exceeds the engine's deepest chase so
-// far, the chase and grounding are extended incrementally; a shallower
-// request (outside the usual monotone deepening pattern) falls back to a
-// fresh bounded chase.
+// depth, deepening the deepest model cached below it; a depth below every
+// cached one (outside the usual monotone deepening pattern) is built
+// cold.
 func (e *Engine) EvaluateAtDepth(depth int) *Model {
 	return e.EvaluateAtDepthCancelTraced(depth, nil, nil)
 }
 
 // EvaluateAtDepthCancelTraced is EvaluateAtDepth under a cancellation
-// token (nil = never cancelled), with the chase (fresh or extended),
-// grounding, condensation, and solve recorded as child spans of tr with
-// chase shape counters (see chaseCounters); tr nil records nothing, and
-// cache hits record nothing either way. An interrupted evaluation
-// returns a Model with Interrupted set; interrupted state is never
-// cached and never installed as the engine's resumable chase, so a
-// later un-cancelled request at the same depth evaluates cleanly.
+// token (nil = never cancelled), with the build's phases recorded under
+// tr (see Build); cache hits record nothing. An interrupted build is
+// returned but never cached, so a later un-cancelled request at the same
+// depth evaluates cleanly.
 func (e *Engine) EvaluateAtDepthCancelTraced(depth int, tok *cancel.Token, tr *trace.Span) *Model {
-	if e.models == nil {
-		e.models = make(map[int]*Model)
-	}
 	if m, ok := e.models[depth]; ok {
 		return m
 	}
-	var res *chase.Result
-	var gp *ground.Program
-	switch {
-	case e.res != nil && depth > e.res.Opts.MaxDepth:
-		cs := tr.Child("chase-extend")
-		res, _ = e.res.Apply(e.Prog, e.res.DB, nil, nil, depth, tok)
-		chaseCounters(cs, res)
-		cs.End()
-		if res.Interrupted {
-			return &Model{Chase: res, GP: e.gp, GM: &ground.Model{}, Interrupted: true}
+	var prev *Model
+	for d, m := range e.models {
+		if d < depth && (prev == nil || d > prev.Depth) {
+			prev = m
 		}
-		end := tr.Phase("reground")
-		gp = ground.View(e.gp, res, nil) // e.gp itself if saturated or truncated
-		end()
-	case e.res != nil && depth == e.res.Opts.MaxDepth:
-		res, gp = e.res, e.gp
-	default:
-		cs := tr.Child("chase")
-		res = chase.Run(e.Prog, e.DB, chase.Options{MaxDepth: depth, MaxAtoms: e.Opts.MaxAtoms, Cancel: tok})
-		chaseCounters(cs, res)
-		cs.End()
-		if res.Interrupted {
-			return &Model{Chase: res, GP: ground.New(0, nil), GM: &ground.Model{}, Interrupted: true}
+	}
+	m := Build(prev, e.Prog, e.Opts, depth, e.DB, tok, tr)
+	if !m.Interrupted {
+		e.models[depth] = m
+	}
+	return m
+}
+
+// Build is the one way a Model is made: the model of db under prog at
+// chase depth depth, reached from prev, or from the empty model when prev
+// is nil. The guarded chase forest is monotone in the database and in the
+// depth (Lemmas 10/11: a deeper cut extends a shallower one), so a cold
+// build is a write to the empty forest and a ladder rung is a write that
+// only raises the depth cap. Build runs one chase continuation
+// (chase.Result.Apply) for the set-level change from prev's database to
+// db and the rise of the cap, one view that regrounds it (ground.View),
+// and one solve warm-started from prev's truths, which re-solves only the
+// dependency cone of the Change's seeds (ground.IncrementalModel; with no
+// previous model it is the full modular solve). A model built from prev
+// derives its matcher lists from prev's when the cone allows it.
+//
+// When db equals prev's database at the set level and depth is prev's
+// depth, Build returns prev. A prev whose chase is deeper than depth, or
+// truncated while db differs from its database, cannot be continued and
+// is ignored: the build is cold. prog must share prev's compiled rules
+// and store, and every atom of db must be interned there. prev is not
+// mutated and keeps serving concurrent readers.
+//
+// tok (nil = never cancelled) gates every stage; a cancelled build
+// returns a Model with only Interrupted set, to be thrown away. tr
+// records the phases (nil records nothing): a cold build's chase, ground,
+// condense and solve; a deepening's diff, chase-extend and reground; a
+// write's diff and delta-rebase span, with the continuation's chase and
+// reground and the delta sizes as counters; and a warm build's warm-solve
+// span with its cone sizes.
+func Build(prev *Model, prog *program.Program, opts Options, depth int, db program.Database, tok *cancel.Token, tr *trace.Span) *Model {
+	opts = opts.withDefaults()
+	var added, removed []atom.AtomID
+	if prev != nil {
+		endDiff := tr.Phase("diff")
+		added, removed = chase.Diff(prev.Chase.DB, db)
+		endDiff()
+		if len(added) == 0 && len(removed) == 0 && depth == prev.Depth {
+			return prev
 		}
-		end := tr.Phase("ground")
-		gp = ground.FromChase(res)
-		end()
+		// A deeper chase cannot be cut back, and a truncated one cannot
+		// take a write (MaxAtoms left its frontier unexpanded): both are
+		// rebuilt cold. A truncated chase with no write stays as it is:
+		// a deeper chase of the same database truncates too.
+		if prev.Chase.Opts.MaxDepth > depth || prev.Chase.Truncated && (len(added) > 0 || len(removed) > 0) {
+			prev = nil
+		}
 	}
-	m := modelFromCancelTraced(e.Opts, res, gp, depth, tok, tr)
-	if m.Interrupted {
-		return m
+	var (
+		from            *chase.Result
+		prevGP          *ground.Program
+		prevGM          *ground.Model
+		rb              *trace.Span // a write's delta-rebase span
+		stage           = tr        // where the chase and the grounding are recorded
+		chaseN, groundN = "chase", "ground"
+	)
+	if prev == nil {
+		from = chase.Empty(prog, chase.Options{MaxDepth: depth, MaxAtoms: opts.MaxAtoms}, len(db))
+		added = db
+	} else {
+		from, prevGP, prevGM = prev.Chase, prev.GP, prev.GM
+		chaseN, groundN = "chase-extend", "reground"
+		if len(added) > 0 || len(removed) > 0 {
+			rb, chaseN = tr.Child("delta-rebase"), "chase"
+			stage = rb
+			rb.SetCount("added_facts", int64(len(added)))
+			rb.SetCount("removed_facts", int64(len(removed)))
+		}
 	}
-	if e.res == nil || depth >= e.res.Opts.MaxDepth {
-		e.res, e.gp = res, gp
+	cs := stage.Child(chaseN)
+	res, ch := from.Apply(prog, db, removed, added, depth, tok)
+	chaseCounters(cs, res)
+	cs.End()
+	if res.Interrupted {
+		rb.End()
+		return &Model{Interrupted: true}
 	}
-	e.models[depth] = m
+	if len(removed) > 0 {
+		rb.SetCount("dead_instances", int64(len(ch.Dead)))
+		rb.SetCount("overdeleted_atoms", int64(ch.Overdeleted))
+		rb.SetCount("rederived_atoms", int64(ch.Rederived))
+		compacted := int64(0)
+		if ch.Compacted {
+			compacted = 1
+		}
+		rb.SetCount("compacted", compacted)
+	}
+	if len(added) > 0 {
+		rb.SetCount("new_instances", int64(ch.NewInstances))
+	}
+	endG := stage.Phase(groundN)
+	gp := ground.View(prevGP, res, ch.Remap)
+	endG()
+	rb.End()
+	// The solve is the modular SCC-wise evaluation: the alternating
+	// fixpoint inside each negation-cyclic component, and up to
+	// opts.Parallelism independent components at once. Cold, it records
+	// its condense and solve phases on tr; warm, the cone's sizes go on a
+	// warm-solve span, which times the cone's solve or the fallback to the
+	// full solve.
+	var ws *trace.Span
+	solveTr := tr
+	if prev != nil {
+		ws, solveTr = tr.Child("warm-solve"), nil
+	}
+	solve := func(p *ground.Program) *ground.Model {
+		return ground.SolveModularCancelTraced(p, ground.AlternatingFixpoint, opts.Parallelism, tok, solveTr)
+	}
+	gm := ground.IncrementalModelCancelTraced(gp, prevGM, ch.Seeds, solve, tok, ws)
+	ws.End()
+	if gm.Interrupted {
+		return &Model{Interrupted: true}
+	}
+	m := wrapModel(opts, res, gp, gm, depth)
+	if prev != nil {
+		m.patch = newIndexPatch(prev, m, gm.Cone)
+	}
 	return m
 }
 
@@ -322,162 +394,10 @@ func chaseCounters(tr *trace.Span, res *chase.Result) {
 	}
 }
 
-// ExtendModel continues a previously evaluated model's chase to a deeper
-// depth and evaluates the model there: the resumable-chase counterpart of
-// EvaluateAtDepth for layers that manage models themselves (the snapshot
-// ladder's chained rungs). prog must share prev's compiled rules and its
-// store. prev is not mutated: the extended chase writes only past the
-// arena prefix prev's chase and grounding read (or into a copy), so prev
-// keeps serving concurrent readers.
-func ExtendModel(prev *Model, prog *program.Program, opts Options, depth int) *Model {
-	return ExtendModelCancelTraced(prev, prog, opts, depth, nil, nil)
-}
-
-// ExtendModelCancelTraced is ExtendModel under a cancellation token (nil
-// = never cancelled), recording its phases under tr (see
-// EvaluateAtDepthCancelTraced for the span inventory); an interrupted
-// extension returns a discardable Model with Interrupted set.
-func ExtendModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, tok *cancel.Token, tr *trace.Span) *Model {
-	opts = opts.withDefaults()
-	cs := tr.Child("chase-extend")
-	res, _ := prev.Chase.Apply(prog, prev.Chase.DB, nil, nil, depth, tok)
-	chaseCounters(cs, res)
-	cs.End()
-	if res.Interrupted {
-		return &Model{Chase: res, GP: prev.GP, GM: prev.GM, Interrupted: true}
-	}
-	end := tr.Phase("reground")
-	gp := ground.View(prev.GP, res, nil)
-	end()
-	return modelFromCancelTraced(opts, res, gp, depth, tok, tr)
-}
-
-// RebaseModel carries a previously evaluated model onto a mutated
-// database: the data-dimension counterpart of ExtendModel. The set-level
-// change is computed from prev's own chase database, so any number of
-// intermediate mutations collapse into one rebase. One chase
-// continuation (chase.Result.Apply) runs DRed on the derivation forest
-// for the retractions, extends the chase against it for the additions,
-// and deepens it to depth; one view regrounds it (ground.View); and the
-// WFS fixpoint is warm-started once — only the dependency cone of the
-// change is re-solved (ground.IncrementalModel). prev is not mutated;
-// when the database did not change at the set level, prev itself is
-// returned.
-//
-// prog must share prev's compiled rules and its chase's store, and newDB
-// (with every atom interned there) must be the full database after the
-// mutation. A state that cannot be rebased (a truncated chase, or a depth
-// mismatch from an off-ladder caller) falls back to cold evaluation at
-// the requested depth.
+// RebaseModel is Build without a cancellation token or a trace: prev
+// carried onto the database newDB at depth.
 func RebaseModel(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database) *Model {
-	return RebaseModelCancelTraced(prev, prog, opts, depth, newDB, nil, nil)
-}
-
-// interruptedModel is the discardable marker a cancelled stage returns:
-// it carries prev's (still valid, but stale) state purely so the fields
-// are non-nil, with Interrupted telling callers to convert it into the
-// token's cause and throw it away.
-func interruptedModel(prev *Model) *Model {
-	return &Model{Chase: prev.Chase, GP: prev.GP, GM: prev.GM, Interrupted: true}
-}
-
-// RebaseModelCancelTraced is RebaseModel under a cancellation token (nil
-// = never cancelled), recording the delta-apply breakdown as child spans
-// of tr: the diff; a delta-rebase span with the write's one chase
-// continuation (chase.Result.Apply: DRed, additions, deepening) and its
-// reground as phases, and the delta sizes as counters; and one warm
-// solve over the Change's seeds, with the cone sizes as counters. tr nil
-// records nothing. The token gates every stage — the chase, the warm
-// solve, and crucially the cold-rebuild fallback, which must not run
-// when the rebase failed *because* of the cancel.
-func RebaseModelCancelTraced(prev *Model, prog *program.Program, opts Options, depth int, newDB program.Database, tok *cancel.Token, tr *trace.Span) *Model {
-	opts = opts.withDefaults()
-	endDiff := tr.Phase("diff")
-	added, removed := chase.Diff(prev.Chase.DB, newDB)
-	endDiff()
-	if len(added) == 0 && len(removed) == 0 {
-		return prev
-	}
-	// prev's chase may be bounded below depth: a ladder rung past
-	// saturation shares the shallower saturated chase. Apply deepens it
-	// to depth after the change — the delta may have unsaturated it.
-	if prev.Chase.Opts.MaxDepth <= depth && !prev.Chase.Truncated {
-		rb := tr.Child("delta-rebase")
-		rb.SetCount("added_facts", int64(len(added)))
-		rb.SetCount("removed_facts", int64(len(removed)))
-		cs := rb.Child("chase")
-		res, ch := prev.Chase.Apply(prog, newDB, removed, added, depth, tok)
-		if res.Opts.MaxDepth != prev.Chase.Opts.MaxDepth {
-			chaseCounters(cs, res)
-		}
-		cs.End()
-		if res.Interrupted {
-			rb.End()
-			return interruptedModel(prev)
-		}
-		if len(removed) > 0 {
-			rb.SetCount("dead_instances", int64(len(ch.Dead)))
-			rb.SetCount("overdeleted_atoms", int64(ch.Overdeleted))
-			rb.SetCount("rederived_atoms", int64(ch.Rederived))
-			compacted := int64(0)
-			if ch.Compacted {
-				compacted = 1
-			}
-			rb.SetCount("compacted", compacted)
-		}
-		if len(added) > 0 {
-			rb.SetCount("new_instances", int64(ch.NewInstances))
-		}
-		endRg := rb.Phase("reground")
-		gp := ground.View(prev.GP, res, ch.Remap)
-		endRg()
-		rb.End()
-		ws := tr.Child("warm-solve")
-		gm := ground.IncrementalModelCancelTraced(gp, prev.GM, ch.Seeds, solverCancelForTraced(opts, tok, nil), tok, ws)
-		ws.End()
-		if gm.Interrupted {
-			return interruptedModel(prev)
-		}
-		m := wrapModel(opts, res, gp, gm, depth)
-		m.patch = newIndexPatch(prev, m, gm.Cone)
-		return m
-	}
-	if tok.Cancelled() {
-		return interruptedModel(prev)
-	}
-	cs := tr.Child("chase")
-	res := chase.Run(prog, newDB, chase.Options{MaxDepth: depth, MaxAtoms: opts.MaxAtoms, Cancel: tok})
-	chaseCounters(cs, res)
-	cs.End()
-	if res.Interrupted {
-		return interruptedModel(prev)
-	}
-	endG := tr.Phase("ground")
-	gp := ground.FromChase(res)
-	endG()
-	return modelFromCancelTraced(opts, res, gp, depth, tok, tr)
-}
-
-// solverCancelForTraced returns the one production solve path as a
-// function over ground programs (also handed to the warm-started
-// incremental evaluation, which applies it to the affected subprogram):
-// the modular SCC-wise evaluation, with the alternating fixpoint run
-// inside each negation-cyclic component and up to opts.Parallelism
-// independent components solved concurrently. The token (nil = never
-// cancelled) is carried into the solve, which records its condense/solve
-// phases (and, on a Detailed trace, the slowest components) onto tr.
-func solverCancelForTraced(opts Options, tok *cancel.Token, tr *trace.Span) func(*ground.Program) *ground.Model {
-	par := opts.Parallelism
-	return func(p *ground.Program) *ground.Model {
-		return ground.SolveModularCancelTraced(p, ground.AlternatingFixpoint, par, tok, tr)
-	}
-}
-
-// modelFromCancelTraced runs the production solve over a grounded chase
-// and wraps the result with its exactness and guard-band metadata; an
-// interrupted solve (or chase) marks the model.
-func modelFromCancelTraced(opts Options, res *chase.Result, gp *ground.Program, depth int, tok *cancel.Token, tr *trace.Span) *Model {
-	return wrapModel(opts, res, gp, solverCancelForTraced(opts, tok, tr)(gp), depth)
+	return Build(prev, prog, opts, depth, newDB, nil, nil)
 }
 
 // wrapModel attaches exactness and guard-band metadata to an evaluated
@@ -489,12 +409,11 @@ func wrapModel(opts Options, res *chase.Result, gp *ground.Program, gm *ground.M
 	// derive atoms at exactly the bound, but nothing beyond exists).
 	certified := opts.CertifiedDepth > 0 && depth >= opts.CertifiedDepth
 	m := &Model{
-		Chase:       res,
-		GP:          gp,
-		GM:          gm,
-		Depth:       depth,
-		Exact:       !res.Truncated && (stats.MaxDepth < depth || certified),
-		Interrupted: res.Interrupted || gm.Interrupted,
+		Chase: res,
+		GP:    gp,
+		GM:    gm,
+		Depth: depth,
+		Exact: !res.Truncated && (stats.MaxDepth < depth || certified),
 	}
 	if m.Exact {
 		m.UsableDepth = -1

@@ -74,12 +74,12 @@ func TestEngineReusesChaseAcrossLadder(t *testing.T) {
 	prog, db, _, _ := compile(t, example4)
 	e := NewEngine(prog, db, Options{})
 	m4 := e.EvaluateAtDepth(4)
-	if e.res == nil || e.res.Opts.MaxDepth != 4 {
+	if e.models[4] != m4 || m4.Chase.Opts.MaxDepth != 4 {
 		t.Fatalf("engine did not retain the depth-4 chase")
 	}
 	m6 := e.EvaluateAtDepth(6)
-	if e.res.Opts.MaxDepth != 6 {
-		t.Fatalf("engine chase not advanced to depth 6")
+	if m6.Chase.Opts.MaxDepth != 6 || !m6.Chase.Extends(m4.Chase) {
+		t.Fatalf("engine chase not advanced to depth 6 from depth 4's")
 	}
 	// The deeper universe extends the shallower one as a prefix.
 	for i, a := range m4.Chase.Atoms {
@@ -96,8 +96,16 @@ func TestEngineReusesChaseAcrossLadder(t *testing.T) {
 	if len(m3.Chase.Atoms) > len(m6.Chase.Atoms) {
 		t.Error("shallow model larger than deep model")
 	}
-	if e.res.Opts.MaxDepth != 6 {
-		t.Errorf("shallow request clobbered the deep chase (now %d)", e.res.Opts.MaxDepth)
+	if m3.Chase.Extends(m4.Chase) || m4.Chase.Extends(m3.Chase) {
+		t.Error("the shallow request did not run a fresh chase")
+	}
+	if e.models[6] != m6 || m6.Chase.Opts.MaxDepth != 6 {
+		t.Errorf("shallow request clobbered the deep chase (now %d)", e.models[6].Chase.Opts.MaxDepth)
+	}
+	// The next rung deepens the deepest model below it, not the fresh
+	// shallow one.
+	if m8 := e.EvaluateAtDepth(8); !m8.Chase.Extends(m6.Chase) {
+		t.Error("depth 8 did not continue depth 6's chase")
 	}
 }
 
@@ -135,7 +143,7 @@ func TestAdaptiveAnswerEmptyScheduleErrors(t *testing.T) {
 	}
 }
 
-// TestExtendModelSharesSaturatedChase: extending past a saturated chase
+// TestExtendModelSharesSaturatedChase: deepening past a saturated chase
 // reuses the chase and grounding outright.
 func TestExtendModelSharesSaturatedChase(t *testing.T) {
 	prog, db, _, _ := compile(t, `
@@ -148,7 +156,7 @@ reach(X), edge(X,Y) -> reach(Y).
 	if !m.Exact {
 		t.Fatal("finite chase should saturate")
 	}
-	ext := ExtendModel(m, prog, e.Opts, 20)
+	ext := Build(m, prog, e.Opts, 20, db, nil, nil)
 	if ext.Chase != m.Chase || ext.GP != m.GP {
 		t.Error("saturated extension rebuilt chase or grounding")
 	}

@@ -2,7 +2,7 @@
 // benchmark/, which pins Rebase and Result, until ROADMAP 6.2 unpins it.
 // A write's pipeline lives where its stages do: one chase.Result.Apply,
 // one ground.View, and the warm start ground.IncrementalModel over the
-// Change's seeds (core.RebaseModelCancelTraced runs all three).
+// Change's seeds (core.Build runs all three).
 package delta
 
 import (

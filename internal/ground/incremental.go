@@ -26,8 +26,9 @@
 // Nothing is condensed for it: the walk costs time in the cone, and what
 // stays proportional to the program is two flat arrays, the affected
 // flags and the merged truths. Only the cone subprogram — and the
-// fallback that solves everything when the cone covers most of the
-// program — goes through the modular solver's condensation.
+// fallback that solves everything when the cone covers more than a
+// quarter of the program, where the walk stops — goes through the
+// modular solver's condensation.
 package ground
 
 import (
@@ -53,8 +54,8 @@ const cancelPollEvery = 256
 //
 // Falls back to solve(gp) when no previous model is available, when the
 // programs are not chase-grounded (no global ID space to align on), or
-// when the affected cone covers most of the program and solving the
-// subprogram would cost as much as solving everything.
+// when the affected cone covers more than a quarter of the program and
+// solving the subprogram would cost about as much as solving everything.
 func IncrementalModel(gp *Program, prev *Model, seeds []atom.AtomID, solve func(*Program) *Model) *Model {
 	return IncrementalModelTraced(gp, prev, seeds, solve, nil)
 }
@@ -87,7 +88,9 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 			seedIdx = append(seedIdx, i)
 		}
 	}
-	affected, cone := forwardCone(gp, seedIdx, tok)
+	// The walk stops past a quarter of the universe, where the full
+	// solve takes over: it then reports ⌊n/4⌋+1 affected atoms.
+	affected, cone := forwardCone(gp, seedIdx, n/4, tok)
 	if affected == nil {
 		endClosure()
 		return &Model{Prog: gp, Truth: make([]Truth, n), Interrupted: true}
@@ -238,20 +241,24 @@ func IncrementalModelCancelTraced(gp *Program, prev *Model, seeds []atom.AtomID,
 // each atom to the heads of the rules with it in the body, positively or
 // negatively — and returns the membership flags and the atoms of the
 // cone. The view's lists are read through its renumbering, and the rules
-// past them are reached through the chase's links. A cancelled walk
-// returns nil flags.
-func forwardCone(gp *Program, seeds []int32, tok *cancel.Token) (affected []bool, cone []int32) {
+// past them are reached through the chase's links. The walk stops as
+// soon as the cone holds more than limit atoms. A cancelled walk returns
+// nil flags.
+func forwardCone(gp *Program, seeds []int32, limit int, tok *cancel.Token) (affected []bool, cone []int32) {
 	affected = make([]bool, gp.NumAtoms())
 	var stack, more []int32
-	mark := func(a int32) {
+	mark := func(a int32) bool { // reports that the cone is within limit
 		if !affected[a] {
 			affected[a] = true
 			cone = append(cone, a)
 			stack = append(stack, a)
 		}
+		return len(cone) <= limit
 	}
 	for _, a := range seeds {
-		mark(a)
+		if !mark(a) {
+			return affected, cone
+		}
 	}
 	occ := gp.occ
 	budget := cancelPollEvery
@@ -275,7 +282,9 @@ func forwardCone(gp *Program, seeds []int32, tok *cancel.Token) (affected []bool
 		}
 		for _, rules := range [3][]int32{pos, neg, more} {
 			for _, ri := range rules {
-				mark(gp.Rules[ri].Head)
+				if !mark(gp.Rules[ri].Head) {
+					return affected, cone
+				}
 			}
 		}
 	}

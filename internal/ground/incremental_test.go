@@ -11,6 +11,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/program"
 	"repro/internal/term"
+	"repro/internal/trace"
 )
 
 var solvers = map[string]func(*Program) *Model{
@@ -197,6 +198,51 @@ r(X), e(X,Y) -> r(Y).
 	}
 }
 
+// TestConeWalkStopsAtQuarter: a warm start whose cone covers more than
+// a quarter of the universe falls back to the full solve, and its cone
+// walk stops after marking at most ⌈n/4⌉+1 atoms — whether one seed
+// reaches that far (an edge added at the end of a win-move chain flips
+// every win atom) or the seeds are every atom. The fallback still equals
+// the full solve.
+func TestConeWalkStopsAtQuarter(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "move(n%d,n%d).\n", i, i+1)
+	}
+	src.WriteString("move(X,Y), not win(Y) -> win(X).\n")
+	prog, db, st := compileChase(t, src.String())
+	res := chase.Run(prog, db, chase.Options{MaxDepth: 8, MaxAtoms: 10_000})
+	gp := FromChase(res)
+	prev := AlternatingFixpoint(gp)
+	added := internFact(t, st, "move", "n40", "n41")
+	res2 := res.ExtendDB(prog, append(db, added), []atom.AtomID{added})
+	gp2 := ExtendFromChase(gp, res2)
+	var seeds []atom.AtomID
+	for rec := len(res.Ground); rec < len(res2.Ground); rec++ {
+		seeds = append(seeds, res2.Head(int32(rec)))
+	}
+	n := gp2.NumAtoms()
+	want := AlternatingFixpoint(gp2)
+	for name, seeds := range map[string][]atom.AtomID{"added edge": seeds, "every atom": gp2.Atoms} {
+		t.Run(name, func(t *testing.T) {
+			tr := trace.New("warm-solve")
+			got := IncrementalModelTraced(gp2, prev, seeds, AlternatingFixpoint, tr)
+			tr.End()
+			if marked, most := tr.Counter("affected_atoms"), int64((n+3)/4+1); marked > most {
+				t.Errorf("the cone walk marked %d of %d atoms, want at most %d", marked, n, most)
+			}
+			fell := false
+			for _, c := range tr.Trace().Children {
+				fell = fell || c.Name == "cold-solve"
+			}
+			if !fell {
+				t.Errorf("no fallback to the full solve: %s", tr.Trace().Format())
+			}
+			checkSameTruth(t, st, got, want)
+		})
+	}
+}
+
 // TestForwardConeMatchesReachability: the cone walked over the
 // occurrence lists — including the records past a view's lists, reached
 // through the chase's links — equals forward reachability in the
@@ -247,7 +293,7 @@ e(X,Y), p(Y), not p(X) -> r(X).
 					}
 				}
 			}
-			got, cone := forwardCone(p, seeds, nil)
+			got, cone := forwardCone(p, seeds, p.NumAtoms(), nil)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d: cone %v, reachability %v", trial, got, want)
 			}

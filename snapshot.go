@@ -26,13 +26,12 @@ import (
 // Evaluation state is built lazily, at most once per snapshot, and interns
 // its chase-derived terms and atoms into the shared store: an ID means the
 // same thing for ever, so another snapshot's writer or builds appending
-// beside it change nothing this snapshot can observe. The
-// adaptive-deepening ladder is one chained, resumable chase: rung k+1
-// continues rung k's chase (chase.Result.Apply) instead of re-chasing
-// from the database, and its grounding is a view over rung k's
-// (ground.View) with local IDs kept stable. A rung rebased from an
-// earlier epoch runs the write as one such continuation and one view.
-// Reads never intern: a query resolves its names by lookup, and a name
+// beside it change nothing this snapshot can observe. Every model is one
+// core.Build: the first rung is built cold, rung k+1 deepens rung k —
+// continuing its chase instead of re-chasing from the database, viewing
+// its grounding with local IDs kept stable, and re-solving only the cone
+// of the new records — and a rung rebased from an earlier epoch's
+// same-depth rung runs the write the same way. Reads never intern: a query resolves its names by lookup, and a name
 // the store does not know is in no atom.
 //
 // A Snapshot remains answerable forever: it keeps serving its epoch's
@@ -71,11 +70,11 @@ type Snapshot struct {
 // rung stays cold and the next caller (with a live token) rebuilds it — a
 // cancelled request can never poison a rung for every later reader.
 // After done is set, the model is read-only and reads take no lock. A
-// snapModel with a prev pointer is a ladder rung: it extends prev's chase
-// rather than running a private full chase. A snapModel with a reb
-// pointer can instead rebase a materialized same-depth rung of an earlier
-// epoch onto the database of its own — preferred, since it reuses all of
-// that rung's work.
+// snapModel with a prev pointer is a ladder rung: it deepens prev's model
+// rather than building its own cold. A snapModel with a reb pointer
+// instead rebases a materialized same-depth rung of an earlier epoch onto
+// the database of its own — preferred, since it reuses all of that rung's
+// work.
 type snapModel struct {
 	depth int
 	prev  *snapModel // previous rung of this snapshot; nil for the first rung and for base
@@ -113,23 +112,22 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 	if build == nil {
 		build = trace.New("build-depth-" + strconv.Itoa(sm.depth))
 	}
-	rebased := false
-	var m *core.Model
-	if r := sm.reb.Load(); r != nil {
-		rebased = true
-		m = core.RebaseModelCancelTraced(r.m, s.prog, s.opts, sm.depth, s.db, tok, build)
+	// Build from the same-depth rung of an earlier epoch when there is
+	// one (a write), else from the previous rung (a deepening), else cold.
+	var src *core.Model
+	r := sm.reb.Load()
+	if r != nil {
+		src = r.m
 	} else if sm.prev != nil {
-		// Chained rung: continue the previous rung's chase.
 		pm, err := sm.prev.get(s, tok, tr)
 		if err != nil {
 			build.MarkCancelled()
 			build.End()
 			return nil, err
 		}
-		m = core.ExtendModelCancelTraced(pm, s.prog, s.opts, sm.depth, tok, build)
-	} else {
-		m = core.NewEngine(s.prog, s.db, s.opts).EvaluateAtDepthCancelTraced(sm.depth, tok, build)
+		src = pm
 	}
+	m := core.Build(src, s.prog, s.opts, sm.depth, s.db, tok, build)
 	if m.Interrupted {
 		build.MarkCancelled()
 		build.End()
@@ -142,7 +140,7 @@ func (sm *snapModel) get(s *Snapshot, tok *cancel.Token, tr *trace.Span) (*core.
 	sm.reb.Store(nil) // release the previous epoch's model
 	sm.done.Store(true)
 	build.End()
-	s.metrics.observeBuild(build, rebased)
+	s.metrics.observeBuild(build, r != nil)
 	return sm.m, nil
 }
 

@@ -391,6 +391,41 @@ func TestRebaseTimeIsAttributed(t *testing.T) {
 	}
 }
 
+// TestChaseGaugeTracksRebase: the chase-size gauge is the universe of
+// the latest build, and a rebase is a build, so after a retraction it
+// reads the rebased model's universe, not the one before it.
+func TestChaseGaugeTracksRebase(t *testing.T) {
+	sys, err := Load(`
+move(a,b). move(b,c). move(c,d). move(d,e). move(e,f). move(f,g).
+move(X,Y), not win(Y) -> win(X).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Answer("win(a)"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Metrics().Read().ChaseAtoms, int64(sys.Stats().Model.ChaseAtoms); got != want {
+		t.Fatalf("before the write: chase_atoms gauge %d, model %d", got, want)
+	}
+	d := NewDelta().Retract("move", "c", "d").Retract("move", "d", "e").Retract("move", "e", "f").Retract("move", "f", "g")
+	if err := sys.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	if tv, err := sys.Answer("win(a)"); err != nil || tv != False {
+		t.Fatalf("win(a) on a two-edge chain = %v (%v)", tv, err)
+	}
+	m := sys.Metrics().Read()
+	st := sys.Stats().Model
+	if m.Rebases == 0 {
+		t.Fatal("the retraction was not rebased")
+	}
+	if m.ChaseAtoms != int64(st.ChaseAtoms) || m.ChaseInstances != int64(st.ChaseInstances) {
+		t.Errorf("after the write: gauges %d atoms / %d instances, model %d / %d",
+			m.ChaseAtoms, m.ChaseInstances, st.ChaseAtoms, st.ChaseInstances)
+	}
+}
+
 // TestSnapshotBaseOffLadder: a configured depth the schedule does not
 // visit keeps a model of its own.
 func TestSnapshotBaseOffLadder(t *testing.T) {
